@@ -258,581 +258,12 @@ let nonkv () =
     "(The paper found one known bug in the persistent array and none in\n\
      the queue; the array's realloc-ordering defect is the seeded one.)"
 
-(* --- validate: zero-copy validation path vs legacy full-copy replay --- *)
-
 let max_images =
   try int_of_string (Sys.getenv "WITCHER_MAX_IMAGES")
   with _ -> W.Crash_gen.default_cfg.max_images
 
 (* Machine-readable rows collected by sections for --json / BENCH.json. *)
 let json_sections : (string * Obs.Jsonx.t) list ref = ref []
-
-let validate () =
-  section "Zero-copy validation: COW images + streaming checks vs full-copy replay";
-  Printf.printf "%-12s | %8s %8s | %10s %11s %7s | %10s %11s %7s\n"
-    "store" "#img" "#mismtch" "legacy(s)" "zerocopy(s)" "speedup"
-    "replay-ops" "early-stops" "mat-MB";
-  print_endline line;
-  let rows = ref [] in
-  List.iter
-    (fun name ->
-       let e = Option.get (R.find name) in
-       let rec_ = record_store e in
-       let conds = W.Infer.infer rec_.trace in
-       let crash_cfg = { W.Crash_gen.default_cfg with max_images } in
-       let fuel = W.Engine.default_cfg.fuel in
-       let gen on_image =
-         W.Crash_gen.generate ~cfg:crash_cfg ~trace:rec_.trace ~conds
-           ~pool_size:rec_.pool_size ~on_image ()
-       in
-       let key = function
-         | W.Equiv.Consistent -> -1
-         | W.Equiv.Inconsistent d -> d.first_diff
-       in
-       (* Legacy validation, reproducing the pre-refactor cost model:
-          detach each image into a flat full-pool copy, replay the whole
-          suffix into an array, then compare against both oracles. *)
-       let module S = (val e.buggy ()) in
-       let legacy_checker =
-         W.Equiv.create ~fuel (module S) ~ops:rec_.ops ~committed:rec_.outputs
-       in
-       let legacy = ref [] in
-       let t_legacy = ref 0. in
-       let _ =
-         gen (fun (img : W.Crash_gen.image) ->
-             let t0 = Unix.gettimeofday () in
-             let flat = Nvm.Pmem.copy img.img in
-             let k = img.crash_op in
-             let got =
-               W.Driver.resume (module S) ~image:flat ~ops:rec_.ops
-                 ~from_op:k ~fuel
-             in
-             let rb = W.Equiv.rolled_back_oracle legacy_checker k in
-             let v =
-               W.Equiv.verdict_of_outputs ~crash_op:k ~got
-                 ~committed:(fun i -> rec_.outputs.(k + i))
-                 ~rolled_back:(fun i -> rb.(i))
-             in
-             t_legacy := !t_legacy +. (Unix.gettimeofday () -. t0);
-             legacy := (k, key v) :: !legacy;
-             `Continue)
-       in
-       (* Zero-copy validation: check each COW overlay in place with the
-          streaming checker; replays abort once both oracles are dead. *)
-       let module S2 = (val e.buggy ()) in
-       let checker =
-         W.Equiv.create ~fuel (module S2) ~ops:rec_.ops ~committed:rec_.outputs
-       in
-       let stream = ref [] in
-       let t_stream = ref 0. in
-       let gstats =
-         gen (fun (img : W.Crash_gen.image) ->
-             let t0 = Unix.gettimeofday () in
-             let v = W.Equiv.check checker ~img:img.img ~crash_op:img.crash_op in
-             t_stream := !t_stream +. (Unix.gettimeofday () -. t0);
-             stream := (img.crash_op, key v) :: !stream;
-             `Continue)
-       in
-       if !legacy <> !stream then
-         Printf.printf "!! %-10s verdict sequences DIFFER between paths\n" name;
-       let mismatches =
-         List.length (List.filter (fun (_, d) -> d >= 0) !stream)
-       in
-       let st = W.Equiv.stats checker in
-       let speedup = if !t_stream > 0. then !t_legacy /. !t_stream else 0. in
-       Printf.printf "%-12s | %8d %8d | %10.2f %11.2f %6.2fx | %10d %11d %7.2f\n"
-         name (List.length !stream) mismatches !t_legacy !t_stream speedup
-         st.W.Equiv.n_replay_ops st.W.Equiv.n_early_stops
-         (float_of_int gstats.W.Crash_gen.bytes_materialized /. 1024. /. 1024.);
-       rows :=
-         Obs.Jsonx.Obj
-           [ ("store", Obs.Jsonx.Str name);
-             ("images", Obs.Jsonx.Int (List.length !stream));
-             ("mismatches", Obs.Jsonx.Int mismatches);
-             ("legacy_time_s", Obs.Jsonx.Float !t_legacy);
-             ("zerocopy_time_s", Obs.Jsonx.Float !t_stream);
-             ("speedup", Obs.Jsonx.Float speedup);
-             ("replay_ops", Obs.Jsonx.Int st.W.Equiv.n_replay_ops);
-             ("early_stops", Obs.Jsonx.Int st.W.Equiv.n_early_stops);
-             ("bytes_materialized",
-              Obs.Jsonx.Int gstats.W.Crash_gen.bytes_materialized);
-             ("parity", Obs.Jsonx.Bool (!legacy = !stream)) ]
-         :: !rows)
-    [ "level-hash"; "fast-fair" ];
-  print_endline
-    "\n(Both paths must produce identical per-image verdicts; any divergence\n\
-     \ is flagged above. The zero-copy path materializes O(dirty-lines)\n\
-     \ overlays instead of full pool copies and aborts each replay as soon\n\
-     \ as both oracles are ruled out.)";
-  Printf.printf "\nPer-stage pipeline timing (full engine run):\n";
-  List.iter
-    (fun name ->
-       let r = run_store (Option.get (R.find name)) in
-       print_endline ("  " ^ W.Report.timing_line r))
-    [ "level-hash"; "fast-fair" ];
-  json_sections :=
-    ("validate", Obs.Jsonx.List (List.rev !rows)) :: !json_sections
-
-(* --- oracle: lazy + checkpointed + memoized checking vs eager legacy --- *)
-
-let oracle () =
-  section
-    "Oracle memoization: lazy + checkpointed + digest-memoized checking vs \
-     eager oracles";
-  Printf.printf
-    "%-12s | %6s %8s | %9s %6s %7s | %7s %7s %8s %6s %7s\n"
-    "store" "#img" "#mismtch" "legacy(s)" "opt(s)" "speedup"
-    "orc-leg" "orc-opt" "ops-savd" "#memo" "ckpt-MB";
-  print_endline line;
-  let ckpt_stride = W.Engine.default_cfg.ckpt_stride in
-  let fuel = W.Engine.default_cfg.fuel in
-  let speedups = ref [] in
-  let rows = ref [] in
-  List.iter
-    (fun name ->
-       let e = Option.get (R.find name) in
-       (* Record locally (not via [record_store]): this run carries
-          checkpoints, and dropping the binding after the iteration keeps
-          only one store's snapshots alive at a time. *)
-       let module S = (val e.buggy ()) in
-       let wl =
-         if S.supports_scan then { W.Workload.default with n_ops }
-         else W.Workload.no_scan { W.Workload.default with n_ops }
-       in
-       let rec_ =
-         W.Driver.record ~ckpt_stride (module S) (W.Workload.generate wl)
-       in
-       let conds = W.Infer.infer rec_.trace in
-       let crash_cfg = { W.Crash_gen.default_cfg with max_images } in
-       let gen on_image =
-         W.Crash_gen.generate ~cfg:crash_cfg ~trace:rec_.trace ~conds
-           ~pool_size:rec_.pool_size ~on_image ()
-       in
-       let key = function
-         | W.Equiv.Consistent -> -1
-         | W.Equiv.Inconsistent d -> d.first_diff
-       in
-       (* Pass A — legacy: every rolled-back oracle built eagerly by a
-          full O(n) re-run, every image replayed (the pre-memoization
-          checker). *)
-       let legacy_checker =
-         W.Equiv.create ~fuel ~lazy_oracle:false ~memo:false (module S)
-           ~ops:rec_.ops ~committed:rec_.outputs
-       in
-       let legacy = ref [] in
-       let t_legacy = ref 0. in
-       let _ =
-         gen (fun (img : W.Crash_gen.image) ->
-             let t0 = Unix.gettimeofday () in
-             let v =
-               W.Equiv.check legacy_checker ~img:img.img ~crash_op:img.crash_op
-             in
-             t_legacy := !t_legacy +. (Unix.gettimeofday () -. t0);
-             legacy := (img.crash_op, key v) :: !legacy;
-             `Continue)
-       in
-       (* Pass B — optimized: lazy oracles resumed from record-time
-          checkpoints, digest-keyed verdict memo. *)
-       let checker =
-         W.Equiv.create ~fuel ~checkpoints:rec_.checkpoints (module S)
-           ~ops:rec_.ops ~committed:rec_.outputs
-       in
-       let opt = ref [] in
-       let t_opt = ref 0. in
-       let _ =
-         gen (fun (img : W.Crash_gen.image) ->
-             let t0 = Unix.gettimeofday () in
-             let v =
-               W.Equiv.check ~digest:img.digest checker ~img:img.img
-                 ~crash_op:img.crash_op
-             in
-             t_opt := !t_opt +. (Unix.gettimeofday () -. t0);
-             opt := (img.crash_op, key v) :: !opt;
-             `Continue)
-       in
-       (* Hard parity assertion: the optimizations must be invisible in
-          the verdicts. *)
-       if !legacy <> !opt then
-         failwith
-           (Printf.sprintf
-              "bench oracle: %s verdict sequences differ between legacy and \
-               optimized checkers" name);
-       let mismatches = List.length (List.filter (fun (_, d) -> d >= 0) !opt) in
-       let stl = W.Equiv.stats legacy_checker in
-       let sto = W.Equiv.stats checker in
-       let speedup = if !t_opt > 0. then !t_legacy /. !t_opt else 0. in
-       speedups := (name, speedup) :: !speedups;
-       Printf.printf
-         "%-12s | %6d %8d | %9.2f %6.2f %6.2fx | %7d %7d %8d %6d %7.2f\n"
-         name (List.length !opt) mismatches !t_legacy !t_opt speedup
-         stl.W.Equiv.n_oracle_runs sto.W.Equiv.n_oracle_runs
-         sto.W.Equiv.n_oracle_ops_saved sto.W.Equiv.n_memo_hits
-         (float_of_int (List.length rec_.checkpoints * rec_.pool_size)
-          /. 1024. /. 1024.);
-       rows :=
-         Obs.Jsonx.Obj
-           [ ("store", Obs.Jsonx.Str name);
-             ("images", Obs.Jsonx.Int (List.length !opt));
-             ("mismatches", Obs.Jsonx.Int mismatches);
-             ("legacy_time_s", Obs.Jsonx.Float !t_legacy);
-             ("optimized_time_s", Obs.Jsonx.Float !t_opt);
-             ("speedup", Obs.Jsonx.Float speedup);
-             ("oracle_runs_legacy", Obs.Jsonx.Int stl.W.Equiv.n_oracle_runs);
-             ("oracle_runs_opt", Obs.Jsonx.Int sto.W.Equiv.n_oracle_runs);
-             ("oracle_ops_saved", Obs.Jsonx.Int sto.W.Equiv.n_oracle_ops_saved);
-             ("memo_hits", Obs.Jsonx.Int sto.W.Equiv.n_memo_hits);
-             ("ckpt_bytes",
-              Obs.Jsonx.Int (List.length rec_.checkpoints * rec_.pool_size));
-             ("parity", Obs.Jsonx.Bool true) ]
-         :: !rows)
-    [ "level-hash"; "fast-fair"; "cceh" ];
-  let fast =
-    List.length (List.filter (fun (_, s) -> s >= 1.5) !speedups)
-  in
-  Printf.printf
-    "\n%d/%d stores at >= 1.5x validation-stage speedup (per-image verdicts \
-     identical on all).\n"
-    fast (List.length !speedups);
-  json_sections :=
-    ("oracle", Obs.Jsonx.List (List.rev !rows)) :: !json_sections
-
-(* --- batch: fence-batched validation vs per-image checking --- *)
-
-let batch () =
-  section
-    "Fence-batched validation: per-image checkers vs one shared batched \
-     checker with verdict inheritance (DESIGN §5)";
-  Printf.printf
-    "%-12s | %6s %8s | %9s %8s %7s | %6s %7s %6s %8s %6s\n"
-    "store" "#img" "#mismtch" "perimg(s)" "batch(s)" "speedup"
-    "#fence" "img/fnc" "#inh" "ops-savd" "#memo";
-  print_endline line;
-  let ckpt_stride = W.Engine.default_cfg.ckpt_stride in
-  let fuel = W.Engine.default_cfg.fuel in
-  let rows = ref [] in
-  let speedups = ref [] in
-  List.iter
-    (fun name ->
-       let e = Option.get (R.find name) in
-       let module S = (val e.buggy ()) in
-       let wl =
-         if S.supports_scan then { W.Workload.default with n_ops }
-         else W.Workload.no_scan { W.Workload.default with n_ops }
-       in
-       let rec_ =
-         W.Driver.record ~ckpt_stride (module S) (W.Workload.generate wl)
-       in
-       let conds = W.Infer.infer rec_.trace in
-       let crash_cfg = { W.Crash_gen.default_cfg with max_images } in
-       let gen on_image =
-         W.Crash_gen.generate ~cfg:crash_cfg ~trace:rec_.trace ~conds
-           ~pool_size:rec_.pool_size ~on_image ()
-       in
-       let key = function
-         | W.Equiv.Consistent -> -1
-         | W.Equiv.Inconsistent d -> d.first_diff
-       in
-       let op_kind_of (img : W.Crash_gen.image) =
-         let op_desc =
-           if img.crash_op = 0 then "create"
-           else W.Op.desc rec_.ops.(img.crash_op - 1)
-         in
-         Nvm.Sid.intern (W.Cluster.op_kind_of_desc op_desc)
-       in
-       (* Pass A — per-image cost model: a FRESH eager checker per image,
-          so every verdict pays its own oracle construction and its own
-          full replay. Nothing — oracles, memo entries, read sets — is
-          shared across images. *)
-       let a_verdicts = ref [] in
-       let cl_a = W.Cluster.create ~store_name:name in
-       let t_a = ref 0. in
-       let a_replay = ref 0 in
-       let _ =
-         gen (fun (img : W.Crash_gen.image) ->
-             let t0 = Unix.gettimeofday () in
-             let checker =
-               W.Equiv.create ~fuel ~lazy_oracle:false ~memo:false (module S)
-                 ~ops:rec_.ops ~committed:rec_.outputs
-             in
-             let v =
-               W.Equiv.check checker ~img:img.img ~crash_op:img.crash_op
-             in
-             t_a := !t_a +. (Unix.gettimeofday () -. t0);
-             a_replay :=
-               !a_replay + (W.Equiv.stats checker).W.Equiv.n_replay_ops;
-             a_verdicts := (img.crash_op, key v) :: !a_verdicts;
-             W.Cluster.add cl_a ~image:img ~op_kind:(op_kind_of img)
-               ~verdict:v;
-             `Continue)
-       in
-       (* Pass B — fence-batched: one shared checker with checkpoints,
-          lazy oracles and the digest memo, plus fence grouping: all
-          images generated at one fence form a group, and a sibling whose
-          extras-delta misses a finished replay's read set inherits that
-          verdict without replaying. *)
-       let checker =
-         W.Equiv.create ~fuel ~checkpoints:rec_.checkpoints (module S)
-           ~ops:rec_.ops ~committed:rec_.outputs
-       in
-       W.Equiv.enable_batch checker ~addr_len:(fun tid ->
-           (Nvm.Trace.addr_at rec_.trace tid, Nvm.Trace.len_at rec_.trace tid));
-       let b_verdicts = ref [] in
-       let cl_b = W.Cluster.create ~store_name:name in
-       let t_b = ref 0. in
-       let _ =
-         gen (fun (img : W.Crash_gen.image) ->
-             let t0 = Unix.gettimeofday () in
-             let v =
-               W.Equiv.check ~digest:img.digest ~fence:img.crash_tid
-                 ~extras:img.extras checker ~img:img.img ~crash_op:img.crash_op
-             in
-             t_b := !t_b +. (Unix.gettimeofday () -. t0);
-             b_verdicts := (img.crash_op, key v) :: !b_verdicts;
-             W.Cluster.add cl_b ~image:img ~op_kind:(op_kind_of img)
-               ~verdict:v;
-             `Continue)
-       in
-       let t0 = Unix.gettimeofday () in
-       W.Equiv.flush_batch checker;
-       t_b := !t_b +. (Unix.gettimeofday () -. t0);
-       (* Hard parity: batching must be invisible in the verdicts — the
-          per-image verdict sequence (crash op + first divergent output)
-          and the clustered bug reports must be bit-identical. *)
-       if List.rev !a_verdicts <> List.rev !b_verdicts then
-         failwith
-           (Printf.sprintf
-              "bench batch: %s verdict sequences differ between per-image \
-               and fence-batched checking" name);
-       if W.Cluster.reports cl_a <> W.Cluster.reports cl_b then
-         failwith
-           (Printf.sprintf
-              "bench batch: %s cluster reports differ between per-image and \
-               fence-batched checking" name);
-       let mismatches =
-         List.length (List.filter (fun (_, d) -> d >= 0) !b_verdicts)
-       in
-       let st = W.Equiv.stats checker in
-       let speedup = if !t_b > 0. then !t_a /. !t_b else 0. in
-       speedups := (name, speedup) :: !speedups;
-       let per_fence =
-         if st.W.Equiv.n_batch_fences = 0 then 0.
-         else
-           float_of_int st.W.Equiv.n_batch_images
-           /. float_of_int st.W.Equiv.n_batch_fences
-       in
-       Printf.printf
-         "%-12s | %6d %8d | %9.2f %8.2f %6.2fx | %6d %7.1f %6d %8d %6d\n"
-         name (List.length !b_verdicts) mismatches !t_a !t_b speedup
-         st.W.Equiv.n_batch_fences per_fence st.W.Equiv.n_inherit_hits
-         st.W.Equiv.n_inherit_ops_saved st.W.Equiv.n_memo_hits;
-       rows :=
-         Obs.Jsonx.Obj
-           [ ("store", Obs.Jsonx.Str name);
-             ("images", Obs.Jsonx.Int (List.length !b_verdicts));
-             ("mismatches", Obs.Jsonx.Int mismatches);
-             ("per_image_time_s", Obs.Jsonx.Float !t_a);
-             ("batched_time_s", Obs.Jsonx.Float !t_b);
-             ("speedup", Obs.Jsonx.Float speedup);
-             ("per_image_replay_ops", Obs.Jsonx.Int !a_replay);
-             ("batched_replay_ops", Obs.Jsonx.Int st.W.Equiv.n_replay_ops);
-             ("batch_fences", Obs.Jsonx.Int st.W.Equiv.n_batch_fences);
-             ("batch_images", Obs.Jsonx.Int st.W.Equiv.n_batch_images);
-             ("inherit_hits", Obs.Jsonx.Int st.W.Equiv.n_inherit_hits);
-             ("inherit_ops_saved",
-              Obs.Jsonx.Int st.W.Equiv.n_inherit_ops_saved);
-             ("memo_hits", Obs.Jsonx.Int st.W.Equiv.n_memo_hits);
-             ("parity", Obs.Jsonx.Bool true) ]
-         :: !rows)
-    [ "level-hash"; "fast-fair"; "cceh"; "wort"; "b-tree" ];
-  let fast = List.length (List.filter (fun (_, s) -> s >= 1.5) !speedups) in
-  Printf.printf
-    "\n%d/%d stores at >= 1.5x checking speedup (per-image verdict sequence \
-     and cluster reports identical on all).\n"
-    fast (List.length !speedups);
-  json_sections :=
-    ("batch", Obs.Jsonx.List (List.rev !rows)) :: !json_sections
-
-(* --- frontend: interned sids + SoA trace + indexed lookup vs reference --- *)
-
-let frontend_reps =
-  try int_of_string (Sys.getenv "WITCHER_FRONTEND_REPS") with _ -> 3
-
-let frontend () =
-  section
-    "Front-end fast path: record + infer + generate, fast vs reference \
-     (pre-interning) path";
-  Printf.printf
-    "%-12s | %7s | %8s %8s %6s | %8s %8s %6s | %8s %8s %6s | %8s\n"
-    "store" "#events" "rec-ref" "rec-fast" "x" "inf-ref" "inf-fast" "x"
-    "gen-ref" "gen-fast" "x" "combined";
-  print_endline line;
-  let crash_cfg = { W.Crash_gen.default_cfg with max_images } in
-  let rows = ref [] in
-  let speedups = ref [] in
-  List.iter
-    (fun name ->
-       let e = Option.get (R.find name) in
-       let ops =
-         let module S = (val e.buggy ()) in
-         let wl =
-           if S.supports_scan then { W.Workload.default with n_ops }
-           else W.Workload.no_scan { W.Workload.default with n_ops }
-         in
-         W.Workload.generate wl
-       in
-       (* One warm-up call, then the average of [frontend_reps] timed
-          runs after a major collection: single-shot wall-clock on a
-          1-CPU container is dominated by allocator warm-up and GC
-          scheduling noise. Both paths get the identical treatment. *)
-       let time f =
-         ignore (f ());
-         Gc.full_major ();
-         let t0 = Unix.gettimeofday () in
-         let r = ref (f ()) in
-         for _ = 2 to frontend_reps do r := f () done;
-         ((Unix.gettimeofday () -. t0) /. float_of_int frontend_reps, !r)
-       in
-       (* Stage 1: record. The reference path stores one boxed event per
-          trace node; the fast path appends to the int-array columns. *)
-       let t_rec_ref, rec_ref =
-         time (fun () -> W.Driver.record ~boxed:true (e.buggy ()) ops)
-       in
-       let t_rec_fast, rec_fast =
-         time (fun () -> W.Driver.record (e.buggy ()) ops)
-       in
-       let n_ev = Nvm.Trace.length rec_fast.trace in
-       if Nvm.Trace.length rec_ref.trace <> n_ev then
-         failwith
-           (Printf.sprintf "bench frontend: %s trace lengths differ" name);
-       for i = 0 to n_ev - 1 do
-         if Nvm.Trace.get rec_ref.trace i <> Nvm.Trace.get rec_fast.trace i
-         then
-           failwith
-             (Printf.sprintf "bench frontend: %s traces differ at tid %d"
-                name i)
-       done;
-       if rec_ref.outputs <> rec_fast.outputs then
-         failwith
-           (Printf.sprintf "bench frontend: %s committed outputs differ" name);
-       (* Stage 2: infer. *)
-       let t_inf_ref, conds_ref =
-         time (fun () -> W.Frontend_ref.infer rec_ref.trace)
-       in
-       let t_inf_fast, conds_fast =
-         time (fun () -> W.Infer.infer rec_fast.trace)
-       in
-       if
-         ( conds_ref.W.Frontend_ref.n_po1, conds_ref.W.Frontend_ref.n_po2,
-           conds_ref.W.Frontend_ref.n_po3, conds_ref.W.Frontend_ref.n_guardians )
-         <> ( conds_fast.W.Infer.n_po1, conds_fast.W.Infer.n_po2,
-              conds_fast.W.Infer.n_po3, conds_fast.W.Infer.n_guardians )
-       then
-         failwith
-           (Printf.sprintf
-              "bench frontend: %s inferred condition counts differ \
-               (ref %d/%d/%d/%d vs fast %d/%d/%d/%d)"
-              name conds_ref.W.Frontend_ref.n_po1 conds_ref.W.Frontend_ref.n_po2
-              conds_ref.W.Frontend_ref.n_po3 conds_ref.W.Frontend_ref.n_guardians
-              conds_fast.W.Infer.n_po1 conds_fast.W.Infer.n_po2
-              conds_fast.W.Infer.n_po3 conds_fast.W.Infer.n_guardians);
-       (* Stage 3: generate. Collect the image digest sequence and feed
-          every image into a cluster table (with a synthetic verdict, so
-          no replays run) — both must be identical across paths, which
-          pins down crash points, persist sets, path hashes and violated
-          sites, not just counts. *)
-       let run_gen gen =
-         let once () =
-           let digests = ref [] in
-           let cl = W.Cluster.create ~store_name:name in
-           let some_out = rec_fast.outputs.(0) in
-           let on_image (img : W.Crash_gen.image) =
-             digests := img.digest :: !digests;
-             let op_desc =
-               if img.crash_op = 0 then "create"
-               else W.Op.desc rec_fast.ops.(img.crash_op - 1)
-             in
-             let op_kind =
-               Nvm.Sid.intern (W.Cluster.op_kind_of_desc op_desc)
-             in
-             W.Cluster.add cl ~image:img ~op_kind
-               ~verdict:
-                 (W.Equiv.Inconsistent
-                    { first_diff = img.crash_op; got = some_out;
-                      expect_committed = some_out;
-                      expect_rolled_back = some_out; crashed = false });
-             `Continue
-           in
-           let stats = gen on_image in
-           (stats, List.rev !digests, W.Cluster.reports cl)
-         in
-         let t, (stats, digests, reports) = time once in
-         (stats, digests, reports, t)
-       in
-       let stats_ref, dig_ref, reps_ref, t_gen_ref =
-         run_gen (fun on_image ->
-             W.Frontend_ref.generate ~cfg:crash_cfg ~trace:rec_ref.trace
-               ~conds:conds_ref ~pool_size:rec_ref.pool_size ~on_image ())
-       in
-       let stats_fast, dig_fast, reps_fast, t_gen_fast =
-         run_gen (fun on_image ->
-             W.Crash_gen.generate ~cfg:crash_cfg ~trace:rec_fast.trace
-               ~conds:conds_fast ~pool_size:rec_fast.pool_size ~on_image ())
-       in
-       if dig_ref <> dig_fast then
-         failwith
-           (Printf.sprintf
-              "bench frontend: %s image digest sequences differ (%d vs %d \
-               images)"
-              name (List.length dig_ref) (List.length dig_fast));
-       if
-         ( stats_ref.W.Crash_gen.candidates, stats_ref.generated,
-           stats_ref.tested, stats_ref.bytes_materialized )
-         <> ( stats_fast.W.Crash_gen.candidates, stats_fast.generated,
-              stats_fast.tested, stats_fast.bytes_materialized )
-       then failwith (Printf.sprintf "bench frontend: %s stats differ" name);
-       if reps_ref <> reps_fast then
-         failwith
-           (Printf.sprintf "bench frontend: %s cluster reports differ" name);
-       let t_ref = t_rec_ref +. t_inf_ref +. t_gen_ref in
-       let t_fast = t_rec_fast +. t_inf_fast +. t_gen_fast in
-       let x a b = if b > 0. then a /. b else 0. in
-       let combined = x t_ref t_fast in
-       speedups := (name, combined) :: !speedups;
-       Printf.printf
-         "%-12s | %7d | %8.3f %8.3f %5.2fx | %8.3f %8.3f %5.2fx | %8.3f \
-          %8.3f %5.2fx | %7.2fx\n"
-         name n_ev t_rec_ref t_rec_fast (x t_rec_ref t_rec_fast)
-         t_inf_ref t_inf_fast (x t_inf_ref t_inf_fast)
-         t_gen_ref t_gen_fast (x t_gen_ref t_gen_fast) combined;
-       rows :=
-         Obs.Jsonx.Obj
-           [ ("store", Obs.Jsonx.Str name);
-             ("events", Obs.Jsonx.Int n_ev);
-             ("n_ord_conds", Obs.Jsonx.Int (W.Infer.n_ordering conds_fast));
-             ("n_atom_conds", Obs.Jsonx.Int (W.Infer.n_atomicity conds_fast));
-             ("n_guardians", Obs.Jsonx.Int (W.Infer.n_guardians conds_fast));
-             ("images_generated", Obs.Jsonx.Int stats_fast.W.Crash_gen.generated);
-             ("images_tested", Obs.Jsonx.Int stats_fast.W.Crash_gen.tested);
-             ("t_record_ref", Obs.Jsonx.Float t_rec_ref);
-             ("t_record_fast", Obs.Jsonx.Float t_rec_fast);
-             ("t_infer_ref", Obs.Jsonx.Float t_inf_ref);
-             ("t_infer_fast", Obs.Jsonx.Float t_inf_fast);
-             ("t_gen_ref", Obs.Jsonx.Float t_gen_ref);
-             ("t_gen_fast", Obs.Jsonx.Float t_gen_fast);
-             ("speedup_record", Obs.Jsonx.Float (x t_rec_ref t_rec_fast));
-             ("speedup_infer", Obs.Jsonx.Float (x t_inf_ref t_inf_fast));
-             ("speedup_gen", Obs.Jsonx.Float (x t_gen_ref t_gen_fast));
-             ("speedup_combined", Obs.Jsonx.Float combined) ]
-         :: !rows)
-    [ "level-hash"; "fast-fair"; "cceh" ];
-  let fast = List.length (List.filter (fun (_, s) -> s >= 1.5) !speedups) in
-  Printf.printf
-    "\n%d/%d stores at >= 1.5x combined record+infer+gen speedup (trace, \
-     condition-count, digest-sequence, stats and cluster-report parity \
-     asserted on all).\n"
-    fast (List.length !speedups);
-  json_sections :=
-    ("frontend", Obs.Jsonx.List (List.rev !rows)) :: !json_sections
 
 (* --- prune: path-representative pruning vs exhaustive validation --- *)
 
@@ -1333,8 +764,7 @@ let micro () =
 let sections =
   [ "table1", table1; "table2", table2; "table3", table3; "table4", table4;
     "table5", table5; "fig4", fig4; "random", random_baseline;
-    "compare", compare_tools; "nonkv", nonkv; "validate", validate;
-    "oracle", oracle; "batch", batch; "frontend", frontend; "prune", prune;
+    "compare", compare_tools; "nonkv", nonkv; "prune", prune;
     "stream", stream; "micro", micro ]
 
 let () =
@@ -1356,7 +786,7 @@ let () =
      the machine-readable rows the sections collected into BENCH.json. *)
   if json then begin
     (* Merge with an existing BENCH.json rather than clobbering it, so
-       `bench/main.exe frontend --json` and `bench/main.exe prune --json`
+       `bench/main.exe stream --json` and `bench/main.exe prune --json`
        accumulate their sections into one document. Sections re-run now
        replace their previous rows. *)
     let prior =

@@ -4,8 +4,7 @@
 
      witcher list [--json]
      witcher run -s level-hash [--fixed] [-n 300] [--seed 7] [-v] [--json]
-                 [--trace-out t.json] [--no-lazy-oracle] [--no-memo]
-                 [--ckpt-stride N] [--events ev.jsonl]
+                 [--trace-out t.json] [--ckpt-stride N] [--events ev.jsonl]
                  [--stream] [--traffic ycsb-a] [--window N] [--ckpt-ring R]
      witcher campaign -j 4 [--stores a,b] [--seeds 1,2,3] [--fixed-too]
                       [--out dir] [--resume] [--heartbeat SECS]
@@ -69,33 +68,6 @@ let events_arg =
                  (JSONL); feed it to $(b,witcher explain) for post-hoc bug \
                  forensics.")
 
-(* A/B switches for the oracle/replay optimizations (DESIGN §5). Exposed
-   on `run` only: campaign job keys must stay a pure function of the
-   (store, variant, seed, n, images) matrix cell. *)
-let no_lazy_oracle_arg =
-  let open Cmdliner in
-  Arg.(value & flag
-       & info [ "no-lazy-oracle" ]
-           ~doc:"Build every rolled-back oracle eagerly (legacy behaviour) \
-                 instead of deferring it to the first committed-oracle \
-                 divergence.")
-
-let no_memo_arg =
-  let open Cmdliner in
-  Arg.(value & flag
-       & info [ "no-memo" ]
-           ~doc:"Disable digest-keyed verdict memoization: replay every \
-                 tested crash image even when its content digest matches an \
-                 already-checked image at the same crash point.")
-
-let no_batch_arg =
-  let open Cmdliner in
-  Arg.(value & flag
-       & info [ "no-batch" ]
-           ~doc:"Check each crash image with an independent replay instead \
-                 of batching the images generated at one fence and \
-                 inheriting verdicts across read-set-disjoint siblings.")
-
 let sig_depth_arg =
   let open Cmdliner in
   Arg.(value & opt int W.Engine.default_cfg.sig_depth
@@ -140,18 +112,17 @@ let prune_arg =
                  $(b,--stream) runs of 100k+ operations, which default to \
                  sampling (\\u{00A7}7.5) scaled to the op count.")
 
-(* Streaming-pipeline knobs (DESIGN \u{00A7}9). Run-only, like the other
-   A/B switches: campaign job keys stay a pure function of the matrix
-   cell. *)
+(* Streaming-pipeline knobs (DESIGN \u{00A7}9). Run-only: campaign job
+   keys stay a pure function of the matrix cell. *)
 let stream_arg =
   let open Cmdliner in
   Arg.(value & flag
        & info [ "stream" ]
-           ~doc:"Use the bounded-memory streaming engine: ingest the \
-                 workload into a windowed ring trace with online condition \
-                 inference, then generate and validate crash images while \
-                 a second deterministic pass executes, with a bounded \
-                 checkpoint ring. Verdict-identical to the batch engine.")
+           ~doc:"Bound the pipeline's memory: keep only a window of the \
+                 trace (see $(b,--window)) and the newest checkpoints (see \
+                 $(b,--ckpt-ring)), validating crash images during a second \
+                 deterministic execution of the workload. Verdicts are the \
+                 same as without $(b,--stream).")
 
 let traffic_conv =
   let open Cmdliner in
@@ -211,10 +182,7 @@ let lookup name =
     Printf.eprintf "unknown store %S; try `witcher list`\n" name;
     exit 2
 
-let engine_cfg ?(lazy_oracle = W.Engine.default_cfg.lazy_oracle)
-    ?(memo = W.Engine.default_cfg.memo)
-    ?(batch = W.Engine.default_cfg.batch)
-    ?(ckpt_stride = W.Engine.default_cfg.ckpt_stride)
+let engine_cfg ?(ckpt_stride = W.Engine.default_cfg.ckpt_stride)
     ?(prune = W.Engine.default_cfg.prune)
     ?(expand_budget = W.Engine.default_cfg.expand_budget)
     ?(sig_depth = W.Engine.default_cfg.sig_depth) ~ops ~seed
@@ -222,7 +190,7 @@ let engine_cfg ?(lazy_oracle = W.Engine.default_cfg.lazy_oracle)
   { W.Engine.default_cfg with
     workload = { W.Workload.default with n_ops = ops; seed };
     crash = { W.Crash_gen.default_cfg with max_images };
-    lazy_oracle; memo; batch; ckpt_stride; prune; expand_budget; sig_depth }
+    ckpt_stride; prune; expand_budget; sig_depth }
 
 let list_cmd json =
   if json then begin
@@ -251,9 +219,8 @@ let list_cmd json =
   end;
   0
 
-let run_cmd store fixed ops seed max_images no_lazy_oracle no_memo no_batch
-    ckpt_stride prune expand_budget sig_depth stream traffic window ckpt_ring
-    verbose json trace_out events =
+let run_cmd store fixed ops seed max_images ckpt_stride prune expand_budget
+    sig_depth stream traffic window ckpt_ring verbose json trace_out events =
   let e = lookup store in
   let instance = if fixed then e.fixed () else e.buggy () in
   (* unset --prune resolves by scale: exhaustive stays the default, but a
@@ -267,9 +234,8 @@ let run_cmd store fixed ops seed max_images no_lazy_oracle no_memo no_batch
       else Prune.Policy.Exhaustive
   in
   let cfg =
-    engine_cfg ~lazy_oracle:(not no_lazy_oracle) ~memo:(not no_memo)
-      ~batch:(not no_batch) ~ckpt_stride ~prune ~expand_budget ~sig_depth
-      ~ops ~seed ~max_images ()
+    engine_cfg ~ckpt_stride ~prune ~expand_budget ~sig_depth ~ops ~seed
+      ~max_images ()
   in
   let cfg =
     { cfg with
@@ -281,9 +247,9 @@ let run_cmd store fixed ops seed max_images no_lazy_oracle no_memo no_batch
          long replay at 100k+ ops turns into a spurious "livelock"
          verdict; the default is kept at small scale (golden runs) *)
       fuel = max W.Engine.default_cfg.fuel (ops * 400);
-      (* keep the batch engine's checkpoint count bounded at scale: the
+      (* keep an unbounded run's checkpoint count bounded at scale: the
          default 32-op stride would materialize thousands of pool
-         snapshots on a 100k+ op batch run *)
+         snapshots on a 100k+ op run without --stream *)
       ckpt_stride =
         (if ckpt_stride = 0 then 0 else max ckpt_stride (ops / 64)) }
   in
@@ -486,9 +452,8 @@ let run_man =
 let list_t = Term.(const list_cmd $ json_arg)
 let run_t =
   Term.(const run_cmd $ store_arg $ fixed_arg $ ops_arg $ seed_arg
-        $ max_images_arg $ no_lazy_oracle_arg $ no_memo_arg $ no_batch_arg
-        $ ckpt_stride_arg $ prune_arg $ expand_budget_arg $ sig_depth_arg
-        $ stream_arg $ traffic_arg $ window_arg $ ckpt_ring_arg
+        $ max_images_arg $ ckpt_stride_arg $ prune_arg $ expand_budget_arg
+        $ sig_depth_arg $ stream_arg $ traffic_arg $ window_arg $ ckpt_ring_arg
         $ verbose_arg $ json_arg $ trace_out_arg $ events_arg)
 
 let campaign_t =

@@ -95,8 +95,8 @@ let n_clusters t = Hashtbl.length t.clusters
 let root_causes t =
   (* representative per root cause chosen in [reports_keyed] order: a
      raw [Hashtbl.iter] would elect whichever tied cluster the
-     process-local sid ints happened to bucket first, and the batch and
-     streaming engines intern sids on different schedules *)
+     process-local sid ints happened to bucket first, and unbounded and
+     windowed runs intern sids on different schedules *)
   let seen = Hashtbl.create 16 in
   List.filter_map
     (fun (_, r) ->

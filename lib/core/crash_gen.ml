@@ -109,9 +109,10 @@ type epoch_cand =
 let path_hash_step = Prune.Path_sig.step
 
 (* Incremental generator handle: [stream_feed] consumes one trace index,
-   [stream_finish] settles the stats. Built so the batch [generate] below
-   is exactly "feed every index in order" — the streaming engine gets the
-   same candidate/image stream by construction. *)
+   [stream_finish] settles the stats. Built so [generate] below is
+   exactly "feed every index in order" — a windowed run feeding indices
+   as they are appended gets the same candidate/image stream by
+   construction. *)
 type gen = {
   g_feed : int -> unit;
   g_stopped : unit -> bool;

@@ -24,47 +24,85 @@ type recorded = {
      checkpointed pool is immutable and reusable across oracle runs *)
 }
 
+(* Record-time pool snapshots, the checkpoints rolled-back oracles resume
+   from: a flat copy after every [stride]-th op but the last, the newest
+   [cap] held. Copies must be flat: the recording pool keeps mutating, so
+   an O(1) COW view would alias live bytes. Which snapshots are held only
+   changes an oracle's cost, never its outputs. *)
+type ckpts = {
+  stride : int;                        (* 0 = no checkpoints *)
+  cap : int;
+  mutable held : (int * Pmem.t) list;  (* (op index, snapshot), newest first *)
+  mutable n_held : int;                (* never decreases: the most held *)
+  mutable evicted : int;               (* dropped as the newest [cap] rotated *)
+}
+
+let ckpts ?(cap = max_int) stride =
+  { stride; cap; held = []; n_held = 0; evicted = 0 }
+
+(* Snapshot [pmem] into [c] if op [index] of [n] is on the stride; returns
+   whether it did. [log] emits the `ckpt` event. *)
+let checkpoint ?(log = true) c ~n ~index pmem =
+  c.stride > 0 && index > 0 && index mod c.stride = 0 && index < n
+  && begin
+    c.held <- (index, Pmem.copy pmem) :: c.held;
+    if c.n_held < c.cap then c.n_held <- c.n_held + 1
+    else begin
+      c.held <- List.filteri (fun i _ -> i < c.cap) c.held;
+      c.evicted <- c.evicted + 1
+    end;
+    Obs.Metrics.incr ~n:(Pmem.size pmem) "driver.ckpt_bytes";
+    if log && Obs.Event.enabled () then
+      ignore (Obs.Event.emit "ckpt" ~fields:[ ("op", Obs.Jsonx.Int index) ]);
+    true
+  end
+
+(* The instrumented op loop every recording pass shares: create the store
+   as op index 0, then run [ops.(i)] as index [i + 1], each bracketed by
+   [Ctx.op_begin]/[Ctx.op_end]. [after_op index out] runs as soon as the
+   op's events are in the trace (creation reports [Output.Ok]); the loop
+   ends early once [stop ()] holds. [log] emits one `op` event per index
+   and counts the ops; a deterministic re-execution of already-logged ops
+   passes [false]. *)
+let exec ?(log = true) ?(stop = fun () -> false) (module S : Store_intf.S)
+    ctx ops ~after_op =
+  let begin_op index desc =
+    Ctx.op_begin ctx ~index ~desc;
+    if log && Obs.Event.enabled () then
+      ignore
+        (Obs.Event.emit "op"
+           ~fields:
+             [ ("op", Obs.Jsonx.Int index); ("desc", Obs.Jsonx.Str desc) ])
+  in
+  begin_op 0 "create";
+  let store = S.create ctx in
+  Ctx.op_end ctx ~index:0;
+  after_op 0 Output.Ok;
+  let n = Array.length ops in
+  let i = ref 0 in
+  while !i < n && not (stop ()) do
+    let index = !i + 1 in
+    begin_op index (Op.desc ops.(!i));
+    let out = S.exec store ops.(!i) in
+    Ctx.op_end ctx ~index;
+    after_op index out;
+    incr i
+  done;
+  if log then Obs.Metrics.incr ~n "driver.record_ops"
+
 let record ?(ckpt_stride = 0) ?(boxed = false) ?events_hint
     (module S : Store_intf.S) ops =
   let ops = Array.of_list ops in
   let n = Array.length ops in
   let pmem = Pmem.create S.pool_size in
   let ctx = Ctx.create ~boxed ?events_hint ~mode:Record pmem in
-  let ev_op index desc =
-    if Obs.Event.enabled () then
-      ignore
-        (Obs.Event.emit "op"
-           ~fields:
-             [ ("op", Obs.Jsonx.Int index); ("desc", Obs.Jsonx.Str desc) ])
-  in
-  Ctx.op_begin ctx ~index:0 ~desc:"create";
-  ev_op 0 "create";
-  let store = S.create ctx in
-  Ctx.op_end ctx ~index:0;
-  let checkpoints = ref [] in
-  let outputs =
-    Array.mapi
-      (fun i op ->
-         let index = i + 1 in
-         Ctx.op_begin ctx ~index ~desc:(Op.desc op);
-         ev_op index (Op.desc op);
-         let out = S.exec store op in
-         Ctx.op_end ctx ~index;
-         (* Checkpoints must be flat copies: the record pool keeps
-            mutating, so an O(1) COW view here would alias live bytes. *)
-         if ckpt_stride > 0 && index mod ckpt_stride = 0 && index < n then begin
-           checkpoints := (index, Pmem.copy pmem) :: !checkpoints;
-           Obs.Metrics.incr ~n:S.pool_size "driver.ckpt_bytes";
-           if Obs.Event.enabled () then
-             ignore
-               (Obs.Event.emit "ckpt" ~fields:[ ("op", Obs.Jsonx.Int index) ])
-         end;
-         out)
-      ops
-  in
-  Obs.Metrics.incr ~n:(Array.length ops) "driver.record_ops";
+  let ckpts = ckpts ckpt_stride in
+  let outputs = Array.make n Output.Ok in
+  exec (module S) ctx ops ~after_op:(fun index out ->
+      if index > 0 then outputs.(index - 1) <- out;
+      ignore (checkpoint ckpts ~n ~index pmem));
   { ops; outputs; trace = Ctx.trace ctx; pool_size = S.pool_size;
-    final_image = Pmem.snapshot pmem; checkpoints = List.rev !checkpoints }
+    final_image = Pmem.snapshot pmem; checkpoints = List.rev ckpts.held }
 
 (* Uninstrumented execution of an arbitrary op list; used for rolled-back
    oracles. Must be deterministic w.r.t. [record] modulo the removed op. *)

@@ -119,8 +119,8 @@ let create ?(fuel = 3_000_000) ?(lazy_oracle = true) ?(memo = true)
 
 let stats t = t.stats
 
-(* Replace the checkpoint set. The streaming engine maintains a bounded
-   ring of snapshots and re-points the checker as it rotates; checkpoints
+(* Replace the checkpoint set. A windowed run maintains a bounded ring
+   of snapshots and re-points the checker as it rotates; checkpoints
    only change which snapshot an oracle resumes from (cost), never the
    oracle's outputs, so swapping them mid-run is verdict-neutral. *)
 let set_checkpoints t checkpoints =

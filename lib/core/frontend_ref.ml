@@ -12,11 +12,11 @@
      string-keyed site caps (sids converted back to strings per image,
      like the old string-sid events).
 
-   — so `bench/main.exe frontend` measures exactly the indexing and
-   allocation costs the fast path removed, over the same trace and the
-   same (shared) crash simulator backend. Both paths produce identical
-   condition counts, image digest sequences, stats and cluster reports;
-   the bench asserts this on every run.
+   — so it pins the semantics the fast path must keep, over the same
+   trace and the same (shared) crash simulator backend. Both paths
+   produce identical condition counts, image digest sequences, stats and
+   cluster reports; a qcheck property in test/test_frontend.ml asserts
+   this.
 
    Two deliberate departures from the historical code, both needed for
    parity (documented here so the baseline isn't mistaken for bug-for-bug

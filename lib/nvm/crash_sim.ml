@@ -186,7 +186,7 @@ let on_event t = function
   | Trace.Tx_abort _ | Trace.Op_begin _ | Trace.Op_end _ -> ()
 
 (* A tid below a windowed trace's live floor: its segment was retired,
-   which the streaming engine only allows once every store in it is
+   which a windowed run only allows once every store in it is
    guaranteed (dirty stores pin their segment). Queries must not touch
    its (recycled) slot, and may answer from the invariant instead. *)
 let[@inline] retired t tid = t.ring && tid < Trace.live_floor t.trace
@@ -278,8 +278,7 @@ let materialize t ~extras =
   img
 
 (* The pre-COW materialization path: a full flat copy of the pool. Kept as
-   the reference for bit-exactness tests and the legacy-cost baseline in
-   `bench/main.exe validate`; the pipeline itself always uses
+   the reference for bit-exactness tests; the pipeline itself always uses
    [materialize]. *)
 let materialize_copy t ~extras =
   let img = Pmem.copy t.persisted in

@@ -38,8 +38,8 @@ type t = {
          the fence-batched checker to decide verdict inheritance *)
 }
 
-(* [trace] records into a caller-supplied trace (the streaming engine
-   passes a windowed ring). [taintless] appends the identical event
+(* [trace] records into a caller-supplied trace (a windowed run passes
+   a ring). [taintless] appends the identical event
    sequence — same tids, same payloads — but with empty taints and no
    guard bookkeeping: the streaming validation pass re-executes the
    deterministic workload only to regenerate event positions and store

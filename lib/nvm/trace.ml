@@ -332,8 +332,8 @@ let is_live t tid =
 let seg_events t = match t.repr with Ring rg -> 1 lsl rg.rg_shift | _ -> 0
 
 (* Pin/unpin the segment containing [tid]: a pinned segment survives
-   [retire_to] no matter how far the window slides. The streaming engine
-   pins segments holding dirty (never-persisted) stores, whose payloads
+   [retire_to] no matter how far the window slides. A windowed run pins
+   segments holding dirty (never-persisted) stores, whose payloads
    crash-image materialization may still need arbitrarily late. *)
 let pin t tid =
   match t.repr with

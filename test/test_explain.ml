@@ -2,7 +2,8 @@
 
    - Golden file: the explain text for the seeded level-hash bug is
      byte-stable — events carry no timestamps, so the whole log is a
-     pure function of (store, seed, config).
+     pure function of (store, seed, config) — and the same with or
+     without a bounded trace window.
    - qcheck property: every verdict event's provenance chain (verdict ->
      image -> condition, cluster -> verdict) resolves, across registry
      stores at random seeds and both exhaustive and representative
@@ -28,10 +29,13 @@ let engine_cfg ?(n_ops = 60) ?(seed = 42) ?(max_images = 400)
     crash = { W.Crash_gen.default_cfg with max_images };
     prune }
 
+let batch cfg instance = W.Engine.run ~cfg instance
+let stream cfg instance = W.Engine.run_stream ~cfg instance
+
 (* Run the pipeline with the event sink on; return (result, items). *)
-let run_with_events ?path cfg instance =
+let run_with_events ?(engine = batch) ?path cfg instance =
   Obs.Event.start ?path ();
-  let r = W.Engine.run ~cfg instance in
+  let r = engine cfg instance in
   let items = Obs.Event.stop () in
   (r, items)
 
@@ -44,10 +48,12 @@ let read_file path =
   close_in ic;
   s
 
-let test_golden_explain () =
+(* Either window setting must render the same text: the window changes
+   what stays resident, never what the event log says about a bug. *)
+let test_golden_explain engine () =
   let path = tmp_file () in
   let _, _ =
-    run_with_events ~path (engine_cfg ()) (Stores.Level_hash.buggy ())
+    run_with_events ~engine ~path (engine_cfg ()) (Stores.Level_hash.buggy ())
   in
   let source =
     match C.Explain.load path with
@@ -200,7 +206,9 @@ let test_exemplar_links_to_image () =
 
 let suite =
   [ Alcotest.test_case "explain golden text (level-hash)" `Quick
-      test_golden_explain;
+      (test_golden_explain batch);
+    Alcotest.test_case "explain golden text (level-hash, stream)" `Quick
+      (test_golden_explain stream);
     QCheck_alcotest.to_alcotest prop_chains_resolve;
     Alcotest.test_case "explain acceptance, default 200-op config" `Slow
       test_acceptance_default_config;

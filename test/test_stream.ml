@@ -1,14 +1,15 @@
-(* Streaming engine: verdict parity with the batch engine, and the
-   windowed ring trace's retirement machinery.
+(* Bounded trace window: verdict parity with the unbounded window, and
+   the windowed ring trace's retirement machinery.
 
-   The headline property (DESIGN §9): [Engine.run_stream] is a
-   bounded-memory re-plumbing of [Engine.run], not a different analysis —
-   over every registry store, random seeds and both pruning policies it
-   must produce the identical mismatch count, cluster reports and image
-   counts. The streaming config here uses a deliberately tiny window
-   (4 segments of 128 events) so a few-thousand-event trace retires
-   dozens of segments mid-run, plus a 2-deep checkpoint ring to force
-   evictions — parity must survive both. *)
+   The headline property (DESIGN §9): [Engine.run_stream] is the
+   pipeline of [Engine.run] with a bounded window, not a different
+   analysis — over every registry store, random seeds and both pruning
+   policies it must produce the identical mismatch count, cluster
+   reports and image counts. The streaming config here uses a
+   deliberately tiny window (4 segments of 128 events) so a
+   few-thousand-event trace retires dozens of segments mid-run, plus a
+   2-deep checkpoint ring to force evictions — parity must survive
+   both. *)
 
 module W = Witcher
 module R = Stores.Registry
@@ -81,6 +82,36 @@ let test_stream_counters () =
     (r.ckpt_ring_evictions > 0);
   Alcotest.(check bool) "peak live heap sampled" true
     (r.peak_live_words > 0)
+
+(* [ckpt_bytes] counts the pool snapshots actually held: none without a
+   stride; at 128 ops with the default stride the three taken after ops
+   32, 64 and 96 (never after the last op), as an unbounded run holds;
+   and never more than the ring keeps. *)
+let ckpt_cfg ckpt_stride =
+  { (cfg ~prune:Prune.Policy.Exhaustive ~seed:42 ~n_ops:128) with
+    crash = { W.Crash_gen.default_cfg with max_images = 100 };
+    ckpt_stride }
+
+let level_hash () =
+  List.find (fun (e : R.entry) -> e.R.name = "level-hash") R.all
+
+let test_ckpt_bytes_no_stride () =
+  let r = W.Engine.run_stream ~cfg:(ckpt_cfg 0) ((level_hash ()).buggy ()) in
+  Alcotest.(check int) "no snapshot held" 0 r.ckpt_bytes
+
+let test_ckpt_bytes_held () =
+  let e = level_hash () in
+  let module S = (val e.buggy ()) in
+  let c = ckpt_cfg W.Engine.default_cfg.ckpt_stride in
+  let stream = W.Engine.run_stream ~cfg:c (e.buggy ()) in
+  let batch = W.Engine.run ~cfg:c (e.buggy ()) in
+  Alcotest.(check int) "three snapshots held" (3 * S.pool_size)
+    stream.ckpt_bytes;
+  Alcotest.(check int) "as many as unbounded" batch.ckpt_bytes
+    stream.ckpt_bytes;
+  let ring = W.Engine.run_stream ~cfg:(stream_cfg c) (e.buggy ()) in
+  Alcotest.(check int) "no more than the ring" (2 * S.pool_size)
+    ring.ckpt_bytes
 
 let test_sample_policy_parity () =
   let e = List.find (fun (e : R.entry) -> e.R.name = "cceh") R.all in
@@ -174,6 +205,10 @@ let suite =
     Alcotest.test_case "spanning taint pins segment" `Quick
       test_ring_taint_spans_window;
     Alcotest.test_case "streaming counters move" `Slow test_stream_counters;
+    Alcotest.test_case "ckpt_bytes without a stride" `Quick
+      test_ckpt_bytes_no_stride;
+    Alcotest.test_case "ckpt_bytes counts held snapshots" `Quick
+      test_ckpt_bytes_held;
     Alcotest.test_case "sample-policy parity" `Slow test_sample_policy_parity;
     Alcotest.test_case "traffic generator parity" `Slow test_traffic_parity;
     QCheck_alcotest.to_alcotest parity_prop ]
