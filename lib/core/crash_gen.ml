@@ -285,51 +285,61 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
       true
     end
   in
+  (* The one admission path of a feasible violation, identified by
+     [(fence_tid, key)] with [key] the hash of its extra persist-set (0 for
+     the baseline image): count it, drop duplicates, charge the image
+     budget and the site cap, then let [decide] defer it or materialize
+     and hand it to [on_image]. *)
+  let admit ~fence_tid ~op ~key ~extras ~viol ~site_key =
+    stats.candidates <- stats.candidates + 1;
+    let img_key = (fence_tid, key) in
+    if not (Hashtbl.mem img_seen img_key) then begin
+      Hashtbl.add img_seen img_key ();
+      stats.generated <- stats.generated + 1;
+      bump_op_count op;
+      (* eligibility (budget + site caps) is decided before the prune
+         hook and counted on [eligible], not [tested], so the eligible
+         stream is identical whatever [decide] elides — the invariant the
+         deterministic expansion pass relies on *)
+      if stats.eligible < cfg.max_images && site_ok site_key then begin
+        stats.eligible <- stats.eligible + 1;
+        match
+          decide
+            { cd_fence_tid = fence_tid; cd_crash_op = op; cd_key = key;
+              cd_viol = viol; cd_path_hash = !path_hash;
+              cd_path_sig = !cur_sig }
+        with
+        | `Defer ->
+          stats.deferred <- stats.deferred + 1;
+          ev_image ~action:"defer" ~fence_tid ~op ~key ~viol ~extras
+            ~digest:None
+        | `Test ->
+          stats.tested <- stats.tested + 1;
+          let img = Crash_sim.materialize sim ~extras in
+          let digest = Crash_sim.image_digest sim img in
+          ev_image ~action:"test" ~fence_tid ~op ~key ~viol ~extras
+            ~digest:(Some digest);
+          let image =
+            { img; crash_tid = fence_tid; crash_op = op; viol;
+              path_hash = !path_hash; path_sig = !cur_sig;
+              extras = Array.of_list extras; digest }
+          in
+          match on_image image with
+          | `Continue -> ()
+          | `Stop -> stop := true
+      end
+    end
+  in
   let emit ~fence_tid ~op ~persist_tid ~avoid_tid ~viol ~site_key =
-    if not !stop then begin
-      match Crash_sim.feasible_extras sim ~persist:[ persist_tid ] ~avoid:[ avoid_tid ] with
+    if not !stop then
+      match
+        Crash_sim.feasible_extras sim ~persist:[ persist_tid ]
+          ~avoid:[ avoid_tid ]
+      with
       | None -> ()
       | Some extras ->
-        stats.candidates <- stats.candidates + 1;
-        let ekey = Hashtbl.hash extras in
-        let img_key = (fence_tid, ekey) in
-        if not (Hashtbl.mem img_seen img_key) then begin
-          Hashtbl.add img_seen img_key ();
-          stats.generated <- stats.generated + 1;
-          bump_op_count op;
-          (* eligibility (budget + site caps) is decided before the prune
-             hook and counted on [eligible], not [tested], so the
-             eligible stream is identical whatever [decide] elides — the
-             invariant the deterministic expansion pass relies on *)
-          if stats.eligible < cfg.max_images && site_ok site_key then begin
-            stats.eligible <- stats.eligible + 1;
-            match
-              decide
-                { cd_fence_tid = fence_tid; cd_crash_op = op; cd_key = ekey;
-                  cd_viol = viol; cd_path_hash = !path_hash;
-                  cd_path_sig = !cur_sig }
-            with
-            | `Defer ->
-              stats.deferred <- stats.deferred + 1;
-              ev_image ~action:"defer" ~fence_tid ~op ~key:ekey ~viol ~extras
-                ~digest:None
-            | `Test ->
-              stats.tested <- stats.tested + 1;
-              let img = Crash_sim.materialize sim ~extras in
-              let digest = Crash_sim.image_digest sim img in
-              ev_image ~action:"test" ~fence_tid ~op ~key:ekey ~viol ~extras
-                ~digest:(Some digest);
-              let image =
-                { img; crash_tid = fence_tid; crash_op = op; viol;
-                  path_hash = !path_hash; path_sig = !cur_sig;
-                  extras = Array.of_list extras; digest }
-              in
-              match on_image image with
-              | `Continue -> ()
-              | `Stop -> stop := true
-          end
-        end
-    end
+        admit ~fence_tid ~op ~key:(Hashtbl.hash extras) ~extras ~viol
+          ~site_key
   in
   let process_fence fence_tid fence_sid op =
     refresh_sig ();
@@ -345,54 +355,15 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
             not (Crash_sim.is_guaranteed sim tid))
          !epoch
      with
-     | Some cand when not !stop ->
-       let first_lost =
-         match cand with C_po (_, tid) | C_guardian (_, tid) -> tid
-       in
-       (* Count the candidate before the dedup check, exactly like [emit]:
-          [candidates] is "feasible violations found", of which [generated]
-          is the deduplicated subset. *)
-       stats.candidates <- stats.candidates + 1;
-       let img_key = (fence_tid, 0) in
-       if not (Hashtbl.mem img_seen img_key) then begin
-         Hashtbl.add img_seen img_key ();
-         stats.generated <- stats.generated + 1;
-         bump_op_count op;
-         (* kind 2 partitions baseline sites from ordering (0) and
-            atomicity (1); -1 stands in for the old "baseline" label *)
-         let site_key = (fence_sid, -1, 2) in
-         if stats.eligible < cfg.max_images && site_ok site_key then begin
-           stats.eligible <- stats.eligible + 1;
-           let viol =
-             Unpersisted_epoch
-               { fence_sid; first_lost_sid = sid_of_store first_lost }
-           in
-           match
-             decide
-               { cd_fence_tid = fence_tid; cd_crash_op = op; cd_key = 0;
-                 cd_viol = viol; cd_path_hash = !path_hash;
-                 cd_path_sig = !cur_sig }
-           with
-           | `Defer ->
-             stats.deferred <- stats.deferred + 1;
-             ev_image ~action:"defer" ~fence_tid ~op ~key:0 ~viol ~extras:[]
-               ~digest:None
-           | `Test ->
-             stats.tested <- stats.tested + 1;
-             let img = Crash_sim.materialize sim ~extras:[] in
-             let digest = Crash_sim.image_digest sim img in
-             ev_image ~action:"test" ~fence_tid ~op ~key:0 ~viol ~extras:[]
-               ~digest:(Some digest);
-             let image =
-               { img; crash_tid = fence_tid; crash_op = op; viol;
-                 path_hash = !path_hash; path_sig = !cur_sig; extras = [||];
-                 digest }
-             in
-             match on_image image with
-             | `Continue -> ()
-             | `Stop -> stop := true
-         end
-       end
+     | Some (C_po (_, first_lost) | C_guardian (_, first_lost))
+       when not !stop ->
+       (* kind 2 partitions baseline sites from ordering (0) and
+          atomicity (1); -1 stands in for the old "baseline" label *)
+       admit ~fence_tid ~op ~key:0 ~extras:[]
+         ~viol:
+           (Unpersisted_epoch
+              { fence_sid; first_lost_sid = sid_of_store first_lost })
+         ~site_key:(fence_sid, -1, 2)
      | _ -> ());
     (* Ordering violations: one per (condition, sy) candidate. *)
     List.iter

@@ -21,7 +21,8 @@ type cfg = {
   traffic : Traffic.cfg option;
       (* YCSB-style generator instead of [workload]; honored by both
          engines so streaming A/B comparisons run the same ops *)
-  stream_seg_shift : int;  (* ring segment size: 2^shift trace events *)
+  stream_seg_shift : int;  (* trace segment size: 2^shift events, in
+                              both window settings *)
   stream_window : int;     (* live window, in segments *)
   ckpt_ring : int;         (* checkpoint-ring capacity (streaming only) *)
 }
@@ -31,7 +32,8 @@ let default_cfg =
     fuel = 3_000_000; lazy_oracle = true; memo = true; ckpt_stride = 32;
     batch = true; prune = Prune.Policy.Exhaustive; expand_budget = 3;
     sig_depth = 0;
-    traffic = None; stream_seg_shift = 14; stream_window = 8; ckpt_ring = 8 }
+    traffic = None; stream_seg_shift = Nvm.Trace.default_seg_shift;
+    stream_window = 8; ckpt_ring = 8 }
 
 type result = {
   name : string;
@@ -115,21 +117,21 @@ let timed f =
 (* The pipeline (DESIGN §9). Its one mode is the trace window: [None]
    keeps the whole trace, [Some w] keeps about the newest [w] events.
 
-   - Pass A (ingest) runs the ops once, instrumented, and feeds every
-     event to [Infer.feed] and [Perf.feed]; the committed outputs double
-     as the committed oracle. Unbounded, it records a flat trace, takes a
-     pool snapshot every [ckpt_stride] ops and feeds inference once the
-     run is recorded. Windowed, it records into a ring, feeds each op's
-     events as they are appended (condition discovery only ever looks
-     backward, so the condition set is the same) and retires segments as
-     the window slides; a segment a younger event still taint-references
-     stays resident.
+   - Pass A (ingest) runs the ops once, instrumented, into a segmented
+     trace of 2^[stream_seg_shift]-event segments, and feeds every event
+     to [Infer.feed] and [Perf.feed]; the committed outputs double as the
+     committed oracle. Unbounded, it keeps every segment, takes a pool
+     snapshot every [ckpt_stride] ops and feeds inference once the run is
+     recorded. Windowed, it feeds each op's events as they are appended
+     (condition discovery only ever looks backward, so the condition set
+     is the same) and retires segments as the window slides; a segment a
+     younger event still taint-references stays resident.
 
    - Pass B (validate) feeds the trace, event by event, to crash-image
      generation against the complete condition set, checking each image
      at its fence. Unbounded, it walks the retained pass-A trace.
      Windowed, it re-executes the ops without taint tracking into a fresh
-     ring — the identical event stream, guarded op by op — pins dirty
+     trace — the identical event stream, guarded op by op — pins dirty
      stores until they are guaranteed, and keeps the newest [ckpt_ring]
      snapshots. Expansion waves of the representative policy are further
      pass-B walks.
@@ -177,7 +179,7 @@ let pipeline ~window ~cfg ~class_memo (module S : Store_intf.S) =
   let pool_size = S.pool_size in
   let retirements = ref 0 and evictions = ref 0 in
   let ckpt_peak = ref 0 in  (* most pool snapshots held at once *)
-  (* Recycle the ring segments below [target]; the first walk counts. *)
+  (* Recycle the trace segments below [target]; the first walk counts. *)
   let retire trace ~pass ~target =
     let r = Nvm.Trace.retire_to trace ~target in
     if r > 0 && pass = 0 then begin
@@ -186,13 +188,7 @@ let pipeline ~window ~cfg ~class_memo (module S : Store_intf.S) =
     end
   in
   (* ---- pass A: instrumented ingest ---- *)
-  let trace =
-    match window with
-    | None ->
-      Nvm.Trace.create
-        ?events_hint:(Option.map Traffic.events_hint cfg.traffic) ()
-    | Some _ -> Nvm.Trace.create ~ring_shift:cfg.stream_seg_shift ()
-  in
+  let trace = Nvm.Trace.create ~ring_shift:cfg.stream_seg_shift () in
   let conds = Infer.create () and perf_st = Perf.create () in
   let fed = ref 0 in
   let ingest () =
@@ -770,7 +766,7 @@ let pipeline ~window ~cfg ~class_memo (module S : Store_intf.S) =
 let run ?(cfg = default_cfg) ?(class_memo = fun (_ : string) -> None) store =
   pipeline ~window:None ~cfg ~class_memo store
 
-(* Bounded memory: a window of [stream_window] ring segments of
+(* Bounded memory: a window of [stream_window] trace segments of
    2^[stream_seg_shift] events and a ring of [ckpt_ring] checkpoints. *)
 let run_stream ?(cfg = default_cfg) ?(class_memo = fun (_ : string) -> None)
     store =

@@ -1,6 +1,6 @@
 (* Reference (pre-fast-path) front end: the inference and image-generation
    algorithms as they were before sids were interned and the trace went
-   struct-of-arrays. Kept verbatim in cost structure —
+   columnar. Kept verbatim in cost structure —
 
    - [infer] walks reconstructed events ([Trace.iter] + match), resolves
      taint members through [Trace.get], and backs the per-word condition
@@ -157,7 +157,7 @@ let guardians_for t addr len =
    Set.Make-based feasibility. Digest seeding and mixing are identical to
    the fast simulator ([Trace.store_mix] is defined as
    [Pmem.mix_string (Pmem.mix h addr) data]), so the image digest
-   sequences the bench compares are byte-for-byte equal. *)
+   sequences the parity property compares are byte-for-byte equal. *)
 module Sim_ref = struct
   type line_state = {
     seq : int Vec.t;

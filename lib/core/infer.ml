@@ -67,7 +67,7 @@ let iter_words addr len f =
    Iteration order reproduces the cons-list layout this replaces exactly:
    newest entry first within a word (blocks newest-first, entries within
    a block scanned backwards), because candidate ordering feeds the
-   cluster digests the frontend-parity benchmarks assert on. *)
+   image digest sequences the front-end parity property asserts on. *)
 module Windex = struct
   let block = 16
 

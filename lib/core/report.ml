@@ -58,9 +58,9 @@ let result_row (r : Engine.result) =
     r.n_ord_conds r.n_atom_conds
     r.images_generated r.images_tested r.n_mismatch r.n_clusters total_time
 
-(* Per-stage timing and replay-work line for one store (`witcher run -v`,
-   `bench validate`): where the pipeline wall-clock goes, and how much
-   replay/copy work the zero-copy validation path actually did. *)
+(* Per-stage timing and replay-work line for one store (`witcher run -v`):
+   where the pipeline wall-clock goes, and how much replay/copy work the
+   zero-copy validation path actually did. *)
 let timing_line (r : Engine.result) =
   Printf.sprintf
     "%-18s record %.3fs | infer %.3fs | gen %.3fs | equiv %.3fs | \

@@ -63,11 +63,6 @@ let of_name name = List.assoc_opt name presets
 let no_scan cfg =
   { cfg with p_query = cfg.p_query +. cfg.p_scan; p_scan = 0. }
 
-(* Trace-capacity hint: events per op vary by store (tens to a few
-   hundred); 96 covers the registry's median stores so the SoA columns
-   are sized once. Over-estimating only costs address space. *)
-let events_hint cfg = 96 * (cfg.n_ops + 1)
-
 (* Bounded zipfian sampler over [1, n] (Gray et al., the YCSB generator):
    O(n) zeta precomputation, O(1) per sample. Rank 1 is the hottest key.
    theta <= 0 degenerates to uniform. *)

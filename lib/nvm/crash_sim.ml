@@ -15,12 +15,12 @@
    guaranteed store.
 
    The simulator is backed by the trace it walks: store positions live in
-   two tid-indexed int arrays and store payloads are read straight out of
-   the trace's arena ([Trace.store_write]/[store_mix]), so feeding a store
-   is two array writes and persisting one is an arena blit — no per-store
-   hash table entries or event reconstruction on the hot path. Feed events
-   with [on_index] (by trace index, allocation-free) or the [on_event]
-   compatibility wrapper.
+   two int arrays indexed by trace slot ([pos]) and store payloads are
+   read straight out of the trace's arena ([Trace.store_write]/
+   [store_mix]), so feeding a store is two array writes and persisting
+   one is an arena blit — no per-store hash table entries or event
+   reconstruction on the hot path. Feed events with [on_index] (by trace
+   index, allocation-free) or the [on_event] compatibility wrapper.
 
    The module incrementally maintains [persisted], the pool image holding
    exactly the guaranteed stores; [materialize] returns an O(1)
@@ -49,7 +49,6 @@ type line_state = {
 
 type t = {
   trace : Trace.t;
-  ring : bool;                     (* windowed trace: key side tables by slot *)
   lines : (int, line_state) Hashtbl.t;
   mutable pos_line : int array;    (* store slot -> cache line, -1 = not fed *)
   mutable pos_idx : int array;     (* store slot -> index in line's seq *)
@@ -57,7 +56,6 @@ type t = {
   persisted : Pmem.t;
   mutable n_guaranteed : int;
   mutable n_dirty : int;           (* stores with no guarantee yet *)
-  mutable images_materialized : int;
   mutable bytes_materialized : int; (* bytes written to build images *)
   mutable digest : int;            (* digest of [persisted]'s content *)
   mutable on_guarantee : (int -> unit) option;
@@ -66,10 +64,8 @@ type t = {
 }
 
 let create ~trace ~pool_size =
-  let ring = Trace.is_ring trace in
-  let n = max 16 (if ring then Trace.slot_capacity trace else Trace.length trace) in
+  let n = max 16 (Trace.slot_capacity trace) in
   { trace;
-    ring;
     lines = Hashtbl.create 1024;
     pos_line = Array.make n (-1);
     pos_idx = Array.make n (-1);
@@ -77,18 +73,18 @@ let create ~trace ~pool_size =
     persisted = Pmem.create pool_size;
     n_guaranteed = 0;
     n_dirty = 0;
-    images_materialized = 0;
     bytes_materialized = 0;
     digest = 0x1505;
     on_guarantee = None }
 
 let set_on_guarantee t f = t.on_guarantee <- Some f
 
-(* Position-map key. Over a windowed (ring) trace, tid-indexed arrays
-   would grow with the whole run; [Trace.slot_pos] is dense over the live
-   window, so the maps stay O(window). A recycled slot is overwritten when
-   its new store is fed; queries are only meaningful for live tids. *)
-let[@inline] pos t tid = if t.ring then Trace.slot_pos t.trace tid else tid
+(* Position-map key. Tid-indexed arrays would grow with the whole run
+   even when the trace window is bounded; [Trace.slot_pos] is dense over
+   the live window, so the maps stay O(window). A recycled slot is
+   overwritten when its new store is fed; queries are only meaningful for
+   live tids. *)
+let[@inline] pos t tid = Trace.slot_pos t.trace tid
 
 let ensure t p =
   let cap = Array.length t.pos_idx in
@@ -185,11 +181,11 @@ let on_event t = function
   | Trace.Load _ | Trace.Log_range _ | Trace.Tx_begin _ | Trace.Tx_commit _
   | Trace.Tx_abort _ | Trace.Op_begin _ | Trace.Op_end _ -> ()
 
-(* A tid below a windowed trace's live floor: its segment was retired,
-   which a windowed run only allows once every store in it is
-   guaranteed (dirty stores pin their segment). Queries must not touch
-   its (recycled) slot, and may answer from the invariant instead. *)
-let[@inline] retired t tid = t.ring && tid < Trace.live_floor t.trace
+(* A tid below the trace's live floor: its segment was retired, which a
+   windowed run only allows once every store in it is guaranteed (dirty
+   stores pin their segment). Queries must not touch its (recycled) slot,
+   and may answer from the invariant instead. *)
+let[@inline] retired t tid = tid < Trace.live_floor t.trace
 
 let fed t tid =
   tid >= 0
@@ -203,12 +199,6 @@ let is_guaranteed t tid =
       && (let p = pos t tid in
           let ls = Hashtbl.find t.lines t.pos_line.(p) in
           t.pos_idx.(p) < ls.guaranteed_upto))
-
-let store_event t tid =
-  if retired t tid || not (fed t tid) then None
-  else match Trace.get t.trace tid with
-    | Trace.Store s -> Some s
-    | _ -> None
 
 let n_guaranteed t = t.n_guaranteed
 let n_dirty t = t.n_dirty
@@ -270,7 +260,6 @@ let materialize t ~extras =
          Obs.Metrics.incr ~n:len "crash_sim.bytes_materialized"
        end)
     (List.sort compare extras);
-  t.images_materialized <- t.images_materialized + 1;
   Obs.Metrics.incr "crash_sim.images_materialized";
   (* COW build cost of this image: how many 64B lines the extras dirtied.
      The distribution backs the zero-copy scaling argument (DESIGN §6). *)
@@ -287,25 +276,13 @@ let materialize_copy t ~extras =
     (List.sort compare extras);
   img
 
-let images_materialized t = t.images_materialized
 let bytes_materialized t = t.bytes_materialized
-
-let digest t = t.digest
 
 (* Digest of a crash image materialized from [persisted]: the base digest
    plus the image's overlay (the chosen extras), O(extras) work. Images
    with equal digests hold byte-identical guaranteed content, so a
    verdict computed for one is valid for the other (same crash op). *)
 let image_digest t img = Pmem.digest ~seed:t.digest img
-
-(* Statistics used by the Yat test-space estimator: number of dirty (not
-   yet guaranteed) stores per line, at the current point. *)
-let dirty_per_line t =
-  Hashtbl.fold
-    (fun _line ls acc ->
-       let d = seq_len ls - ls.guaranteed_upto in
-       if d > 0 then d :: acc else acc)
-    t.lines []
 
 (* A uniformly random feasible extra persist-set: an independent random
    prefix of the dirty stores of every line (per-line prefix closure is

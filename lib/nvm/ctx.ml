@@ -38,18 +38,16 @@ type t = {
          the fence-batched checker to decide verdict inheritance *)
 }
 
-(* [trace] records into a caller-supplied trace (a windowed run passes
-   a ring). [taintless] appends the identical event
-   sequence — same tids, same payloads — but with empty taints and no
-   guard bookkeeping: the streaming validation pass re-executes the
+(* [trace] records into a caller-supplied trace (the engine passes one
+   with its configured segment size). [taintless] appends the identical
+   event sequence — same tids, same payloads — but with empty taints and
+   no guard bookkeeping: the streaming validation pass re-executes the
    deterministic workload only to regenerate event positions and store
    payloads, and never reads dependence edges, so it skips their cost. *)
-let create ?(boxed = false) ?(fuel = 100_000_000) ?trace ?events_hint
+let create ?(boxed = false) ?(fuel = 100_000_000) ?trace
     ?(taintless = false) ~mode pmem =
   let trace =
-    match trace with
-    | Some tr -> tr
-    | None -> Trace.create ~boxed ?events_hint ()
+    match trace with Some tr -> tr | None -> Trace.create ~boxed ()
   in
   { pmem; mode; trace; taints = not taintless; cd_stack = [];
     op_cd = Taint.empty; cd = Taint.empty; op = -1; fuel; tx_counter = 0;

@@ -9,20 +9,22 @@
 
    Two representations live behind one API:
 
-   - SoA (the default): hot event fields in unboxed int arrays (kind tag,
-     sid, address, length, op index) with store payloads appended to one
-     shared [Bytes] arena and taints in two parallel arrays. Recording an
-     event is a handful of array writes; reading hot fields ([kind_at],
-     [addr_at], ...) never allocates. The pipeline's fast paths consume
-     these directly.
+   - Segmented (the default): a sequence of fixed-size columnar segments
+     of 2^seg_shift events each. Hot event fields sit in unboxed int
+     arrays (kind tag, sid, address, length, op index), store payloads in
+     a per-segment [Bytes] arena and taints in two parallel arrays.
+     Recording an event is a handful of array writes; reading hot fields
+     ([kind_at], [addr_at], ...) never allocates. [retire_to] recycles a
+     prefix of segments the caller no longer needs, which is how a
+     bounded trace window keeps only its newest events; a trace that is
+     never retired keeps every segment.
 
-   - Boxed: the pre-fast-path layout, one allocated [event] per entry in
-     a Vec. Kept as the reference cost model for `bench/main.exe
-     frontend` and the parity properties; select it with
-     [create ~boxed:true] (or [Ctx.create ~boxed:true]).
+   - Boxed: one allocated [event] per entry in a Vec, the reference the
+     parity properties compare the segmented trace against; select it
+     with [create ~boxed:true] (or [Ctx.create ~boxed:true]).
 
    [get]/[iter] reconstruct [event] values on demand for either
-   representation, so existing consumers are unaffected. *)
+   representation. *)
 
 type store_ev = {
   s_tid : int;
@@ -56,7 +58,7 @@ type event =
   | Op_begin of { o_tid : int; o_index : int; o_desc : string }
   | Op_end of { o_tid : int; o_index : int }
 
-(* Event kind tags, the SoA discriminant. Exposed for the index-based
+(* Event kind tags, the segment discriminant. Exposed for the index-based
    fast paths (Infer/Crash_gen/Perf walk kinds without reconstructing
    events). *)
 let k_load = 0
@@ -70,36 +72,9 @@ let k_tx_abort = 7
 let k_op_begin = 8
 let k_op_end = 9
 
-(* Struct-of-arrays event storage. Field use per kind:
-     load:      sid addr      len          op
-     store:     sid addr      len          op  aux=arena offset  dd cd
-     flush:     sid a=line                 op
-     fence:     sid                        op
-     log_range: sid addr      len          op  aux=tx
-     tx_*:                                 op  aux=tx
-     op_begin:      a=desc idx             op=index
-     op_end:                               op=index *)
-type soa = {
-  mutable kind : Bytes.t;
-  mutable f_sid : int array;
-  mutable f_a : int array;       (* addr / line / desc index *)
-  mutable f_b : int array;       (* length *)
-  mutable f_op : int array;
-  mutable f_aux : int array;     (* arena offset / tx id *)
-  mutable f_dd : Taint.t array;
-  mutable f_cd : Taint.t array;
-  mutable arena : Bytes.t;       (* store payloads, concatenated *)
-  mutable arena_len : int;
-  descs : string Vec.t;          (* op_begin descriptions *)
-}
-
-(* Ring representation: the streaming pipeline's bounded-memory trace. A
-   sequence of fixed-size SoA segments (2^seg_shift events each) indexed
-   by slot; [retire_to] recycles a contiguous prefix of segments once the
-   engine no longer needs them, so a million-op ingest holds only the
-   sliding window (plus pinned segments) live. Tids keep their global
-   meaning — accessors on a retired tid raise [Retired] loudly instead of
-   silently returning recycled data. *)
+(* Segments are indexed by slot (seg_id mod slot count). Tids keep their
+   global meaning across retirement — accessors on a retired tid raise
+   [Retired] loudly instead of silently returning recycled data. *)
 
 exception Retired of { tid : int; floor : int }
 
@@ -114,20 +89,29 @@ let () =
            tid floor)
     | _ -> None)
 
+(* One segment's columns. Field use per kind:
+     load:      sid addr      len          op
+     store:     sid addr      len          op  aux=arena offset  dd cd
+     flush:     sid a=line                 op
+     fence:     sid                        op
+     log_range: sid addr      len          op  aux=tx
+     tx_*:                                 op  aux=tx
+     op_begin:      a=desc idx             op=index
+     op_end:                               op=index *)
 type rseg = {
   mutable r_base : int;          (* tid of index 0; -1 while on the free list *)
   r_phys : int;                  (* stable physical id (see [slot_pos]) *)
   r_kind : Bytes.t;
   r_sid : int array;
-  r_a : int array;
-  r_b : int array;
+  r_a : int array;               (* addr / line / desc index *)
+  r_b : int array;               (* length *)
   r_op : int array;
-  r_aux : int array;
+  r_aux : int array;             (* arena offset / tx id *)
   r_dd : Taint.t array;
   r_cd : Taint.t array;
-  mutable r_arena : Bytes.t;
+  mutable r_arena : Bytes.t;     (* store payloads, concatenated *)
   mutable r_arena_len : int;
-  r_descs : string Vec.t;
+  r_descs : string Vec.t;        (* op_begin descriptions *)
   mutable r_min_taint : int;     (* oldest load any event in the seg references *)
   mutable r_pins : int;          (* external pins (e.g. dirty-store payloads) *)
 }
@@ -139,13 +123,11 @@ type ring = {
   mutable rg_free : rseg list;
   mutable rg_floor : int;                (* first live tid *)
   mutable rg_phys : int;                 (* segments ever allocated *)
-  mutable rg_retired : int;              (* segments recycled so far *)
   mutable rg_head : rseg option;         (* append cache: segment of len-1 *)
 }
 
 type repr =
   | Boxed of event Vec.t
-  | Soa of soa
   | Ring of ring
 
 type t = {
@@ -159,83 +141,26 @@ type t = {
 
 let dummy_event = Fence { n_tid = -1; n_sid = 0; n_op = -1 }
 
-(* [cap] is a capacity hint (expected event count): a caller that knows
-   the trace size up front — the traffic generator does — preallocates
-   the columns once instead of paying log2(n) grow-and-copy passes. *)
-let soa_create ?(cap = 4096) () =
-  let cap = max 4096 cap in
-  { kind = Bytes.create cap;
-    f_sid = Array.make cap 0;
-    f_a = Array.make cap 0;
-    f_b = Array.make cap 0;
-    f_op = Array.make cap 0;
-    f_aux = Array.make cap 0;
-    f_dd = Array.make cap Taint.empty;
-    f_cd = Array.make cap Taint.empty;
-    arena = Bytes.create (2 * cap);
-    arena_len = 0;
-    descs = Vec.create ~dummy:"" () }
+(* Segment size of a trace created without [~ring_shift]: 2^14 events. *)
+let default_seg_shift = 14
 
-let ring_create shift =
-  if shift < 4 || shift > 24 then invalid_arg "Trace.create: ring_shift";
-  Ring
-    { rg_shift = shift; rg_mask = (1 lsl shift) - 1;
-      rg_slots = Array.make 16 None; rg_free = []; rg_floor = 0;
-      rg_phys = 0; rg_retired = 0; rg_head = None }
-
-(* [ring_shift]: use the windowed ring representation with segments of
-   2^ring_shift events. [events_hint]: expected total event count, used
-   to presize the SoA columns. *)
-let create ?(boxed = false) ?events_hint ?ring_shift () =
+(* [ring_shift]: segments of 2^ring_shift events (ignored when [boxed]). *)
+let create ?(boxed = false) ?(ring_shift = default_seg_shift) () =
   let repr =
     if boxed then Boxed (Vec.create ~dummy:dummy_event ())
-    else
-      match ring_shift with
-      | Some shift -> ring_create shift
-      | None -> Soa (soa_create ?cap:events_hint ())
+    else begin
+      if ring_shift < 4 || ring_shift > 24 then
+        invalid_arg "Trace.create: ring_shift";
+      Ring
+        { rg_shift = ring_shift; rg_mask = (1 lsl ring_shift) - 1;
+          rg_slots = Array.make 16 None; rg_free = []; rg_floor = 0;
+          rg_phys = 0; rg_head = None }
+    end
   in
   { repr; len = 0; n_loads = 0; n_stores = 0; n_flushes = 0; n_fences = 0 }
 
 let length t = t.len
 let next_tid t = t.len
-
-let grow_int (a : int array) n =
-  let b = Array.make n 0 in
-  Array.blit a 0 b 0 (Array.length a);
-  b
-
-let soa_ensure s i =
-  let cap = Array.length s.f_sid in
-  if i >= cap then begin
-    let n = max (2 * cap) (i + 1) in
-    let k = Bytes.make n '\000' in
-    Bytes.blit s.kind 0 k 0 cap;
-    s.kind <- k;
-    s.f_sid <- grow_int s.f_sid n;
-    s.f_a <- grow_int s.f_a n;
-    s.f_b <- grow_int s.f_b n;
-    s.f_op <- grow_int s.f_op n;
-    s.f_aux <- grow_int s.f_aux n;
-    let dd = Array.make n Taint.empty in
-    Array.blit s.f_dd 0 dd 0 cap;
-    s.f_dd <- dd;
-    let cd = Array.make n Taint.empty in
-    Array.blit s.f_cd 0 cd 0 cap;
-    s.f_cd <- cd
-  end
-
-(* Reserve [n] arena bytes; returns the offset they start at. *)
-let arena_reserve s n =
-  let cap = Bytes.length s.arena in
-  if s.arena_len + n > cap then begin
-    let newcap = max (2 * cap) (s.arena_len + n) in
-    let b = Bytes.create newcap in
-    Bytes.blit s.arena 0 b 0 s.arena_len;
-    s.arena <- b
-  end;
-  let off = s.arena_len in
-  s.arena_len <- off + n;
-  off
 
 (* ---------- ring internals ---------- *)
 
@@ -257,15 +182,18 @@ let rseg_alloc rg =
       r_descs = Vec.create ~dummy:"" ();
       r_min_taint = max_int; r_pins = 0 }
 
-(* Live segments always form one contiguous seg-id range (retirement is
-   prefix-only), so seg_id mod n_slots is injective as long as the live
-   span fits; double the slot table when it would not. *)
+(* Slot of segment [seg_id]: seg_id mod n_slots, a mask because the slot
+   table's length is a power of two (16, doubled on growth). Live
+   segments always form one contiguous seg-id range (retirement is
+   prefix-only), so the slot is unique as long as the live span fits;
+   double the slot table when it would not. *)
+let[@inline] slot slots seg_id = seg_id land (Array.length slots - 1)
+
 let ring_grow_slots rg =
   let slots = Array.make (2 * Array.length rg.rg_slots) None in
   Array.iter
     (function
-      | Some s ->
-        slots.((s.r_base lsr rg.rg_shift) mod Array.length slots) <- Some s
+      | Some s -> slots.(slot slots (s.r_base lsr rg.rg_shift)) <- Some s
       | None -> ())
     rg.rg_slots;
   rg.rg_slots <- slots
@@ -281,7 +209,7 @@ let ring_open rg tid =
   s.r_pins <- 0;
   s.r_arena_len <- 0;
   Vec.clear s.r_descs;
-  rg.rg_slots.(seg_id mod Array.length rg.rg_slots) <- Some s;
+  rg.rg_slots.(slot rg.rg_slots seg_id) <- Some s;
   rg.rg_head <- Some s;
   s
 
@@ -293,12 +221,16 @@ let ring_rw rg tid =
     | Some s when s.r_base = tid land lnot rg.rg_mask -> s
     | _ -> ring_open rg tid
 
-(* Segment holding live tid [tid]; raises on retired tids. *)
-let ring_ro rg tid =
-  if tid < rg.rg_floor then raise (Retired { tid; floor = rg.rg_floor });
-  match rg.rg_slots.((tid lsr rg.rg_shift) mod Array.length rg.rg_slots) with
+let raise_retired rg tid = raise (Retired { tid; floor = rg.rg_floor })
+
+(* Segment holding live tid [tid]; raises on retired tids. A retired
+   segment leaves its slot empty or reused by a newer base, so the base
+   check alone rejects every tid below the floor. Inlined: every read
+   accessor goes through it. *)
+let[@inline] ring_ro rg tid =
+  match rg.rg_slots.(slot rg.rg_slots (tid lsr rg.rg_shift)) with
   | Some s when s.r_base = tid land lnot rg.rg_mask -> s
-  | _ -> raise (Retired { tid; floor = rg.rg_floor })
+  | _ -> raise_retired rg tid
 
 let ring_note_taint s taint =
   if not (Taint.is_empty taint) then begin
@@ -306,6 +238,7 @@ let ring_note_taint s taint =
     if m < s.r_min_taint then s.r_min_taint <- m
   end
 
+(* Reserve [n] arena bytes; returns the offset they start at. *)
 let ring_arena_reserve s n =
   let cap = Bytes.length s.r_arena in
   if s.r_arena_len + n > cap then begin
@@ -318,18 +251,11 @@ let ring_arena_reserve s n =
   s.r_arena_len <- off + n;
   off
 
-(* ---------- windowed retirement (ring only) ---------- *)
+(* ---------- windowed retirement ---------- *)
 
-let live_floor t = match t.repr with Ring rg -> rg.rg_floor | _ -> 0
+let live_floor t = match t.repr with Ring rg -> rg.rg_floor | Boxed _ -> 0
 
-let retired_segments t =
-  match t.repr with Ring rg -> rg.rg_retired | _ -> 0
-
-let is_live t tid =
-  tid >= 0 && tid < t.len
-  && (match t.repr with Ring rg -> tid >= rg.rg_floor | _ -> true)
-
-let seg_events t = match t.repr with Ring rg -> 1 lsl rg.rg_shift | _ -> 0
+let is_live t tid = tid >= live_floor t && tid < t.len
 
 (* Pin/unpin the segment containing [tid]: a pinned segment survives
    [retire_to] no matter how far the window slides. A windowed run pins
@@ -340,14 +266,14 @@ let pin t tid =
   | Ring rg ->
     let s = ring_ro rg tid in
     s.r_pins <- s.r_pins + 1
-  | _ -> ()
+  | Boxed _ -> ()
 
 let unpin t tid =
   match t.repr with
   | Ring rg ->
     let s = ring_ro rg tid in
     if s.r_pins > 0 then s.r_pins <- s.r_pins - 1
-  | _ -> ()
+  | Boxed _ -> ()
 
 (* A stable dense index for live tids: phys-segment id * seg size + the
    offset within the segment. Bounded by [slot_capacity], valid until
@@ -358,10 +284,10 @@ let slot_pos t tid =
   | Ring rg ->
     let s = ring_ro rg tid in
     (s.r_phys lsl rg.rg_shift) lor (tid land rg.rg_mask)
-  | _ -> tid
+  | Boxed _ -> tid
 
 let slot_capacity t =
-  match t.repr with Ring rg -> rg.rg_phys lsl rg.rg_shift | _ -> t.len
+  match t.repr with Ring rg -> rg.rg_phys lsl rg.rg_shift | Boxed _ -> t.len
 
 (* Retire (recycle) the longest contiguous prefix of segments that lie
    wholly below [target], skipping any segment that is pinned or that a
@@ -370,7 +296,7 @@ let slot_capacity t =
    retired. *)
 let retire_to t ~target =
   match t.repr with
-  | Boxed _ | Soa _ -> 0
+  | Boxed _ -> 0
   | Ring rg ->
     if t.len = 0 then 0
     else begin
@@ -383,7 +309,7 @@ let retire_to t ~target =
       let acc = ref max_int in
       for id = hi downto lo do
         min_after.(id - lo) <- !acc;
-        (match rg.rg_slots.(id mod Array.length rg.rg_slots) with
+        (match rg.rg_slots.(slot rg.rg_slots id) with
          | Some s when s.r_base = id lsl shift ->
            if s.r_min_taint < !acc then acc := s.r_min_taint
          | _ -> ())
@@ -394,18 +320,17 @@ let retire_to t ~target =
       (* never retire the head (still-appending) segment *)
       while !continue_ && !id < hi do
         let seg_end = (!id + 1) lsl shift in
-        (match rg.rg_slots.(!id mod Array.length rg.rg_slots) with
+        (match rg.rg_slots.(slot rg.rg_slots !id) with
          | Some s when s.r_base = !id lsl shift ->
            if seg_end <= target && s.r_pins = 0
               && min_after.(!id - lo) >= seg_end
            then begin
-             rg.rg_slots.(!id mod Array.length rg.rg_slots) <- None;
+             rg.rg_slots.(slot rg.rg_slots !id) <- None;
              s.r_base <- -1;
              Array.fill s.r_dd 0 (Array.length s.r_dd) Taint.empty;
              Array.fill s.r_cd 0 (Array.length s.r_cd) Taint.empty;
              rg.rg_free <- s :: rg.rg_free;
              rg.rg_floor <- seg_end;
-             rg.rg_retired <- rg.rg_retired + 1;
              incr retired
            end
            else continue_ := false
@@ -425,11 +350,6 @@ let add_load t ~sid ~addr ~len ~cd ~op =
      Vec.push v
        (Load { l_tid = tid; l_sid = sid; l_addr = addr; l_len = len;
                l_cd = cd; l_op = op })
-   | Soa s ->
-     soa_ensure s tid;
-     Bytes.unsafe_set s.kind tid (Char.unsafe_chr k_load);
-     s.f_sid.(tid) <- sid; s.f_a.(tid) <- addr; s.f_b.(tid) <- len;
-     s.f_op.(tid) <- op; s.f_cd.(tid) <- cd
    | Ring rg ->
      let s = ring_rw rg tid in
      let i = tid land rg.rg_mask in
@@ -439,12 +359,6 @@ let add_load t ~sid ~addr ~len ~cd ~op =
      ring_note_taint s cd);
   t.len <- tid + 1;
   tid
-
-let soa_store_fields s tid ~sid ~addr ~len ~off ~dd ~cd ~op =
-  Bytes.unsafe_set s.kind tid (Char.unsafe_chr k_store);
-  s.f_sid.(tid) <- sid; s.f_a.(tid) <- addr; s.f_b.(tid) <- len;
-  s.f_op.(tid) <- op; s.f_aux.(tid) <- off;
-  s.f_dd.(tid) <- dd; s.f_cd.(tid) <- cd
 
 let ring_store_fields rg s tid ~sid ~addr ~len ~off ~dd ~cd ~op =
   let i = tid land rg.rg_mask in
@@ -465,11 +379,6 @@ let add_store_sub t ~sid ~addr ~src ~src_off ~len ~dd ~cd ~op =
        (Store { s_tid = tid; s_sid = sid; s_addr = addr; s_len = len;
                 s_data = String.sub src src_off len; s_dd = dd; s_cd = cd;
                 s_op = op })
-   | Soa s ->
-     soa_ensure s tid;
-     let off = arena_reserve s len in
-     Bytes.blit_string src src_off s.arena off len;
-     soa_store_fields s tid ~sid ~addr ~len ~off ~dd ~cd ~op
    | Ring rg ->
      let s = ring_rw rg tid in
      let off = ring_arena_reserve s len in
@@ -491,11 +400,6 @@ let add_store_u64 t ~sid ~addr ~v ~dd ~cd ~op =
        (Store { s_tid = tid; s_sid = sid; s_addr = addr; s_len = 8;
                 s_data = Bytes.unsafe_to_string b; s_dd = dd; s_cd = cd;
                 s_op = op })
-   | Soa s ->
-     soa_ensure s tid;
-     let off = arena_reserve s 8 in
-     Bytes.set_int64_le s.arena off (Int64.of_int v);
-     soa_store_fields s tid ~sid ~addr ~len:8 ~off ~dd ~cd ~op
    | Ring rg ->
      let s = ring_rw rg tid in
      let off = ring_arena_reserve s 8 in
@@ -510,10 +414,6 @@ let add_flush t ~sid ~line ~op =
   (match t.repr with
    | Boxed v ->
      Vec.push v (Flush { f_tid = tid; f_sid = sid; f_line = line; f_op = op })
-   | Soa s ->
-     soa_ensure s tid;
-     Bytes.unsafe_set s.kind tid (Char.unsafe_chr k_flush);
-     s.f_sid.(tid) <- sid; s.f_a.(tid) <- line; s.f_op.(tid) <- op
    | Ring rg ->
      let s = ring_rw rg tid in
      let i = tid land rg.rg_mask in
@@ -527,10 +427,6 @@ let add_fence t ~sid ~op =
   t.n_fences <- t.n_fences + 1;
   (match t.repr with
    | Boxed v -> Vec.push v (Fence { n_tid = tid; n_sid = sid; n_op = op })
-   | Soa s ->
-     soa_ensure s tid;
-     Bytes.unsafe_set s.kind tid (Char.unsafe_chr k_fence);
-     s.f_sid.(tid) <- sid; s.f_op.(tid) <- op
    | Ring rg ->
      let s = ring_rw rg tid in
      let i = tid land rg.rg_mask in
@@ -552,51 +448,6 @@ let push t ev =
      | _ -> ());
     Vec.push v ev;
     t.len <- t.len + 1
-  | Soa s ->
-    let tid = t.len in
-    (match ev with
-     | Load l ->
-       ignore (add_load t ~sid:l.l_sid ~addr:l.l_addr ~len:l.l_len
-                 ~cd:l.l_cd ~op:l.l_op)
-     | Store st ->
-       ignore (add_store_sub t ~sid:st.s_sid ~addr:st.s_addr ~src:st.s_data
-                 ~src_off:0 ~len:(String.length st.s_data) ~dd:st.s_dd
-                 ~cd:st.s_cd ~op:st.s_op)
-     | Flush f -> ignore (add_flush t ~sid:f.f_sid ~line:f.f_line ~op:f.f_op)
-     | Fence f -> ignore (add_fence t ~sid:f.n_sid ~op:f.n_op)
-     | Log_range g ->
-       soa_ensure s tid;
-       Bytes.unsafe_set s.kind tid (Char.unsafe_chr k_log_range);
-       s.f_sid.(tid) <- g.g_sid; s.f_a.(tid) <- g.g_addr;
-       s.f_b.(tid) <- g.g_len; s.f_op.(tid) <- g.g_op; s.f_aux.(tid) <- g.g_tx;
-       t.len <- tid + 1
-     | Tx_begin { t_tx; t_op; _ } ->
-       soa_ensure s tid;
-       Bytes.unsafe_set s.kind tid (Char.unsafe_chr k_tx_begin);
-       s.f_op.(tid) <- t_op; s.f_aux.(tid) <- t_tx;
-       t.len <- tid + 1
-     | Tx_commit { t_tx; t_op; _ } ->
-       soa_ensure s tid;
-       Bytes.unsafe_set s.kind tid (Char.unsafe_chr k_tx_commit);
-       s.f_op.(tid) <- t_op; s.f_aux.(tid) <- t_tx;
-       t.len <- tid + 1
-     | Tx_abort { t_tx; t_op; _ } ->
-       soa_ensure s tid;
-       Bytes.unsafe_set s.kind tid (Char.unsafe_chr k_tx_abort);
-       s.f_op.(tid) <- t_op; s.f_aux.(tid) <- t_tx;
-       t.len <- tid + 1
-     | Op_begin o ->
-       soa_ensure s tid;
-       Bytes.unsafe_set s.kind tid (Char.unsafe_chr k_op_begin);
-       s.f_a.(tid) <- Vec.length s.descs;
-       Vec.push s.descs o.o_desc;
-       s.f_op.(tid) <- o.o_index;
-       t.len <- tid + 1
-     | Op_end o ->
-       soa_ensure s tid;
-       Bytes.unsafe_set s.kind tid (Char.unsafe_chr k_op_end);
-       s.f_op.(tid) <- o.o_index;
-       t.len <- tid + 1)
   | Ring rg ->
     let tid = t.len in
     let simple kind ~sid ~a ~b ~op ~aux =
@@ -637,11 +488,10 @@ let push t ev =
        t.len <- tid + 1
      | Op_end o -> simple k_op_end ~sid:0 ~a:0 ~b:0 ~op:o.o_index ~aux:0)
 
-(* ---------- index-based fast reads (no allocation on SoA) ---------- *)
+(* ---------- index-based fast reads (no allocation on the ring) ---------- *)
 
 let kind_at t i =
   match t.repr with
-  | Soa s -> Char.code (Bytes.unsafe_get s.kind i)
   | Ring rg ->
     let s = ring_ro rg i in
     Char.code (Bytes.unsafe_get s.r_kind (i land rg.rg_mask))
@@ -655,7 +505,6 @@ let kind_at t i =
 
 let sid_at t i =
   match t.repr with
-  | Soa s -> s.f_sid.(i)
   | Ring rg -> (ring_ro rg i).r_sid.(i land rg.rg_mask)
   | Boxed v ->
     (match Vec.get v i with
@@ -666,7 +515,6 @@ let sid_at t i =
 (* addr for loads/stores/log ranges, line for flushes *)
 let addr_at t i =
   match t.repr with
-  | Soa s -> s.f_a.(i)
   | Ring rg -> (ring_ro rg i).r_a.(i land rg.rg_mask)
   | Boxed v ->
     (match Vec.get v i with
@@ -677,7 +525,6 @@ let addr_at t i =
 
 let len_at t i =
   match t.repr with
-  | Soa s -> s.f_b.(i)
   | Ring rg -> (ring_ro rg i).r_b.(i land rg.rg_mask)
   | Boxed v ->
     (match Vec.get v i with
@@ -686,7 +533,6 @@ let len_at t i =
 
 let op_at t i =
   match t.repr with
-  | Soa s -> s.f_op.(i)
   | Ring rg -> (ring_ro rg i).r_op.(i land rg.rg_mask)
   | Boxed v ->
     (match Vec.get v i with
@@ -697,7 +543,6 @@ let op_at t i =
 
 let tx_at t i =
   match t.repr with
-  | Soa s -> s.f_aux.(i)
   | Ring rg -> (ring_ro rg i).r_aux.(i land rg.rg_mask)
   | Boxed v ->
     (match Vec.get v i with
@@ -707,40 +552,22 @@ let tx_at t i =
 
 let dd_at t i =
   match t.repr with
-  | Soa s -> s.f_dd.(i)
   | Ring rg -> (ring_ro rg i).r_dd.(i land rg.rg_mask)
   | Boxed v -> (match Vec.get v i with Store s -> s.s_dd | _ -> Taint.empty)
 
 let cd_at t i =
   match t.repr with
-  | Soa s -> s.f_cd.(i)
   | Ring rg -> (ring_ro rg i).r_cd.(i land rg.rg_mask)
   | Boxed v ->
     (match Vec.get v i with
      | Store s -> s.s_cd | Load l -> l.l_cd | _ -> Taint.empty)
 
-let store_data t i =
-  match t.repr with
-  | Soa s -> Bytes.sub_string s.arena s.f_aux.(i) s.f_b.(i)
-  | Ring rg ->
-    let s = ring_ro rg i in
-    let j = i land rg.rg_mask in
-    Bytes.sub_string s.r_arena s.r_aux.(j) s.r_b.(j)
-  | Boxed v ->
-    (match Vec.get v i with
-     | Store s -> s.s_data
-     | _ -> invalid_arg "Trace.store_data: not a store")
-
 (* Write store [i]'s payload into [pmem] at its recorded address, straight
-   from the arena — no intermediate string on the SoA path. *)
+   from the segment's arena — no intermediate string. The alias is read
+   synchronously inside [write_sub] and never retained, so the arena's
+   later growth/appends cannot be observed through it. *)
 let store_write t i pmem =
   match t.repr with
-  | Soa s ->
-    (* The alias is read synchronously inside [write_sub] and never
-       retained, so the arena's later growth/appends cannot be observed
-       through it. *)
-    Pmem.write_sub pmem s.f_a.(i) (Bytes.unsafe_to_string s.arena)
-      s.f_aux.(i) s.f_b.(i)
   | Ring rg ->
     let s = ring_ro rg i in
     let j = i land rg.rg_mask in
@@ -755,9 +582,6 @@ let store_write t i pmem =
    [Pmem.mix_string (Pmem.mix h addr) data]. *)
 let store_mix t h i =
   match t.repr with
-  | Soa s ->
-    Pmem.mix_sub (Pmem.mix h s.f_a.(i)) (Bytes.unsafe_to_string s.arena)
-      s.f_aux.(i) s.f_b.(i)
   | Ring rg ->
     let s = ring_ro rg i in
     let j = i land rg.rg_mask in
@@ -769,29 +593,6 @@ let store_mix t h i =
      | _ -> invalid_arg "Trace.store_mix: not a store")
 
 (* ---------- event reconstruction (compat API) ---------- *)
-
-let soa_get s i =
-  match Char.code (Bytes.unsafe_get s.kind i) with
-  | 0 ->
-    Load { l_tid = i; l_sid = s.f_sid.(i); l_addr = s.f_a.(i);
-           l_len = s.f_b.(i); l_cd = s.f_cd.(i); l_op = s.f_op.(i) }
-  | 1 ->
-    Store { s_tid = i; s_sid = s.f_sid.(i); s_addr = s.f_a.(i);
-            s_len = s.f_b.(i);
-            s_data = Bytes.sub_string s.arena s.f_aux.(i) s.f_b.(i);
-            s_dd = s.f_dd.(i); s_cd = s.f_cd.(i); s_op = s.f_op.(i) }
-  | 2 -> Flush { f_tid = i; f_sid = s.f_sid.(i); f_line = s.f_a.(i); f_op = s.f_op.(i) }
-  | 3 -> Fence { n_tid = i; n_sid = s.f_sid.(i); n_op = s.f_op.(i) }
-  | 4 ->
-    Log_range { g_tid = i; g_sid = s.f_sid.(i); g_addr = s.f_a.(i);
-                g_len = s.f_b.(i); g_tx = s.f_aux.(i); g_op = s.f_op.(i) }
-  | 5 -> Tx_begin { t_tid = i; t_tx = s.f_aux.(i); t_op = s.f_op.(i) }
-  | 6 -> Tx_commit { t_tid = i; t_tx = s.f_aux.(i); t_op = s.f_op.(i) }
-  | 7 -> Tx_abort { t_tid = i; t_tx = s.f_aux.(i); t_op = s.f_op.(i) }
-  | 8 ->
-    Op_begin { o_tid = i; o_index = s.f_op.(i);
-               o_desc = Vec.get s.descs s.f_a.(i) }
-  | _ -> Op_end { o_tid = i; o_index = s.f_op.(i) }
 
 let ring_get rg tid =
   let s = ring_ro rg tid in
@@ -823,51 +624,16 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Trace.get";
   match t.repr with
   | Boxed v -> Vec.get v i
-  | Soa s -> soa_get s i
   | Ring rg -> ring_get rg i
 
-(* On the ring representation, [iter]/[iteri] cover only the live window
-   (retired prefixes are gone by construction). *)
+(* On the ring, [iter] covers only the live window (retired prefixes are
+   gone by construction). *)
 let iter f t =
   match t.repr with
   | Boxed v -> Vec.iter f v
-  | Soa s -> for i = 0 to t.len - 1 do f (soa_get s i) done
   | Ring rg -> for i = rg.rg_floor to t.len - 1 do f (ring_get rg i) done
 
-let iteri f t =
-  match t.repr with
-  | Boxed v -> Vec.iteri f v
-  | Soa s -> for i = 0 to t.len - 1 do f i (soa_get s i) done
-  | Ring rg -> for i = rg.rg_floor to t.len - 1 do f i (ring_get rg i) done
-
-let tid_of = function
-  | Load l -> l.l_tid
-  | Store s -> s.s_tid
-  | Flush f -> f.f_tid
-  | Fence f -> f.n_tid
-  | Log_range g -> g.g_tid
-  | Tx_begin x -> x.t_tid
-  | Tx_commit x -> x.t_tid
-  | Tx_abort x -> x.t_tid
-  | Op_begin o -> o.o_tid
-  | Op_end o -> o.o_tid
-
-let op_of = function
-  | Load l -> l.l_op
-  | Store s -> s.s_op
-  | Flush f -> f.f_op
-  | Fence f -> f.n_op
-  | Log_range g -> g.g_op
-  | Tx_begin x -> x.t_op
-  | Tx_commit x -> x.t_op
-  | Tx_abort x -> x.t_op
-  | Op_begin o -> o.o_index
-  | Op_end o -> o.o_index
-
 let stats t = (t.n_loads, t.n_stores, t.n_flushes, t.n_fences)
-
-let is_boxed t = match t.repr with Boxed _ -> true | _ -> false
-let is_ring t = match t.repr with Ring _ -> true | _ -> false
 
 let pp_event ppf = function
   | Load l -> Fmt.pf ppf "%6d L  %a @%d+%d" l.l_tid Sid.pp l.l_sid l.l_addr l.l_len

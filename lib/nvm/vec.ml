@@ -8,11 +8,7 @@ type 'a t = {
   dummy : 'a;
 }
 
-(* [capacity] preallocates the backing array: bulk ingest (the traffic
-   generator's million-op traces) passes its expected size so the push
-   loop never pays a large grow-and-copy. *)
-let create ?(capacity = 16) ~dummy () =
-  { data = Array.make (max 16 capacity) dummy; len = 0; dummy }
+let create ~dummy () = { data = Array.make 16 dummy; len = 0; dummy }
 
 let length t = t.len
 
@@ -47,11 +43,6 @@ let drop_front t k =
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.data.(i)
-  done
-
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i t.data.(i)
   done
 
 let fold_left f init t =

@@ -88,10 +88,20 @@ let test_epoch_dedup_distinct_conds () =
 
 (* --- Fast-vs-reference parity -------------------------------------- *)
 
+(* Record [ops] into a segmented trace of 2^[ring_shift]-event segments,
+   through the op loop the engine's passes share. *)
+let record_segmented ~ring_shift (module S : W.Store_intf.S) ops =
+  let trace = Trace.create ~ring_shift () in
+  let ctx = Ctx.create ~trace ~mode:Record (Pmem.create S.pool_size) in
+  W.Driver.exec (module S) ctx (Array.of_list ops) ~after_op:(fun _ _ -> ());
+  trace
+
 (* Run one store's workload through both front ends and compare
    everything observable: the traces, the condition counts, the crash
-   image digest sequence and the generation stats. *)
-let check_parity ~name ~n_ops ~seed ~max_images =
+   image digest sequence and the generation stats. The fast side records
+   into segments of 2^[ring_shift] events, so a small shift makes every
+   comparison cross segment boundaries. *)
+let check_parity ~name ~n_ops ~seed ~max_images ~ring_shift =
   let e = Option.get (Stores.Registry.find name) in
   let ops =
     let module S = (val e.buggy ()) in
@@ -102,15 +112,16 @@ let check_parity ~name ~n_ops ~seed ~max_images =
     W.Workload.generate wl
   in
   let rec_ref = W.Driver.record ~boxed:true (e.buggy ()) ops in
-  let rec_fast = W.Driver.record (e.buggy ()) ops in
-  if Trace.length rec_ref.trace <> Trace.length rec_fast.trace then
+  let trace = record_segmented ~ring_shift (e.buggy ()) ops in
+  let name = Printf.sprintf "%s (seed %d, 2^%d segments)" name seed ring_shift in
+  if Trace.length rec_ref.trace <> Trace.length trace then
     QCheck2.Test.fail_reportf "%s: trace lengths differ" name;
-  for i = 0 to Trace.length rec_fast.trace - 1 do
-    if Trace.get rec_ref.trace i <> Trace.get rec_fast.trace i then
+  for i = 0 to Trace.length trace - 1 do
+    if Trace.get rec_ref.trace i <> Trace.get trace i then
       QCheck2.Test.fail_reportf "%s: traces differ at tid %d" name i
   done;
   let conds_ref = W.Frontend_ref.infer rec_ref.trace in
-  let conds_fast = W.Infer.infer rec_fast.trace in
+  let conds_fast = W.Infer.infer trace in
   let counts_ref =
     ( conds_ref.W.Frontend_ref.n_po1, conds_ref.W.Frontend_ref.n_po2,
       conds_ref.W.Frontend_ref.n_po3, conds_ref.W.Frontend_ref.n_guardians )
@@ -137,8 +148,8 @@ let check_parity ~name ~n_ops ~seed ~max_images =
   in
   let dig_fast, stats_fast =
     digests (fun on_image ->
-        W.Crash_gen.generate ~cfg ~trace:rec_fast.trace ~conds:conds_fast
-          ~pool_size:rec_fast.pool_size ~on_image ())
+        W.Crash_gen.generate ~cfg ~trace ~conds:conds_fast
+          ~pool_size:rec_ref.pool_size ~on_image ())
   in
   if dig_ref <> dig_fast then
     QCheck2.Test.fail_reportf "%s: digest sequences differ (%d vs %d images)"
@@ -151,17 +162,23 @@ let check_parity ~name ~n_ops ~seed ~max_images =
   then QCheck2.Test.fail_reportf "%s: generation stats differ" name;
   true
 
+(* hashmap-tx and b-tree run PMDK transactions, so their traces carry
+   Log_range and Tx_* events. *)
 let parity_stores =
-  [ "level-hash"; "fast-fair"; "cceh"; "wort"; "woart"; "p-clht" ]
+  [ "level-hash"; "fast-fair"; "cceh"; "wort"; "woart"; "p-clht";
+    "hashmap-tx"; "b-tree" ]
 
 let prop_frontend_parity =
   QCheck2.Test.make ~name:"front-end fast path == reference (stores, seeds)"
     ~count:8
     QCheck2.Gen.(
-      pair (int_range 0 (List.length parity_stores - 1)) (int_range 0 10_000))
-    (fun (si, seed) ->
+      triple
+        (int_range 0 (List.length parity_stores - 1))
+        (int_range 0 10_000)
+        (oneofl [ 4; Trace.default_seg_shift ]))
+    (fun (si, seed, ring_shift) ->
        check_parity ~name:(List.nth parity_stores si) ~n_ops:40 ~seed
-         ~max_images:200)
+         ~max_images:200 ~ring_shift)
 
 (* --- Golden end-to-end JSON ---------------------------------------- *)
 
