@@ -593,7 +593,6 @@ let stream () =
       workload = { W.Workload.default with n_ops = stream_perf_ops };
       traffic = Some tc;
       crash = { W.Crash_gen.default_cfg with max_images = stream_max_images };
-      fuel = max W.Engine.default_cfg.fuel (stream_perf_ops * 300);
       prune = Prune.Policy.Sample sample_stride;
       ckpt_stride =
         max W.Engine.default_cfg.ckpt_stride (stream_perf_ops / 64) }

@@ -59,7 +59,7 @@ let () =
          (* re-resume to print full suffix *)
          let got =
            W.Driver.resume (module S) ~image:pristine ~ops:recorded.ops
-             ~from_op:k ~fuel:3_000_000
+             ~from_op:k ~fuel:W.Engine.default_cfg.fuel
          in
          let n = Array.length recorded.ops in
          for i = 0 to min (n - k - 1) 200 do

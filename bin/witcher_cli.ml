@@ -110,7 +110,7 @@ let prune_arg =
                  $(b,sample:N) validates every N-th image (blind \
                  statistical fallback). Default: exhaustive, except \
                  $(b,--stream) runs of 100k+ operations, which default to \
-                 sampling (\\u{00A7}7.5) scaled to the op count.")
+                 sampling (§7.5) scaled to the op count.")
 
 (* Streaming-pipeline knobs (DESIGN \u{00A7}9). Run-only: campaign job
    keys stay a pure function of the matrix cell. *)
@@ -243,10 +243,6 @@ let run_cmd store fixed ops seed max_images ckpt_stride prune expand_budget
         Option.map (fun t -> { t with W.Traffic.n_ops = ops; seed }) traffic;
       stream_window = max 1 window;
       ckpt_ring = max 1 ckpt_ring;
-      (* the replay fuel must cover a full workload suffix, or every
-         long replay at 100k+ ops turns into a spurious "livelock"
-         verdict; the default is kept at small scale (golden runs) *)
-      fuel = max W.Engine.default_cfg.fuel (ops * 400);
       (* keep an unbounded run's checkpoint count bounded at scale: the
          default 32-op stride would materialize thousands of pool
          snapshots on a 100k+ op run without --stream *)

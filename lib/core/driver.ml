@@ -5,8 +5,9 @@
      point, §4.4).
    - [run_quiet]: uninstrumented run for rolled-back oracles.
    - [resume]: attach to a crash NVM image, run recovery and the suffix of
-     the test case; any visible failure (simulated segfault, fuel
-     exhaustion, corrupt pool) marks the remaining outputs [Crashed].
+     the test case; any visible failure (simulated segfault, a replayed op
+     running out of fuel, corrupt pool) marks the remaining outputs
+     [Crashed].
 
    Operation indices in the trace: index 0 is store creation, index k >= 1
    is [ops.(k - 1)]. *)
@@ -63,7 +64,9 @@ let checkpoint ?(log = true) c ~n ~index pmem =
    op's events are in the trace (creation reports [Output.Ok]); the loop
    ends early once [stop ()] holds. [log] emits one `op` event per index
    and counts the ops; a deterministic re-execution of already-logged ops
-   passes [false]. *)
+   passes [false]. Afterwards [Ctx.max_op_cost ctx] is the access count of
+   the costliest op, creation included, which replay budgets are sized
+   from; [log] also records it as the gauge [driver.max_op_cost]. *)
 let exec ?(log = true) ?(stop = fun () -> false) (module S : Store_intf.S)
     ctx ops ~after_op =
   let begin_op index desc =
@@ -88,7 +91,11 @@ let exec ?(log = true) ?(stop = fun () -> false) (module S : Store_intf.S)
     after_op index out;
     incr i
   done;
-  if log then Obs.Metrics.incr ~n "driver.record_ops"
+  if log then begin
+    Obs.Metrics.incr ~n "driver.record_ops";
+    Obs.Metrics.set_gauge "driver.max_op_cost"
+      (float_of_int (Ctx.max_op_cost ctx))
+  end
 
 let record ?(ckpt_stride = 0) ?(boxed = false) (module S : Store_intf.S) ops =
   let ops = Array.of_list ops in
@@ -118,8 +125,8 @@ let run_quiet (module S : Store_intf.S) ops =
    [skip + 1 .. n] — O(n - from_op) store ops instead of the O(n) full
    re-run. The checkpointed image is fully consistent (all ops up to
    [from_op] committed cleanly), so recovery must behave exactly like the
-   uninterrupted run; any exception here is a driver-level failure the
-   caller handles by falling back to [run_quiet]. *)
+   uninterrupted run; the caller falls back to [run_quiet] on any
+   store-visible failure ([describe_failure]) here. *)
 let oracle_from_checkpoint (module S : Store_intf.S) ~checkpoint ~ops ~from_op
     ~skip =
   let n = Array.length ops in
@@ -135,18 +142,32 @@ let oracle_from_checkpoint (module S : Store_intf.S) ~checkpoint ~ops ~from_op
   done;
   out
 
-(* A resumed execution runs over a possibly corrupted image: any exception
-   it raises — simulated segfault, livelock fuel, corrupt metadata tripping
-   OCaml runtime checks — is a visible crash, which the paper counts as a
-   detected inconsistency. *)
-let describe_failure = function
-  | Pmem.Fault f -> Printf.sprintf "segfault@%d+%d" f.addr f.len
-  | Ctx.Fuel_exhausted -> "livelock"
-  | Pmdk.Pool.Corrupt_pool m -> "corrupt-pool:" ^ m
-  | Pmdk.Alloc.Out_of_memory -> "heap-exhausted"
-  | Pmdk.Tx.Log_full -> "tx-log-full"
-  | Stack_overflow -> "stack-overflow"
-  | e -> "exception:" ^ Printexc.to_string e
+(* The [Crashed] description of a replayed op that ran out of fuel. *)
+let livelock = "livelock"
+
+(* The failures a store can make visible when it runs over a corrupt
+   image, each described as the [Crashed] output that marks it: a
+   simulated segfault, a livelock (an op ran out of fuel), a corrupt pool,
+   an exhausted heap, a full undo log, a stack overflow, and the runtime
+   errors that NVM-derived values raise inside store code (value decoding
+   slicing past a corrupt length, [mod] by a corrupt bucket count, a
+   structural assertion). [describe_failure run] returns [run ()], or the
+   description of one of these failures. Any other exception is a harness
+   failure (an interrupt, the OCaml heap running out, a retired trace
+   segment) and propagates: it never becomes a verdict. *)
+let describe_failure run =
+  match run () with
+  | v -> Ok v
+  | exception Pmem.Fault f ->
+    Error (Printf.sprintf "segfault@%d+%d" f.addr f.len)
+  | exception Ctx.Fuel_exhausted -> Error livelock
+  | exception Pmdk.Pool.Corrupt_pool m -> Error ("corrupt-pool:" ^ m)
+  | exception Pmdk.Alloc.Out_of_memory -> Error "heap-exhausted"
+  | exception Pmdk.Tx.Log_full -> Error "tx-log-full"
+  | exception Stack_overflow -> Error "stack-overflow"
+  | exception ((Invalid_argument _ | Division_by_zero | Assert_failure _) as e)
+    ->
+    Error ("exception:" ^ Printexc.to_string e)
 
 (* Resume from a crash image: open + recover, then run ops with trace
    indices [from_op + 1 .. n], streaming each output through [on_output]
@@ -155,9 +176,13 @@ let describe_failure = function
    cut a replay short the moment both oracles are ruled out, so an
    inconsistent image costs O(first divergence) instead of O(suffix).
 
-   A visible failure (simulated segfault, fuel exhaustion, corrupt pool)
-   marks every remaining output [Crashed] without executing anything
-   further; those backfilled outputs still stream through [on_output].
+   [fuel] is a per-op access budget: recovery gets [fuel] accesses, and
+   the context is refuelled to [fuel] before every replayed op, so an
+   image that livelocks costs about one op's budget however long the
+   suffix is. A visible failure ([describe_failure]: simulated segfault,
+   an op running dry, corrupt pool, ...) marks every remaining output
+   [Crashed] without executing anything further; those backfilled outputs
+   still stream through [on_output]. Any other exception propagates.
 
    Returns the number of operations the replay actually attempted to
    execute (the crashing op counts: its work was done).
@@ -173,8 +198,8 @@ let resume_stream ?read_track (module S : Store_intf.S) ~image ~ops ~from_op
   let suffix_len = n - from_op in
   let executed = ref 0 in
   Obs.Metrics.incr "driver.resumes";
-  let ctx = Ctx.create ~mode:Quiet ~fuel image in
-  Ctx.set_read_track ctx read_track;
+  let ctx = ref (Ctx.create ~mode:Quiet ~fuel image) in
+  Ctx.set_read_track !ctx read_track;
   let fail_from i msg =
     let out = Output.Crashed msg in
     let rec go i =
@@ -184,29 +209,27 @@ let resume_stream ?read_track (module S : Store_intf.S) ~image ~ops ~from_op
     go i
   in
   let opened =
-    try `Store (S.open_ ctx) with
-    | Pmdk.Pool.Corrupt_pool _ ->
-      (* The crash predates pool initialization: the magic never became
-         durable. A real deployment re-creates the pool file, which is the
-         rolled-back behaviour for the creation op. *)
-      (try
-         let fresh = Pmem.create S.pool_size in
-         let ctx' = Ctx.create ~mode:Quiet ~fuel fresh in
-         Ctx.set_read_track ctx' read_track;
-         `Store (S.create ctx')
-       with e -> `Err (describe_failure e))
-    | e -> `Err (describe_failure e)
+    describe_failure (fun () ->
+        try S.open_ !ctx with
+        | Pmdk.Pool.Corrupt_pool _ ->
+          (* The crash predates pool initialization: the magic never
+             became durable. A real deployment re-creates the pool file,
+             which is the rolled-back behaviour for the creation op. *)
+          ctx := Ctx.create ~mode:Quiet ~fuel (Pmem.create S.pool_size);
+          Ctx.set_read_track !ctx read_track;
+          S.create !ctx)
   in
   (match opened with
-   | `Err msg -> fail_from 0 msg
-   | `Store store ->
+   | Error msg -> fail_from 0 msg
+   | Ok store ->
      let rec go i =
        if i < suffix_len then begin
          incr executed;
-         match S.exec store ops.(from_op + i) with
-         | out ->
+         Ctx.refuel !ctx fuel;
+         match describe_failure (fun () -> S.exec store ops.(from_op + i)) with
+         | Ok out ->
            (match on_output i out with `Stop -> () | `Continue -> go (i + 1))
-         | exception e -> fail_from i (describe_failure e)
+         | Error msg -> fail_from i msg
        end
      in
      go 0);

@@ -5,7 +5,11 @@
 type cfg = {
   workload : Workload.cfg;
   crash : Crash_gen.cfg;
-  fuel : int;  (* access budget for resumed executions *)
+  fuel : int;
+      (* floor of the per-op replay budget, in NVM accesses; [pipeline]
+         raises it to [replay_headroom] times the recording's costliest
+         op. Kept as a field only because the standing benchmark
+         (perfbench/perfbench.ml) sets it. *)
   (* Oracle/replay optimizations (DESIGN §5); each independently
      toggleable, all verdict-equivalent to the reference checker. *)
   lazy_oracle : bool;  (* build rolled-back oracles on first divergence *)
@@ -29,7 +33,8 @@ type cfg = {
 
 let default_cfg =
   { workload = Workload.default; crash = Crash_gen.default_cfg;
-    fuel = 3_000_000; lazy_oracle = true; memo = true; ckpt_stride = 32;
+    fuel = Equiv.default_fuel; lazy_oracle = true; memo = true;
+    ckpt_stride = 32;
     batch = true; prune = Prune.Policy.Exhaustive; expand_budget = 3;
     sig_depth = 0;
     traffic = None; stream_seg_shift = Nvm.Trace.default_seg_shift;
@@ -114,6 +119,12 @@ let timed f =
   let v = f () in
   (v, Unix.gettimeofday () -. t0)
 
+(* Per-op replay budget, as a multiple of the recording's costliest op
+   (DESIGN §5, "Replay budget"): an op replayed over a crash image may
+   make this many times the accesses any recorded op made before it is
+   declared a livelock. *)
+let replay_headroom = 16
+
 (* The pipeline (DESIGN §9). Its one mode is the trace window: [None]
    keeps the whole trace, [Some w] keeps about the newest [w] events.
 
@@ -129,12 +140,13 @@ let timed f =
 
    - Pass B (validate) feeds the trace, event by event, to crash-image
      generation against the complete condition set, checking each image
-     at its fence. Unbounded, it walks the retained pass-A trace.
-     Windowed, it re-executes the ops without taint tracking into a fresh
-     trace — the identical event stream, guarded op by op — pins dirty
-     stores until they are guaranteed, and keeps the newest [ckpt_ring]
-     snapshots. Expansion waves of the representative policy are further
-     pass-B walks.
+     at its fence. Each replayed op gets [max cfg.fuel (replay_headroom *
+     M)] accesses, M being the costliest op pass A recorded. Unbounded,
+     it walks the retained pass-A trace. Windowed, it re-executes the ops
+     without taint tracking into a fresh trace — the identical event
+     stream, guarded op by op — pins dirty stores until they are
+     guaranteed, and keeps the newest [ckpt_ring] snapshots. Expansion
+     waves of the representative policy are further pass-B walks.
 
    Verdicts do not depend on the window: generation and checking see the
    same event indices in the same order either way, and the window only
@@ -202,7 +214,7 @@ let pipeline ~window ~cfg ~class_memo (module S : Store_intf.S) =
   let record_ckpts = Driver.ckpts cfg.ckpt_stride in
   let outputs = Array.make n Output.Ok in
   let rec_t0 = Unix.gettimeofday () in
-  let (), t_record =
+  let max_op_cost, t_record =
     timed (fun () ->
         let pmem = Nvm.Pmem.create pool_size in
         let ctx = Nvm.Ctx.create ~trace ~mode:Nvm.Ctx.Record pmem in
@@ -213,7 +225,8 @@ let pipeline ~window ~cfg ~class_memo (module S : Store_intf.S) =
             | Some w ->
               ingest ();
               retire trace ~pass:0 ~target:(Nvm.Trace.length trace - w);
-              if index > 0 then sample_mem index))
+              if index > 0 then sample_mem index);
+        Nvm.Ctx.max_op_cost ctx)
   in
   Obs.Span.add ~name:"stage.record" ~ts:rec_t0 ~dur:t_record
     ~attrs:
@@ -241,7 +254,9 @@ let pipeline ~window ~cfg ~class_memo (module S : Store_intf.S) =
   let retained = if bounded then None else Some (trace, record_ckpts) in
   (* ---- validation plumbing, shared by every pass-B walk ---- *)
   let checker =
-    Equiv.create ~fuel:cfg.fuel ~lazy_oracle:cfg.lazy_oracle ~memo:cfg.memo
+    Equiv.create
+      ~fuel:(max cfg.fuel (replay_headroom * max_op_cost))
+      ~lazy_oracle:cfg.lazy_oracle ~memo:cfg.memo
       ~checkpoints:record_ckpts.held (module S : Store_intf.S) ~ops
       ~committed:outputs
   in

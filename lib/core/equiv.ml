@@ -92,7 +92,7 @@ type t = {
   ops : Op.t array;
   committed : Output.t array;   (* outputs of ops.(i), trace index i+1 *)
   rolled_back : (int, Output.t array) Hashtbl.t;  (* crash op -> oracle *)
-  fuel : int;
+  fuel : int;                   (* per-op replay budget *)
   lazy_oracle : bool;           (* defer the oracle to first divergence *)
   memo_on : bool;               (* digest-keyed verdict memoization *)
   mutable checkpoints : (int * Nvm.Pmem.t) array;  (* record snapshots, ascending *)
@@ -102,8 +102,14 @@ type t = {
   stats : stats;
 }
 
-let create ?(fuel = 3_000_000) ?(lazy_oracle = true) ?(memo = true)
+(* The per-op replay budget's floor (Driver.resume_stream ~fuel), in NVM
+   accesses. [Engine] raises it to a multiple of the recording's
+   costliest op; at the default test sizes the floor is what applies. *)
+let default_fuel = 65_536
+
+let create ?(fuel = default_fuel) ?(lazy_oracle = true) ?(memo = true)
     ?(checkpoints = []) store ~ops ~committed =
+  Obs.Metrics.set_gauge "equiv.op_fuel" (float_of_int fuel);
   let checkpoints =
     let a = Array.of_list checkpoints in
     Array.sort (fun (i, _) (j, _) -> compare i j) a;
@@ -208,9 +214,10 @@ let oracle_full_rerun t k =
    behaviour (the pool is simply re-created). With checkpoints, the
    oracle for k >= 1 resumes from the latest snapshot taken at or before
    op k - 1 and replays only the suffix — the per-oracle cost drops from
-   O(n) to O(n - k + stride). Any checkpoint-resume failure falls back to
-   the full re-run, so checkpointing can never change a verdict's
-   availability, only its cost. *)
+   O(n) to O(n - k + stride). A store-visible failure of the checkpoint
+   resume ([Driver.describe_failure]) falls back to the full re-run, so
+   checkpointing can never change a verdict's availability, only its
+   cost; a harness failure propagates. *)
 let rolled_back_oracle t k =
   match Hashtbl.find_opt t.rolled_back k with
   | Some o -> o
@@ -242,19 +249,21 @@ let rolled_back_oracle t k =
                    [ ("op", Obs.Jsonx.Int k); ("via", Obs.Jsonx.Str via);
                      ("from_op", Obs.Jsonx.Int from_op) ])
         in
+        let full () = ev_oracle "full" 0; oracle_full_rerun t k in
         match ckpt with
         | Some (j, pool) ->
-          (try
-             let o =
-               Driver.oracle_from_checkpoint t.store ~checkpoint:pool
-                 ~ops:t.ops ~from_op:j ~skip:k
-             in
+          (match
+             Driver.describe_failure (fun () ->
+                 Driver.oracle_from_checkpoint t.store ~checkpoint:pool
+                   ~ops:t.ops ~from_op:j ~skip:k)
+           with
+           | Ok o ->
              t.stats.n_oracle_ops_saved <- t.stats.n_oracle_ops_saved + j;
              Obs.Metrics.incr ~n:j "equiv.oracle_ops_saved";
              ev_oracle "ckpt" j;
              o
-           with _ -> ev_oracle "full" 0; oracle_full_rerun t k)
-        | None -> ev_oracle "full" 0; oracle_full_rerun t k
+           | Error _ -> full ())
+        | None -> full ()
       end
     in
     Hashtbl.replace t.rolled_back k oracle;
@@ -334,7 +343,13 @@ let check_replay ?read_track t ~img ~crash_op =
     o
   in
   let on_output i out =
-    (match out with Output.Crashed _ -> crashed := true | _ -> ());
+    (match out with
+     | Output.Crashed m ->
+       (* the first crashed output is the failure itself *)
+       if not !crashed && m = Driver.livelock then
+         Obs.Metrics.incr "equiv.livelocks";
+       crashed := true
+     | _ -> ());
     got.(i) <- out;
     let c_eq = Output.equal out (committed_suffix i) in
     match !rb with

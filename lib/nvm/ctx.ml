@@ -13,10 +13,13 @@
    re-interning a loop's literal effectively zero) and the trace records
    only the int.
 
-   [fuel] bounds the number of accesses: resuming from a corrupted crash
-   image can loop forever (e.g. a B+tree whose root points to a sibling);
-   running dry raises [Fuel_exhausted], which the driver reports as a
-   visible crash, itself an output divergence. *)
+   [fuel] bounds the number of accesses until the next [refuel]:
+   resuming from a corrupted crash image can loop forever (e.g. a B+tree
+   whose root points to a sibling); running dry raises [Fuel_exhausted],
+   which the driver reports as a visible crash, itself an output
+   divergence. The driver refuels before every replayed op, so the budget
+   is per op. [op_begin]/[op_end] measure how many accesses each recorded
+   op makes; [max_op_cost] is what sizes that budget. *)
 
 exception Fuel_exhausted
 
@@ -32,6 +35,8 @@ type t = {
   mutable cd : Taint.t;        (* cached union of cd_stack + op_cd *)
   mutable op : int;
   mutable fuel : int;
+  mutable op_fuel : int;       (* [fuel] at the current op's [op_begin] *)
+  mutable max_op_cost : int;   (* most accesses any bracketed op made *)
   mutable tx_counter : int;
   mutable rtrack : Wset.t option;
       (* when set, every successful NVM read logs its word range; used by
@@ -50,8 +55,8 @@ let create ?(boxed = false) ?(fuel = 100_000_000) ?trace
     match trace with Some tr -> tr | None -> Trace.create ~boxed ()
   in
   { pmem; mode; trace; taints = not taintless; cd_stack = [];
-    op_cd = Taint.empty; cd = Taint.empty; op = -1; fuel; tx_counter = 0;
-    rtrack = None }
+    op_cd = Taint.empty; cd = Taint.empty; op = -1; fuel; op_fuel = fuel;
+    max_op_cost = 0; tx_counter = 0; rtrack = None }
 
 let set_read_track t w = t.rtrack <- w
 
@@ -62,6 +67,8 @@ let pmem t = t.pmem
 let trace t = t.trace
 let mode t = t.mode
 let current_op t = t.op
+let max_op_cost t = t.max_op_cost
+let refuel t fuel = t.fuel <- fuel
 
 let burn t =
   t.fuel <- t.fuel - 1;
@@ -272,6 +279,7 @@ let when_ t cond f =
 
 let op_begin t ~index ~desc =
   t.op <- index;
+  t.op_fuel <- t.fuel;
   t.op_cd <- Taint.empty;
   t.cd <- Taint.union_list t.cd_stack;
   if recording t then
@@ -279,6 +287,7 @@ let op_begin t ~index ~desc =
       (Op_begin { o_tid = Trace.next_tid t.trace; o_index = index; o_desc = desc })
 
 let op_end t ~index =
+  t.max_op_cost <- max t.max_op_cost (t.op_fuel - t.fuel);
   if recording t then
     Trace.push t.trace
       (Op_end { o_tid = Trace.next_tid t.trace; o_index = index })

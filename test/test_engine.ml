@@ -551,6 +551,159 @@ let test_cceh_recovery_via_pipeline () =
   in
   Alcotest.(check int) "dense cceh fixed clean" 0 (r.c_o + r.c_a)
 
+(* Replay budget. A synthetic store whose accesses per call are set by
+   the test: creation, recovery and op [k] each read [cost] words
+   ([max_int] loops until the fuel runs dry), and [fail k] may raise
+   instead. [spent] counts the accesses of the latest call. *)
+let spent = ref 0
+
+let fake_store ?(create_cost = 1) ?(open_cost = 1)
+    ?(fail = fun (_ : int) -> ()) ~(op_cost : int -> int) ()
+  : W.Store_intf.instance =
+  (module struct
+    let name = "fake"
+    let pool_size = 4096
+    let supports_scan = false
+    type t = Nvm.Ctx.t
+    let touch ctx cost =
+      spent := 0;
+      while !spent < cost do
+        incr spent;
+        ignore (Nvm.Ctx.read_u64 ctx ~sid:"fake" 0)
+      done
+    let create ctx = touch ctx create_cost; ctx
+    let open_ ctx = touch ctx open_cost; ctx
+    let exec ctx op =
+      let k = match op with W.Op.Query k -> k | _ -> 0 in
+      fail k;
+      touch ctx (op_cost k);
+      W.Output.Ok
+  end)
+
+let queries n = Array.init n (fun i -> W.Op.Query (i + 1))
+
+let replay ?(fuel = 1000) store ops =
+  W.Driver.resume store ~image:(Nvm.Pmem.create 4096) ~ops ~from_op:0 ~fuel
+
+let outputs_str outs =
+  String.concat " " (Array.to_list (Array.map W.Output.to_string outs))
+
+(* Every op and the recovery fit the per-op budget while the suffix as a
+   whole makes 10x that many accesses: the replay completes with the
+   committed outputs instead of reading as a livelock. *)
+let test_budget_per_op () =
+  let store = fake_store ~open_cost:900 ~op_cost:(fun _ -> 900) () in
+  let ops = queries 12 in
+  Alcotest.(check string) "suffix replays in full"
+    (outputs_str (Array.make 12 W.Output.Ok))
+    (outputs_str (replay store ops))
+
+(* An op that loops is cut after at most one budget of its own accesses
+   and reads [livelock] from that op on; a looping recovery is cut the
+   same way before any op runs. The checker counts each such replay. *)
+let test_budget_cuts_livelock () =
+  let crashed = W.Output.Crashed W.Driver.livelock in
+  let ok = W.Output.Ok in
+  let looping =
+    fake_store ~op_cost:(fun k -> if k = 3 then max_int else 5) ()
+  in
+  Alcotest.(check string) "op 3 livelocks"
+    (outputs_str [| ok; ok; crashed; crashed; crashed |])
+    (outputs_str (replay looping (queries 5)));
+  Alcotest.(check bool)
+    (Printf.sprintf "op 3 cut within its budget (%d accesses)" !spent)
+    true (!spent <= 1000);
+  let stuck = fake_store ~open_cost:max_int ~op_cost:(fun _ -> 5) () in
+  Alcotest.(check string) "recovery livelocks"
+    (outputs_str (Array.make 4 crashed))
+    (outputs_str (replay stuck (queries 4)));
+  Alcotest.(check bool)
+    (Printf.sprintf "recovery cut within its budget (%d accesses)" !spent)
+    true (!spent <= 1000);
+  let livelocks () =
+    Obs.Metrics.counter_value
+      (Obs.Metrics.snapshot Obs.Metrics.default)
+      "equiv.livelocks"
+  in
+  let before = livelocks () in
+  let ops = queries 5 in
+  let checker =
+    W.Equiv.create ~fuel:1000 looping ~ops ~committed:(Array.make 5 ok)
+  in
+  (match W.Equiv.check checker ~img:(Nvm.Pmem.create 4096) ~crash_op:0 with
+   | W.Equiv.Inconsistent d ->
+     Alcotest.(check string) "verdict got" (W.Output.to_string crashed)
+       (W.Output.to_string d.got)
+   | W.Equiv.Consistent -> Alcotest.fail "livelock judged consistent");
+  Alcotest.(check int) "equiv.livelocks" 1 (livelocks () - before)
+
+(* The budget's measure: after [Driver.exec], the context holds the
+   access count of the costliest op, creation included. *)
+let test_max_op_cost () =
+  let measure ~create_cost costs =
+    let store =
+      fake_store ~create_cost ~op_cost:(fun k -> List.nth costs (k - 1)) ()
+    in
+    let module S = (val store) in
+    let ctx = Nvm.Ctx.create ~mode:Nvm.Ctx.Record (Nvm.Pmem.create 4096) in
+    W.Driver.exec (module S) ctx (queries (List.length costs))
+      ~after_op:(fun _ _ -> ());
+    Nvm.Ctx.max_op_cost ctx
+  in
+  Alcotest.(check int) "costliest op" 11 (measure ~create_cost:7 [ 3; 11; 5 ]);
+  Alcotest.(check int) "creation counts" 20
+    (measure ~create_cost:20 [ 3; 11; 5 ])
+
+(* Only the failures a store can make visible become [Crashed] outputs; a
+   harness failure propagates out of the replay. *)
+let test_closed_failure_set () =
+  let raising e =
+    fake_store ~fail:(fun k -> if k = 2 then raise e) ~op_cost:(fun _ -> 1) ()
+  in
+  Alcotest.(check string) "Division_by_zero is a visible crash"
+    "ok CRASHED:exception:Division_by_zero CRASHED:exception:Division_by_zero"
+    (outputs_str (replay (raising Division_by_zero) (queries 3)));
+  Alcotest.check_raises "Exit propagates" Exit (fun () ->
+      ignore (replay (raising Exit) (queries 3)))
+
+(* qcheck: resource limits never silently change a result. With the
+   per-op replay budget at the default and at 16x the default, the
+   engine finds the same bug keys, cluster keys and mismatch count on the
+   stores whose replays run dry most often. *)
+let prop_budget_insensitive =
+  QCheck2.Test.make ~name:"replay budget insensitivity (stores, seeds)"
+    ~count:3
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+       let summary fuel (e : R.entry) =
+         let r =
+           W.Engine.run
+             ~cfg:
+               { W.Engine.default_cfg with
+                 workload = { W.Workload.default with n_ops = 60; seed };
+                 fuel }
+             (e.buggy ())
+         in
+         ( r.n_mismatch,
+           List.sort_uniq compare
+             (List.map
+                (fun (c : W.Cluster.report) -> (c.kind, c.watch_sid, c.req_sid))
+                r.site_pairs),
+           List.sort_uniq compare
+             (List.map
+                (fun (c : W.Cluster.report) ->
+                   (c.kind, c.op_desc, c.path_hash, c.watch_sid, c.req_sid,
+                    c.rule))
+                r.all_clusters) )
+       in
+       let fuel = W.Engine.default_cfg.fuel in
+       List.for_all
+         (fun name ->
+            let e = Option.get (R.find name) in
+            summary fuel e = summary (16 * fuel) e)
+         [ "rb-tree"; "p-masstree"; "b-tree"; "fast-fair"; "level-hash";
+           "cceh" ])
+
 let suite =
   detection_suites
   @ [ Alcotest.test_case "level-hash bug classes" `Slow test_level_hash_classes;
@@ -582,4 +735,12 @@ let suite =
       QCheck_alcotest.to_alcotest prop_buggy_found;
       QCheck_alcotest.to_alcotest prop_optimized_checker_parity;
       QCheck_alcotest.to_alcotest prop_batched_checker_parity;
-      QCheck_alcotest.to_alcotest prop_batch_engine_parity ]
+      QCheck_alcotest.to_alcotest prop_batch_engine_parity;
+      Alcotest.test_case "replay budget is per op" `Quick test_budget_per_op;
+      Alcotest.test_case "replay budget cuts a livelock" `Quick
+        test_budget_cuts_livelock;
+      Alcotest.test_case "max op cost includes creation" `Quick
+        test_max_op_cost;
+      Alcotest.test_case "closed replay failure set" `Quick
+        test_closed_failure_set;
+      QCheck_alcotest.to_alcotest prop_budget_insensitive ]

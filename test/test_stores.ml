@@ -82,7 +82,7 @@ let reload_case name (e : R.entry) =
       let got =
         W.Driver.resume (module S) ~image:img
           ~ops:(Array.of_list (List.map (fun (k, _) -> W.Op.Query k) queries))
-          ~from_op:0 ~fuel:3_000_000
+          ~from_op:0 ~fuel:W.Engine.default_cfg.fuel
       in
       List.iteri
         (fun i (k, v) ->
