@@ -16,9 +16,15 @@
    handed to [on_image] immediately (pipeline-fused with output
    equivalence checking, so only one image is alive at a time).
 
-   Images are deduplicated by (crash point, extra persist-set) and capped
-   per static site pair, since thousands of dynamic violations share a
-   root cause (§4.4); generated-vs-tested counts are both reported.
+   Images are deduplicated by (crash point, key of the extra persist-set)
+   and capped per static site pair, since thousands of dynamic violations
+   share a root cause (§4.4); generated-vs-tested counts are both
+   reported. A candidate's persist-set is a [Crash_sim.closure] slice,
+   keyed and avoid-checked without building its tid list; the list is
+   built only for an image that is materialized or logged. The key,
+   [Crash_sim.closure_key], hashes the closure's first 10 tids, so two
+   closures of 10 or more stores on one line at one fence share a key and
+   the second is dropped as a duplicate.
 
    The walk is index-based (kind tags + int fields, no event
    reconstruction), the per-word latest-store map is a flat array indexed
@@ -86,7 +92,8 @@ type stats = {
 type cand = {
   cd_fence_tid : int;   (* tid of the fence we crash before *)
   cd_crash_op : int;    (* trace op index containing the crash *)
-  cd_key : int;         (* hash of the extra persist-set; 0 = baseline *)
+  cd_key : int;         (* [Crash_sim.closure_key] of the extra
+                           persist-set (its first 10 tids); 0 = baseline *)
   cd_viol : violation;
   cd_path_hash : int;
   cd_path_sig : int;    (* truncated path digest, see [image.path_sig] *)
@@ -236,6 +243,7 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
     (* a deferred candidate was already logged by the first walk; waves
        (pass > 0) re-log only what they actually materialize *)
     if Obs.Event.enabled () && not (action = "defer" && pass > 0) then begin
+      let extras = Lazy.force extras in
       let rule =
         match viol with
         | Ordering o -> Infer.rule_name o.rule
@@ -286,12 +294,15 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
     end
   in
   (* The one admission path of a feasible violation, identified by
-     [(fence_tid, key)] with [key] the hash of its extra persist-set (0 for
-     the baseline image): count it, drop duplicates, charge the image
-     budget and the site cap, then let [decide] defer it or materialize
-     and hand it to [on_image]. *)
-  let admit ~fence_tid ~op ~key ~extras ~viol ~site_key =
+     [(fence_tid, key)] with [key] the [Crash_sim.closure_key] of its
+     extra persist-set ([clo]; [None] and key 0 for the baseline image):
+     count it, drop duplicates, charge the image budget and the site cap,
+     then let [decide] defer it or materialize and hand it to [on_image].
+     The extras list is built only for an image that is materialized or
+     logged; a duplicate or capped candidate costs its key alone. *)
+  let admit ~fence_tid ~op ~clo ~viol ~site_key =
     stats.candidates <- stats.candidates + 1;
+    let key = match clo with None -> 0 | Some c -> Crash_sim.closure_key c in
     let img_key = (fence_tid, key) in
     if not (Hashtbl.mem img_seen img_key) then begin
       Hashtbl.add img_seen img_key ();
@@ -303,6 +314,15 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
          deterministic expansion pass relies on *)
       if stats.eligible < cfg.max_images && site_ok site_key then begin
         stats.eligible <- stats.eligible + 1;
+        let extras =
+          lazy
+            (match clo with
+             | None -> []
+             | Some c ->
+               let l = Crash_sim.closure_tids c in
+               Obs.Metrics.incr ~n:(List.length l) "crash_gen.extras_built";
+               l)
+        in
         match
           decide
             { cd_fence_tid = fence_tid; cd_crash_op = op; cd_key = key;
@@ -315,14 +335,14 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
             ~digest:None
         | `Test ->
           stats.tested <- stats.tested + 1;
-          let img = Crash_sim.materialize sim ~extras in
+          let img = Crash_sim.materialize sim ~extras:(Lazy.force extras) in
           let digest = Crash_sim.image_digest sim img in
           ev_image ~action:"test" ~fence_tid ~op ~key ~viol ~extras
             ~digest:(Some digest);
           let image =
             { img; crash_tid = fence_tid; crash_op = op; viol;
               path_hash = !path_hash; path_sig = !cur_sig;
-              extras = Array.of_list extras; digest }
+              extras = Array.of_list (Lazy.force extras); digest }
           in
           match on_image image with
           | `Continue -> ()
@@ -332,14 +352,9 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
   in
   let emit ~fence_tid ~op ~persist_tid ~avoid_tid ~viol ~site_key =
     if not !stop then
-      match
-        Crash_sim.feasible_extras sim ~persist:[ persist_tid ]
-          ~avoid:[ avoid_tid ]
-      with
+      match Crash_sim.feasible_closure sim ~avoid:avoid_tid persist_tid with
       | None -> ()
-      | Some extras ->
-        admit ~fence_tid ~op ~key:(Hashtbl.hash extras) ~extras ~viol
-          ~site_key
+      | clo -> admit ~fence_tid ~op ~clo ~viol ~site_key
   in
   let process_fence fence_tid fence_sid op =
     refresh_sig ();
@@ -359,7 +374,7 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
        when not !stop ->
        (* kind 2 partitions baseline sites from ordering (0) and
           atomicity (1); -1 stands in for the old "baseline" label *)
-       admit ~fence_tid ~op ~key:0 ~extras:[]
+       admit ~fence_tid ~op ~clo:None
          ~viol:
            (Unpersisted_epoch
               { fence_sid; first_lost_sid = sid_of_store first_lost })
@@ -390,31 +405,37 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
         (function C_guardian (c, tid) -> Some (c, tid) | C_po _ -> None)
         !epoch
     in
+    (* At most [max_pa_pairs_per_fence] pairs, in list order; the walk
+       stops at the cap rather than scanning the remaining pairs. *)
     let pairs = ref 0 in
+    let capped () = !pairs >= cfg.max_pa_pairs_per_fence in
+    let rec pair_with c1 t1 = function
+      | (c2, t2) :: rest when not (capped ()) ->
+        if t1 <> t2
+        && not (Infer.overlap c1.Infer.c_addr c1.c_len c2.Infer.c_addr c2.c_len)
+        then begin
+          incr pairs;
+          let mk persisted lost =
+            Atomicity
+              { persisted_sid = sid_of_store persisted;
+                lost_sid = sid_of_store lost;
+                persisted_tid = persisted; lost_tid = lost }
+          in
+          emit ~fence_tid ~op ~persist_tid:t1 ~avoid_tid:t2
+            ~viol:(mk t1 t2)
+            ~site_key:(sid_of_store t1, sid_of_store t2, 1);
+          emit ~fence_tid ~op ~persist_tid:t2 ~avoid_tid:t1
+            ~viol:(mk t2 t1)
+            ~site_key:(sid_of_store t2, sid_of_store t1, 1)
+        end;
+        pair_with c1 t1 rest
+      | _ -> ()
+    in
     let rec all_pairs = function
-      | [] -> ()
-      | (c1, t1) :: rest ->
-        List.iter
-          (fun (c2, t2) ->
-             if t1 <> t2
-             && not (Infer.overlap c1.Infer.c_addr c1.c_len c2.Infer.c_addr c2.c_len)
-             && !pairs < cfg.max_pa_pairs_per_fence then begin
-               incr pairs;
-               let mk persisted lost =
-                 Atomicity
-                   { persisted_sid = sid_of_store persisted;
-                     lost_sid = sid_of_store lost;
-                     persisted_tid = persisted; lost_tid = lost }
-               in
-               emit ~fence_tid ~op ~persist_tid:t1 ~avoid_tid:t2
-                 ~viol:(mk t1 t2)
-                 ~site_key:(sid_of_store t1, sid_of_store t2, 1);
-               emit ~fence_tid ~op ~persist_tid:t2 ~avoid_tid:t1
-                 ~viol:(mk t2 t1)
-                 ~site_key:(sid_of_store t2, sid_of_store t1, 1)
-             end)
-          rest;
+      | (c1, t1) :: rest when not (capped ()) ->
+        pair_with c1 t1 rest;
         all_pairs rest
+      | _ -> ()
     in
     all_pairs guardian_stores;
     Obs.Metrics.observe "crash_gen.images_per_fence"

@@ -12,7 +12,11 @@
    states: a fence makes all previously flushed stores durable, and stores
    to the same cache line persist in program order (x86-TSO), so a chosen
    persist-set must be per-line prefix-closed and must contain every
-   guaranteed store.
+   guaranteed store. The minimal extra persist-set making one store
+   durable is a [closure]: a slice of its line's store sequence, checked
+   and keyed ([feasible_closure], [closure_key]) in O(1) and O(10), and
+   turned into a tid list ([closure_tids]) only for an image that is
+   materialized or logged.
 
    The simulator is backed by the trace it walks: store positions live in
    two int arrays indexed by trace slot ([pos]) and store payloads are
@@ -203,49 +207,73 @@ let is_guaranteed t tid =
 let n_guaranteed t = t.n_guaranteed
 let n_dirty t = t.n_dirty
 
-(* All not-yet-guaranteed stores on [tid]'s line up to and including it:
-   the minimal extra persist-set making [tid] durable (x86-TSO per-line
-   order). Returns tids in program order. *)
-let closure_one t tid =
-  if retired t tid || not (fed t tid) then []
+(* The minimal extra persist-set making one store durable: every
+   not-yet-guaranteed store on its line up to and including it (x86-TSO
+   per-line order). It is held as a slice of the line's store sequence —
+   absolute indices [cl_lo] (the line's [guaranteed_upto]) to [cl_hi]
+   (the store's own index) — so keying and avoid-checking a candidate
+   reads a few ints and builds no list. Empty ([cl_hi < cl_lo]) when the
+   store is retired, not fed or already guaranteed.
+
+   Lifetime: a closure is valid until the next [on_index], because a
+   fence may compact the line's [seq] — the same rule as for a
+   materialized image. *)
+type closure = {
+  cl_line : int;        (* cache line, -1 for the empty closure *)
+  cl_ls : line_state;
+  cl_lo : int;
+  cl_hi : int;
+}
+
+let empty_closure =
+  { cl_line = -1;
+    cl_ls = { seq = Vec.create ~dummy:(-1) (); dropped = 0; pending_upto = 0;
+              guaranteed_upto = 0 };
+    cl_lo = 0; cl_hi = -1 }
+
+let closure t tid =
+  if retired t tid || not (fed t tid) then empty_closure
   else begin
     let p = pos t tid in
-    let ls = Hashtbl.find t.lines t.pos_line.(p) in
-    let p_idx = t.pos_idx.(p) in
-    let rec collect i acc =
-      if i > p_idx then List.rev acc
-      else collect (i + 1) (seq_get ls i :: acc)
-    in
-    collect ls.guaranteed_upto []
+    let line = t.pos_line.(p) in
+    let ls = Hashtbl.find t.lines line in
+    { cl_line = line; cl_ls = ls; cl_lo = ls.guaranteed_upto;
+      cl_hi = t.pos_idx.(p) }
   end
 
-(* Minimal feasible extra persist-set making every tid in [persist]
-   durable while leaving every tid in [avoid] non-durable. [None] if a
-   requirement conflicts: an [avoid] store is already guaranteed or is
-   forced in by per-line prefix closure.
+(* The closure of [persist] if it can persist while [avoid] stays
+   non-durable; [None] if [avoid] is already guaranteed or sits in the
+   closure (same line, index in [guaranteed_upto, persist's index]). *)
+let feasible_closure t ~avoid persist =
+  if is_guaranteed t avoid then None
+  else begin
+    let c = closure t persist in
+    if
+      fed t avoid
+      && (let p = pos t avoid in
+          t.pos_line.(p) = c.cl_line
+          && t.pos_idx.(p) >= c.cl_lo && t.pos_idx.(p) <= c.cl_hi)
+    then None
+    else Some c
+  end
 
-   The all-singletons case — exactly what [Crash_gen.emit] issues for
-   every candidate — avoids the sorted-merge machinery entirely:
-   [closure_one] already returns a sorted distinct list (per-line seq
-   positions ascend with tid), so the closure IS the answer and the
-   avoid check is one membership scan. *)
-let feasible_extras t ~persist ~avoid =
-  if List.exists (is_guaranteed t) avoid then None
-  else
-    match persist with
-    | [ p ] ->
-      let extras = closure_one t p in
-      if List.exists (fun a -> List.memq a extras) avoid then None
-      else Some extras
-    | _ ->
-      let module IS = Set.Make (Int) in
-      let extras =
-        List.fold_left
-          (fun acc tid -> IS.union acc (IS.of_list (closure_one t tid)))
-          IS.empty persist
-      in
-      if List.exists (fun a -> IS.mem a extras) avoid then None
-      else Some (IS.elements extras)
+(* The closure's tids at indices [cl_lo, hi], in program order. *)
+let tids_upto c hi =
+  let rec collect i acc =
+    if i < c.cl_lo then acc else collect (i - 1) (seq_get c.cl_ls i :: acc)
+  in
+  collect hi []
+
+(* The closure as a list of tids, in program order (ascending). *)
+let closure_tids c = tids_upto c c.cl_hi
+
+(* [Hashtbl.hash] of [closure_tids c], from at most its first 10 tids:
+   the hash mixes 10 meaningful values, and for an int list those are its
+   first 10 elements (a shorter list mixes its [] terminator too, as the
+   prefix does), so the prefix hashes exactly as the whole list. Two
+   closures that share their first 10 tids — runs of 10 or more stores on
+   one line — therefore share a key. *)
+let closure_key c = Hashtbl.hash (tids_upto c (min c.cl_hi (c.cl_lo + 9)))
 
 (* Concrete crash image: guaranteed stores plus [extras] (program order).
    Returns a COW view over [persisted]; see the lifetime note above. *)

@@ -226,13 +226,13 @@ let test_sim_closure () =
   let t1 = sim_store tr sim 8 "22222222" in
   let t2 = sim_store tr sim 64 "33333333" in
   (* persisting t1 forces t0 (same line, earlier), not t2 *)
-  (match Crash_sim.feasible_extras sim ~persist:[ t1 ] ~avoid:[ t2 ] with
-   | Some extras ->
-     Alcotest.(check (list int)) "closure" [ t0; t1 ] (List.sort compare extras)
+  (match Crash_sim.feasible_closure sim ~avoid:t2 t1 with
+   | Some c ->
+     Alcotest.(check (list int)) "closure" [ t0; t1 ] (Crash_sim.closure_tids c)
    | None -> Alcotest.fail "expected feasible");
   (* cannot persist t1 while avoiding t0 *)
   checkb "prefix conflict" true
-    (Crash_sim.feasible_extras sim ~persist:[ t1 ] ~avoid:[ t0 ] = None)
+    (Option.is_none (Crash_sim.feasible_closure sim ~avoid:t0 t1))
 
 let test_sim_materialize () =
   let tr, sim = sim_pair ~pool_size:1024 in
@@ -266,22 +266,20 @@ let prop_prefix_closed =
        match !stores with
        | [] -> true
        | (t0, _) :: _ ->
-         (match Crash_sim.feasible_extras sim ~persist:[ t0 ] ~avoid:[] with
-          | None -> true
-          | Some extras ->
-            (* every extra's same-line predecessors are in the set or
-               guaranteed *)
-            List.for_all
-              (fun e ->
-                 List.for_all
-                   (fun (t, a) ->
-                      let e_addr = List.assoc e !stores in
-                      if t < e
-                      && Pmem.line_of_addr a = Pmem.line_of_addr e_addr then
-                        List.mem t extras || Crash_sim.is_guaranteed sim t
-                      else true)
-                   !stores)
-              extras))
+         let extras = Crash_sim.closure_tids (Crash_sim.closure sim t0) in
+         (* every extra's same-line predecessors are in the set or
+            guaranteed *)
+         List.for_all
+           (fun e ->
+              List.for_all
+                (fun (t, a) ->
+                   let e_addr = List.assoc e !stores in
+                   if t < e
+                   && Pmem.line_of_addr a = Pmem.line_of_addr e_addr then
+                     List.mem t extras || Crash_sim.is_guaranteed sim t
+                   else true)
+                !stores)
+           extras)
 
 (* qcheck: COW materialization is bit-identical to the pre-refactor
    full-copy path for every feasible extras set the generator reaches. *)
@@ -305,11 +303,7 @@ let prop_materialize_bit_identical =
               sim_flush tr sim (Pmem.line_of_addr (word * 8));
               sim_fence tr sim)
          ops;
-       let extras_of tid =
-         match Crash_sim.feasible_extras sim ~persist:[ tid ] ~avoid:[] with
-         | Some e -> e
-         | None -> []
-       in
+       let extras_of tid = Crash_sim.closure_tids (Crash_sim.closure sim tid) in
        let first_tid, last_tid =
          match List.rev !store_tids with
          | [] -> (0, 0)

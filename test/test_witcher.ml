@@ -14,4 +14,5 @@ let () =
       ("frontend", Test_frontend.suite);
       ("prune", Test_prune.suite);
       ("explain", Test_explain.suite);
-      ("stream", Test_stream.suite) ]
+      ("stream", Test_stream.suite);
+      ("persist", Test_persist.suite) ]
