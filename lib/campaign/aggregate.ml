@@ -22,7 +22,7 @@ type row = {
   oracle_runs : int;        (* rolled-back oracles actually built *)
   oracle_ops_saved : int;   (* oracle ops elided by laziness/checkpoints *)
   memo_hits : int;          (* verdicts served from the digest memo *)
-  ckpt_bytes : int;         (* record-time checkpoint memory *)
+  ckpt_bytes : int;         (* flat-equivalent checkpoint footprint *)
   batch_fences : int;       (* fence groups opened by batched checking *)
   inherit_hits : int;       (* verdicts inherited from a fence sibling *)
   batch_saved : int;        (* replay ops inherited verdicts skipped *)

@@ -19,17 +19,18 @@ type recorded = {
   outputs : Output.t array;
   trace : Trace.t;
   pool_size : int;
-  final_image : string;  (* snapshot after the full run *)
+  final : Pmem.t;  (* copy of the pool after the full run *)
   checkpoints : (int * Pmem.t) list;
-  (* (op index, flat pool snapshot after that op), ascending; every
+  (* (op index, pool snapshot after that op), ascending; every
      checkpointed pool is immutable and reusable across oracle runs *)
 }
 
 (* Record-time pool snapshots, the checkpoints rolled-back oracles resume
-   from: a flat copy after every [stride]-th op but the last, the newest
-   [cap] held. Copies must be flat: the recording pool keeps mutating, so
-   an O(1) COW view would alias live bytes. Which snapshots are held only
-   changes an oracle's cost, never its outputs. *)
+   from: a [Pmem.copy] after every [stride]-th op but the last, the newest
+   [cap] held. Each costs the lines written so far, not the pool size.
+   Copies must be detached: the recording pool keeps mutating, so a COW
+   view would alias live bytes. Which snapshots are held only changes an
+   oracle's cost, never its outputs. *)
 type ckpts = {
   stride : int;                        (* 0 = no checkpoints *)
   cap : int;
@@ -46,13 +47,15 @@ let ckpts ?(cap = max_int) stride =
 let checkpoint ?(log = true) c ~n ~index pmem =
   c.stride > 0 && index > 0 && index mod c.stride = 0 && index < n
   && begin
-    c.held <- (index, Pmem.copy pmem) :: c.held;
+    let snap = Pmem.copy pmem in
+    c.held <- (index, snap) :: c.held;
     if c.n_held < c.cap then c.n_held <- c.n_held + 1
     else begin
       c.held <- List.filteri (fun i _ -> i < c.cap) c.held;
       c.evicted <- c.evicted + 1
     end;
     Obs.Metrics.incr ~n:(Pmem.size pmem) "driver.ckpt_bytes";
+    Obs.Metrics.observe "driver.ckpt_lines" (Pmem.lines snap);
     if log && Obs.Event.enabled () then
       ignore (Obs.Event.emit "ckpt" ~fields:[ ("op", Obs.Jsonx.Int index) ]);
     true
@@ -108,7 +111,7 @@ let record ?(ckpt_stride = 0) ?(boxed = false) (module S : Store_intf.S) ops =
       if index > 0 then outputs.(index - 1) <- out;
       ignore (checkpoint ckpts ~n ~index pmem));
   { ops; outputs; trace = Ctx.trace ctx; pool_size = S.pool_size;
-    final_image = Pmem.snapshot pmem; checkpoints = List.rev ckpts.held }
+    final = Pmem.copy pmem; checkpoints = List.rev ckpts.held }
 
 (* Uninstrumented execution of an arbitrary op list; used for rolled-back
    oracles. Must be deterministic w.r.t. [record] modulo the removed op. *)

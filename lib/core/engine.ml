@@ -68,7 +68,10 @@ type result = {
   oracle_runs : int;         (* rolled-back oracles actually built *)
   oracle_ops_saved : int;    (* oracle ops elided by laziness/checkpoints *)
   memo_hits : int;           (* verdicts served from the digest memo *)
-  ckpt_bytes : int;          (* record-time checkpoint memory footprint *)
+  ckpt_bytes : int;
+  (* flat-equivalent checkpoint footprint: the most snapshots held at
+     once × pool size (a snapshot itself holds only the lines written,
+     see the driver.ckpt_lines histogram) *)
   (* Fence-batched checking (DESIGN §5); all zero when batch is off. *)
   batch_on : bool;
   batch_fences : int;        (* fence groups opened by the batched path *)

@@ -27,10 +27,10 @@
    index, allocation-free) or the [on_event] compatibility wrapper.
 
    The module incrementally maintains [persisted], the pool image holding
-   exactly the guaranteed stores; [materialize] returns an O(1)
-   copy-on-write view of it with the chosen feasible set of extra
-   (evicted-early) stores applied to the overlay — O(extras) work instead
-   of an O(pool_size) copy. Same-line stores become guaranteed in program
+   exactly the guaranteed stores; [materialize] returns a copy-on-write
+   view of it with the chosen feasible set of extra (evicted-early)
+   stores written into the view — O(extras) work instead of an
+   O(pool_size) copy. Same-line stores become guaranteed in program
    order, so the incremental application yields the correct final bytes.
 
    Lifetime: a materialized image aliases [persisted] as its read-only
@@ -294,9 +294,9 @@ let materialize t ~extras =
   Obs.Metrics.observe "crash_sim.overlay_lines" (Pmem.overlay_lines img);
   img
 
-(* The pre-COW materialization path: a full flat copy of the pool. Kept as
-   the reference for bit-exactness tests; the pipeline itself always uses
-   [materialize]. *)
+(* The detached materialization path: a [Pmem.copy] of the pool with the
+   extras written into it. Kept as the reference for bit-exactness tests;
+   the pipeline itself always uses [materialize]. *)
 let materialize_copy t ~extras =
   let img = Pmem.copy t.persisted in
   List.iter

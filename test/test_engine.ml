@@ -449,7 +449,7 @@ let test_recovery_idempotent () =
            (W.Workload.no_scan { W.Workload.default with n_ops = 60 })
        in
        let r = W.Driver.record (module S) ops in
-       let img = Nvm.Pmem.of_snapshot r.final_image in
+       let img = Nvm.Pmem.copy r.final in
        let open_once () =
          let ctx = Nvm.Ctx.create ~mode:Nvm.Ctx.Quiet ~fuel:1_000_000 img in
          ignore (S.open_ ctx)
@@ -492,11 +492,60 @@ let test_final_image_consistent () =
   let r = W.Driver.record (module S) ops in
   (* replay only guaranteed stores (the real durable state), then re-run
      read-only queries for every key and compare to a fresh run *)
-  let img = Nvm.Pmem.of_snapshot r.final_image in
+  let img = Nvm.Pmem.copy r.final in
   let checker = W.Equiv.create (module S) ~ops:r.ops ~committed:r.outputs in
   match W.Equiv.check checker ~img ~crash_op:(Array.length r.ops) with
   | W.Equiv.Consistent -> ()
   | W.Equiv.Inconsistent _ -> Alcotest.fail "final image diverged"
+
+(* Complexity guard: a pool costs the lines it touches, not its size.
+   The stores write kilobytes of their 2-16 MB pools, so a pool-sized
+   buffer zeroed or copied anywhere on these paths shows as megabytes
+   allocated. *)
+let test_pool_cost () =
+  let allocated f =
+    let a0 = Gc.allocated_bytes () in
+    let x = f () in
+    (x, Gc.allocated_bytes () -. a0)
+  in
+  let mb = 1024. *. 1024. in
+  let (), a =
+    allocated (fun () ->
+        let p = Nvm.Pmem.create (16 * 1024 * 1024) in
+        for i = 0 to 99 do Nvm.Pmem.write_u64 p (i * 160_000) i done;
+        let v = Nvm.Pmem.cow p in
+        for i = 0 to 99 do Nvm.Pmem.write_u64 v ((i * 150_000) + 8) i done;
+        ignore (Sys.opaque_identity (Nvm.Pmem.copy v)))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "16 MB pool + view + copy allocate %.0f bytes < 1 MB" a)
+    true (a < mb);
+  let e = Option.get (R.find "p-masstree") in
+  let module S = (val e.fixed ()) in
+  let ops = W.Workload.generate { W.Workload.default with n_ops = 20 } in
+  let _, a = allocated (fun () -> W.Driver.run_quiet (module S) ops) in
+  Alcotest.(check bool)
+    (Printf.sprintf "run_quiet allocates %.0f bytes < 1 MB" a) true (a < mb);
+  Obs.Metrics.reset Obs.Metrics.default;
+  let r, a =
+    allocated (fun () -> W.Driver.record ~ckpt_stride:4 (module S) ops)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "record allocates %.0f bytes < pool size %d" a S.pool_size)
+    true
+    (a < float_of_int S.pool_size);
+  (* driver.ckpt_lines: one sample per snapshot, each its lines held *)
+  let h =
+    Option.get
+      (Obs.Metrics.find_hist
+         (Obs.Metrics.snapshot Obs.Metrics.default)
+         "driver.ckpt_lines")
+  in
+  Alcotest.(check int) "one ckpt_lines sample per snapshot"
+    (List.length r.checkpoints) h.count;
+  Alcotest.(check int) "ckpt_lines sums the lines snapshots hold"
+    (List.fold_left (fun n (_, p) -> n + Nvm.Pmem.lines p) 0 r.checkpoints)
+    h.sum
 
 (* Random exploration runs and respects feasibility (no crash). *)
 let test_random_explore_smoke () =
@@ -726,6 +775,8 @@ let suite =
       Alcotest.test_case "streaming check = full-replay reference" `Slow
         test_streaming_matches_reference;
       Alcotest.test_case "final image consistent" `Quick test_final_image_consistent;
+      Alcotest.test_case "pool costs the lines it touches" `Quick
+        test_pool_cost;
       Alcotest.test_case "random explore (fixed store clean)" `Quick
         test_random_explore_smoke;
       Alcotest.test_case "yat estimate monotone" `Quick test_yat_estimate_monotone;

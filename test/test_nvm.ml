@@ -136,6 +136,115 @@ let prop_cow_equals_flat =
        && Pmem.snapshot flat = Pmem.snapshot v
        && Pmem.snapshot base = before)
 
+(* qcheck: a pool of three full directory pages plus a partial page that
+   ends in a partial line, against a plain [Bytes.t] model. Random writes,
+   some crossing a line or a page, and reads run on a base-less pool or
+   on a view over a non-zero base. Afterwards the pool's contents equal
+   the model and the base is untouched; a [copy] is detached both ways;
+   and the view holds, copied and digests exactly the distinct lines
+   written, in ascending line order. *)
+let prop_pmem_multi_page =
+  let size = (3 * 4096) + 300 in
+  let addr =
+    QCheck2.Gen.(
+      oneof
+        [ int_range 0 (size - 1);
+          map2 (fun k d -> (k * 4096) - d) (int_range 1 3) (int_range 1 24);
+          map2 (fun k d -> (k * 64) - d) (int_range 1 (size / 64))
+            (int_range 1 12);
+          map (fun d -> size - d) (int_range 1 24) ])
+  in
+  QCheck2.Test.make ~name:"multi-page pool matches a bytes model" ~count:300
+    QCheck2.Gen.(
+      triple bool
+        (list_size (int_range 1 80)
+           (quad (int_range 0 5) addr (int_range 0 255) (int_range 0 40)))
+        (pair addr addr))
+    (fun (view, ops, (a, b)) ->
+       let model = Bytes.make size '\000' in
+       let base = Pmem.create size in
+       if view then
+         for i = 0 to (size / 8) - 1 do
+           let w = (i * 0x01010101) + 1 in
+           Pmem.write_u64 base (i * 8) w;
+           Bytes.set_int64_le model (i * 8) (Int64.of_int w)
+         done;
+       let before = Pmem.snapshot base in
+       let p = if view then Pmem.cow base else base in
+       let written = Hashtbl.create 16 in
+       let touch addr len =
+         if len > 0 then
+           for l = addr / 64 to (addr + len - 1) / 64 do
+             Hashtbl.replace written l ()
+           done
+       in
+       let ok = ref true in
+       List.iter
+         (fun (kind, addr, v, len) ->
+            match kind with
+            | 0 ->
+              let addr = min addr (size - 8) in
+              Pmem.write_u64 p addr v;
+              Bytes.set_int64_le model addr (Int64.of_int v);
+              touch addr 8
+            | 1 ->
+              Pmem.write_u8 p addr v;
+              Bytes.set model addr (Char.chr v);
+              touch addr 1
+            | 2 ->
+              let len = min len (size - addr) in
+              let s = String.init len (fun i -> Char.chr ((v + i) land 0xff)) in
+              Pmem.write_bytes p addr s;
+              Bytes.blit_string s 0 model addr len;
+              touch addr len
+            | 3 ->
+              let addr = min addr (size - 8) in
+              ok := !ok
+                    && Pmem.read_u64 p addr
+                       = Int64.to_int (Bytes.get_int64_le model addr)
+            | 4 ->
+              ok := !ok
+                    && Pmem.read_u8 p addr = Char.code (Bytes.get model addr)
+            | _ ->
+              let len = min len (size - addr) in
+              ok := !ok
+                    && Pmem.read_bytes p addr len
+                       = Bytes.sub_string model addr len)
+         ops;
+       let snap = Bytes.to_string model in
+       let lines =
+         List.sort compare (Hashtbl.fold (fun l () acc -> l :: acc) written [])
+       in
+       let line_len l = min 64 (size - (l * 64)) in
+       let if_view n = if view then n else 0 in
+       let own_lines_ok =
+         Pmem.lines p = List.length lines
+         && Pmem.overlay_lines p = if_view (List.length lines)
+         && Pmem.cow_bytes p
+            = if_view (List.fold_left (fun n l -> n + line_len l) 0 lines)
+         && ((not view)
+             || Pmem.digest ~seed:7 p
+                = List.fold_left
+                    (fun h l ->
+                       Pmem.mix_string (Pmem.mix h l)
+                         (String.sub snap (l * 64) (line_len l)))
+                    7 lines)
+       in
+       let content_ok = !ok && Pmem.snapshot p = snap in
+       (* a copy is detached in both directions *)
+       let c = Pmem.copy p in
+       let copy_ok = (not (Pmem.is_cow c)) && Pmem.snapshot c = snap in
+       Pmem.write_u8 p a (Char.code snap.[a] lxor 0xff);
+       Pmem.write_u8 c b (Char.code snap.[b] lxor 0xff);
+       let detached =
+         (a = b || Pmem.read_u8 p b = Char.code snap.[b])
+         && (a = b || Pmem.read_u8 c a = Char.code snap.[a])
+         && Pmem.read_u8 p a <> Char.code snap.[a]
+         && Pmem.read_u8 c b <> Char.code snap.[b]
+       in
+       content_ok && own_lines_ok && copy_ok && detached
+       && ((not view) || Pmem.snapshot base = before))
+
 (* --- Ctx: tracing, guards, line splitting --- *)
 
 let test_ctx_trace () =
@@ -331,4 +440,5 @@ let suite =
     Alcotest.test_case "sim materialize latest-wins" `Quick test_sim_materialize;
     QCheck_alcotest.to_alcotest prop_prefix_closed;
     QCheck_alcotest.to_alcotest prop_cow_equals_flat;
+    QCheck_alcotest.to_alcotest prop_pmem_multi_page;
     QCheck_alcotest.to_alcotest prop_materialize_bit_identical ]

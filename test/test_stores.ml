@@ -77,7 +77,7 @@ let reload_case name (e : R.entry) =
            | W.Op.Delete k -> Hashtbl.remove m k
            | W.Op.Query _ | W.Op.Scan _ -> ())
         ops;
-      let img = Nvm.Pmem.of_snapshot r.final_image in
+      let img = Nvm.Pmem.copy r.final in
       let queries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [] in
       let got =
         W.Driver.resume (module S) ~image:img
