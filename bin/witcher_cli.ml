@@ -4,7 +4,7 @@
 
      witcher list [--json]
      witcher run -s level-hash [--fixed] [-n 300] [--seed 7] [-v] [--json]
-                 [--trace-out t.json] [--ckpt-stride N] [--events ev.jsonl]
+                 [--trace-out t.json] [--events ev.jsonl]
                  [--stream] [--traffic ycsb-a] [--window N] [--ckpt-ring R]
      witcher campaign -j 4 [--stores a,b] [--seeds 1,2,3] [--fixed-too]
                       [--out dir] [--resume] [--heartbeat SECS]
@@ -78,15 +78,6 @@ let sig_depth_arg =
                  each equivalence class; divergence-driven expansion stays \
                  on as the safety net. Only affects non-exhaustive \
                  $(b,--prune) policies.")
-
-let ckpt_stride_arg =
-  let open Cmdliner in
-  Arg.(value & opt int W.Engine.default_cfg.ckpt_stride
-       & info [ "ckpt-stride" ] ~docv:"N"
-           ~doc:"Snapshot the pool every $(docv) operations during record; \
-                 rolled-back oracles resume from the nearest checkpoint \
-                 instead of re-running from scratch. 0 disables \
-                 checkpointing.")
 
 (* Image-pruning policy (DESIGN §7). A cmdliner conv so bad values fail
    at argument parsing (exit 124-free: usage error, code 2-compatible). *)
@@ -182,16 +173,6 @@ let lookup name =
     Printf.eprintf "unknown store %S; try `witcher list`\n" name;
     exit 2
 
-let engine_cfg ?(ckpt_stride = W.Engine.default_cfg.ckpt_stride)
-    ?(prune = W.Engine.default_cfg.prune)
-    ?(expand_budget = W.Engine.default_cfg.expand_budget)
-    ?(sig_depth = W.Engine.default_cfg.sig_depth) ~ops ~seed
-    ~max_images () =
-  { W.Engine.default_cfg with
-    workload = { W.Workload.default with n_ops = ops; seed };
-    crash = { W.Crash_gen.default_cfg with max_images };
-    ckpt_stride; prune; expand_budget; sig_depth }
-
 let list_cmd json =
   if json then begin
     let entries =
@@ -219,8 +200,8 @@ let list_cmd json =
   end;
   0
 
-let run_cmd store fixed ops seed max_images ckpt_stride prune expand_budget
-    sig_depth stream traffic window ckpt_ring verbose json trace_out events =
+let run_cmd store fixed ops seed max_images prune expand_budget sig_depth
+    stream traffic window ckpt_ring verbose json trace_out events =
   let e = lookup store in
   let instance = if fixed then e.fixed () else e.buggy () in
   (* unset --prune resolves by scale: exhaustive stays the default, but a
@@ -234,20 +215,14 @@ let run_cmd store fixed ops seed max_images ckpt_stride prune expand_budget
       else Prune.Policy.Exhaustive
   in
   let cfg =
-    engine_cfg ~ckpt_stride ~prune ~expand_budget ~sig_depth ~ops ~seed
-      ~max_images ()
-  in
-  let cfg =
-    { cfg with
-      W.Engine.traffic =
+    { W.Engine.default_cfg with
+      workload = { W.Workload.default with n_ops = ops; seed };
+      crash = { W.Crash_gen.default_cfg with max_images };
+      prune; expand_budget; sig_depth;
+      traffic =
         Option.map (fun t -> { t with W.Traffic.n_ops = ops; seed }) traffic;
       stream_window = max 1 window;
-      ckpt_ring = max 1 ckpt_ring;
-      (* keep an unbounded run's checkpoint count bounded at scale: the
-         default 32-op stride would materialize thousands of pool
-         snapshots on a 100k+ op run without --stream *)
-      ckpt_stride =
-        (if ckpt_stride = 0 then 0 else max ckpt_stride (ops / 64)) }
+      ckpt_ring = max 1 ckpt_ring }
   in
   (* the event sink also powers the -v per-bug footer, so verbose runs
      record even without --events (to memory only) *)
@@ -448,7 +423,7 @@ let run_man =
 let list_t = Term.(const list_cmd $ json_arg)
 let run_t =
   Term.(const run_cmd $ store_arg $ fixed_arg $ ops_arg $ seed_arg
-        $ max_images_arg $ ckpt_stride_arg $ prune_arg $ expand_budget_arg
+        $ max_images_arg $ prune_arg $ expand_budget_arg
         $ sig_depth_arg $ stream_arg $ traffic_arg $ window_arg $ ckpt_ring_arg
         $ verbose_arg $ json_arg $ trace_out_arg $ events_arg)
 

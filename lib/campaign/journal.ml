@@ -219,10 +219,6 @@ let load path =
     List.rev !records
   end
 
-(* Keys that already have a terminal journal entry: [Job_ok] and
-   [Job_failed] are terminal; a [Job_timeout] is re-run on resume so a
-   transiently overloaded machine doesn't freeze a Timeout verdict into
-   the campaign forever. *)
 (* ---------- worker observability accessors ---------- *)
 
 let obs_pid r =
@@ -243,6 +239,10 @@ let obs_spans r =
   | Some s -> Obs.Span.events_of_json s
   | None -> []
 
+(* Keys that already have a terminal journal entry: [Job_ok] and
+   [Job_failed] are terminal; a [Job_timeout] is re-run on resume so a
+   transiently overloaded machine doesn't freeze a Timeout verdict into
+   the campaign forever. *)
 let completed_keys records =
   let t = Hashtbl.create 64 in
   List.iter

@@ -14,7 +14,8 @@ type cfg = {
      toggleable, all verdict-equivalent to the reference checker. *)
   lazy_oracle : bool;  (* build rolled-back oracles on first divergence *)
   memo : bool;         (* digest-keyed verdict memoization *)
-  ckpt_stride : int;   (* record-time checkpoint every N ops; 0 = off *)
+  ckpt_stride : int;   (* record-time checkpoint every N ops, raised to
+                          n/64 on longer runs; 0 = off *)
   batch : bool;        (* fence-batched checking with verdict inheritance *)
   (* Path-representative image pruning (DESIGN §7). *)
   prune : Prune.Policy.t;
@@ -135,8 +136,9 @@ let replay_headroom = 16
      trace of 2^[stream_seg_shift]-event segments, and feeds every event
      to [Infer.feed] and [Perf.feed]; the committed outputs double as the
      committed oracle. Unbounded, it keeps every segment, takes a pool
-     snapshot every [ckpt_stride] ops and feeds inference once the run is
-     recorded. Windowed, it feeds each op's events as they are appended
+     snapshot every [ckpt_stride] ops (raised to n/64, so a long run
+     holds about 64) and feeds inference once the run is recorded.
+     Windowed, it feeds each op's events as they are appended
      (condition discovery only ever looks backward, so the condition set
      is the same) and retires segments as the window slides; a segment a
      younger event still taint-references stays resident.
@@ -191,6 +193,9 @@ let pipeline ~window ~cfg ~class_memo (module S : Store_intf.S) =
             else Workload.no_scan cfg.workload))
   in
   let n = Array.length ops in
+  let ckpt_stride =
+    if cfg.ckpt_stride = 0 then 0 else max cfg.ckpt_stride (n / 64)
+  in
   let pool_size = S.pool_size in
   let retirements = ref 0 and evictions = ref 0 in
   let ckpt_peak = ref 0 in  (* most pool snapshots held at once *)
@@ -214,7 +219,7 @@ let pipeline ~window ~cfg ~class_memo (module S : Store_intf.S) =
     done;
     fed := len
   in
-  let record_ckpts = Driver.ckpts cfg.ckpt_stride in
+  let record_ckpts = Driver.ckpts ckpt_stride in
   let outputs = Array.make n Output.Ok in
   let rec_t0 = Unix.gettimeofday () in
   let max_op_cost, t_record =
@@ -439,7 +444,7 @@ let pipeline ~window ~cfg ~class_memo (module S : Store_intf.S) =
         (* Oracles resume from the nearest snapshot, and images are
            checked at their fence, so the newest [ckpt_ring] are the ones
            near every crash point still to come. *)
-        let ring = Driver.ckpts ~cap:cfg.ckpt_ring cfg.ckpt_stride in
+        let ring = Driver.ckpts ~cap:cfg.ckpt_ring ckpt_stride in
         let fed = ref 0 in
         Driver.exec ~log:false ~stop:gen.Crash_gen.g_stopped (module S) ctx ops
           ~after_op:(fun index out ->

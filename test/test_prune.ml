@@ -248,6 +248,111 @@ let prop_representative_parity =
             && rp.images_tested <= ex.images_tested)
          R.all)
 
+(* Parity at open caps: with the per-site cap at 6 the crash generator
+   already squeezes each site down to a handful of images, leaving the
+   class registry almost nothing to elide. Opened up, the registry
+   decides which of thousands of eligible images get validated, and
+   Representative must still report every cluster Exhaustive does. *)
+let open_caps =
+  { W.Crash_gen.default_cfg with max_images = 200_000; per_site_cap = 10_000 }
+
+let test_open_cap_parity () =
+  let elided = ref 0 in
+  List.iter
+    (fun name ->
+       let e = Option.get (R.find name) in
+       List.iter
+         (fun n_ops ->
+            let run prune =
+              W.Engine.run
+                ~cfg:{ (engine_cfg ~n_ops ~prune ()) with crash = open_caps }
+                (e.buggy ())
+            in
+            let ex = run P.Policy.Exhaustive in
+            let rp = run P.Policy.Representative in
+            let what = Printf.sprintf "%s at %d ops" name n_ops in
+            Alcotest.(check bool) (what ^ ": same clusters") true
+              (cluster_keys ex = cluster_keys rp);
+            Alcotest.(check (pair int int)) (what ^ ": same root causes")
+              (ex.c_o, ex.c_a) (rp.c_o, rp.c_a);
+            elided := !elided + rp.images_elided)
+         [ 30; 60 ])
+    [ "level-hash"; "fast-fair"; "cceh" ];
+  Alcotest.(check bool) "the registry elided images" true (!elided > 0)
+
+(* Truncated signatures (--sig-depth): over one recorded trace, depth 4
+   must hand out the same images as depth 0 with the same full-path
+   digest, and only [path_sig] may change: to the fold of the crashed
+   op's last four load/store sites before the crash, read back from the
+   trace independently of the generator's site window. *)
+let test_sig_depth () =
+  let e = Option.get (R.find "level-hash") in
+  let module S = (val e.buggy ()) in
+  let wl = W.Workload.no_scan { W.Workload.default with n_ops = 30 } in
+  let r = W.Driver.record (module S) (W.Workload.generate wl) in
+  let conds = W.Infer.infer r.trace in
+  let images sig_depth =
+    let acc = ref [] in
+    ignore
+      (W.Crash_gen.generate ~sig_depth ~trace:r.trace ~conds
+         ~pool_size:r.pool_size
+         ~on_image:(fun (img : W.Crash_gen.image) ->
+             acc := img :: !acc;
+             `Continue)
+         ());
+    List.rev !acc
+  in
+  (* the load/store sids of [crash_tid]'s op before it, newest first *)
+  let op_sites crash_tid =
+    let rec back tid acc =
+      if tid < 0 then List.rev acc
+      else
+        match Nvm.Trace.get r.trace tid with
+        | Nvm.Trace.Op_begin _ -> List.rev acc
+        | Nvm.Trace.Load l -> back (tid - 1) (l.l_sid :: acc)
+        | Nvm.Trace.Store s -> back (tid - 1) (s.s_sid :: acc)
+        | _ -> back (tid - 1) acc
+    in
+    back (crash_tid - 1) []
+  in
+  let fold sids = List.fold_left P.Path_sig.step 0 (List.rev sids) in
+  let rec take k = function
+    | x :: xs when k > 0 -> x :: take (k - 1) xs
+    | _ -> []
+  in
+  let full = images 0 and cut = images 4 in
+  let stream l =
+    List.map
+      (fun (i : W.Crash_gen.image) -> (i.crash_tid, i.digest, i.path_hash))
+      l
+  in
+  Alcotest.(check bool) "images generated" true (full <> []);
+  Alcotest.(check bool) "same image stream at both depths" true
+    (stream full = stream cut);
+  List.iter
+    (fun (i : W.Crash_gen.image) ->
+       let sites = op_sites i.crash_tid in
+       Alcotest.(check int) "path_hash folds the whole op" (fold sites)
+         i.path_hash;
+       Alcotest.(check int) "depth 0: path_sig = path_hash" i.path_hash
+         i.path_sig)
+    full;
+  List.iter
+    (fun (i : W.Crash_gen.image) ->
+       Alcotest.(check int) "depth 4: path_sig folds the last 4 sites"
+         (fold (take 4 (op_sites i.crash_tid)))
+         i.path_sig)
+    cut;
+  let classes sig_depth =
+    (W.Engine.run
+       ~cfg:
+         { (engine_cfg ~n_ops:30 ~prune:P.Policy.Representative ()) with
+           crash = open_caps; sig_depth }
+       (e.buggy ()))
+      .prune_classes
+  in
+  Alcotest.(check bool) "depth 4 merges classes" true (classes 4 <= classes 0)
+
 (* Sample mode is the blind statistical fallback: it must run, validate
    roughly 1/stride of the eligible stream, and never invent bugs. *)
 let test_sample_policy () =
@@ -295,6 +400,10 @@ let suite =
       test_registry_outcomes_exclude_promoted;
     Alcotest.test_case "representative parity (level-hash)" `Slow
       test_representative_parity_level_hash;
+    Alcotest.test_case "representative parity at open caps" `Slow
+      test_open_cap_parity;
+    Alcotest.test_case "sig-depth truncates path_sig only" `Slow
+      test_sig_depth;
     Alcotest.test_case "sample policy" `Slow test_sample_policy;
     Alcotest.test_case "cross-seed memo elides" `Slow test_class_memo_same_seed;
     QCheck_alcotest.to_alcotest prop_representative_parity ]

@@ -35,19 +35,19 @@ let fingerprint (r : W.Engine.result) =
     List.sort compare r.site_pairs,
     List.sort compare r.bug_reports )
 
-let check_parity ~prune ~seed ~n_ops (e : R.entry) =
-  let c = cfg ~prune ~seed ~n_ops in
+let check_parity (c : W.Engine.cfg) (e : R.entry) =
   let batch = W.Engine.run ~cfg:c (e.buggy ()) in
   let stream = W.Engine.run_stream ~cfg:(stream_cfg c) (e.buggy ()) in
   if not stream.stream_on then
     Alcotest.failf "%s: run_stream did not mark stream_on" e.name;
   if fingerprint batch <> fingerprint stream then
     Alcotest.failf
-      "%s seed=%d n=%d %s: stream/batch divergence \
+      "%s seed=%d n=%d %s%s: stream/batch divergence \
        (batch: %d mismatch %d clusters %d gen %d tested; \
        stream: %d mismatch %d clusters %d gen %d tested)"
-      e.name seed n_ops
-      (Prune.Policy.name prune)
+      e.name c.workload.seed c.workload.n_ops
+      (Prune.Policy.name c.prune)
+      (match c.traffic with Some t -> " traffic=" ^ t.name | None -> "")
       batch.n_mismatch batch.n_clusters batch.images_generated
       batch.images_tested stream.n_mismatch stream.n_clusters
       stream.images_generated stream.images_tested;
@@ -61,7 +61,7 @@ let parity_prop =
          (fun (e : R.entry) ->
             List.iter
               (fun prune ->
-                 ignore (check_parity ~prune ~seed ~n_ops e))
+                 ignore (check_parity (cfg ~prune ~seed ~n_ops) e))
               [ Prune.Policy.Exhaustive; Prune.Policy.Representative ])
          R.all;
        true)
@@ -74,7 +74,7 @@ let test_stream_counters () =
     List.find (fun (e : R.entry) -> e.R.name = "level-hash") R.all
   in
   let r =
-    check_parity ~prune:Prune.Policy.Exhaustive ~seed:7 ~n_ops:120 e
+    check_parity (cfg ~prune:Prune.Policy.Exhaustive ~seed:7 ~n_ops:120) e
   in
   Alcotest.(check bool) "window retired segments" true
     (r.window_retirements > 0);
@@ -116,27 +116,21 @@ let test_ckpt_bytes_held () =
 let test_sample_policy_parity () =
   let e = List.find (fun (e : R.entry) -> e.R.name = "cceh") R.all in
   ignore
-    (check_parity ~prune:(Prune.Policy.Sample 7) ~seed:3 ~n_ops:100 e)
+    (check_parity (cfg ~prune:(Prune.Policy.Sample 7) ~seed:3 ~n_ops:100) e)
 
 (* Traffic-driven parity: the generator path (zipfian keys, preload,
-   bursts) through both engines. *)
+   bursts) through both window settings, for every preset. *)
 let test_traffic_parity () =
   let e = List.find (fun (e : R.entry) -> e.R.name = "fast-fair") R.all in
-  let tc =
-    match W.Traffic.of_name "mixed" with
-    | Some t -> { t with W.Traffic.n_ops = 90; key_space = 64; preload = 24 }
-    | None -> Alcotest.fail "mixed traffic preset missing"
-  in
-  let c =
-    { (cfg ~prune:Prune.Policy.Exhaustive ~seed:1 ~n_ops:90) with
-      W.Engine.traffic = Some tc }
-  in
-  let batch = W.Engine.run ~cfg:c (e.buggy ()) in
-  let stream = W.Engine.run_stream ~cfg:(stream_cfg c) (e.buggy ()) in
-  Alcotest.(check int) "mismatches" batch.n_mismatch stream.n_mismatch;
-  Alcotest.(check int) "clusters" batch.n_clusters stream.n_clusters;
-  Alcotest.(check int) "images" batch.images_generated
-    stream.images_generated
+  List.iter
+    (fun (_, t) ->
+       let tc = { t with W.Traffic.n_ops = 90; key_space = 64; preload = 24 } in
+       ignore
+         (check_parity
+            { (cfg ~prune:Prune.Policy.Exhaustive ~seed:1 ~n_ops:90) with
+              W.Engine.traffic = Some tc }
+            e))
+    W.Traffic.presets
 
 (* ---------- windowed ring trace unit tests ---------- *)
 
