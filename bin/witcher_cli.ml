@@ -21,6 +21,22 @@ module W = Witcher
 module R = Stores.Registry
 module C = Campaign
 
+(* An integer flag with a floor. A value below it fails at argument
+   parsing (exit 124, like a bad --prune) instead of crashing the run or
+   silently changing its result, as a budget of -1 images would. *)
+let int_at_least lo =
+  let open Cmdliner in
+  let parse = Arg.conv_parser Arg.int in
+  Arg.conv
+    ( (fun s ->
+        match parse s with
+        | Ok n when n < lo ->
+          Error (`Msg (Printf.sprintf "invalid value '%d', expected an integer >= %d" n lo))
+        | r -> r),
+      Arg.conv_printer Arg.int )
+
+let count_conv = int_at_least 0
+
 let store_arg =
   let open Cmdliner in
   Arg.(
@@ -31,7 +47,7 @@ let store_arg =
 
 let ops_arg =
   let open Cmdliner in
-  Arg.(value & opt int 200 & info [ "n"; "ops" ] ~docv:"N" ~doc:"Operations in the test case.")
+  Arg.(value & opt count_conv 200 & info [ "n"; "ops" ] ~docv:"N" ~doc:"Operations in the test case.")
 
 let seed_arg =
   let open Cmdliner in
@@ -47,7 +63,7 @@ let verbose_arg =
 
 let max_images_arg =
   let open Cmdliner in
-  Arg.(value & opt int 4000 & info [ "max-images" ] ~docv:"N" ~doc:"Crash-image test budget.")
+  Arg.(value & opt count_conv 4000 & info [ "max-images" ] ~docv:"N" ~doc:"Crash-image test budget.")
 
 let json_arg =
   let open Cmdliner in
@@ -70,7 +86,7 @@ let events_arg =
 
 let sig_depth_arg =
   let open Cmdliner in
-  Arg.(value & opt int W.Engine.default_cfg.sig_depth
+  Arg.(value & opt count_conv W.Engine.default_cfg.sig_depth
        & info [ "sig-depth" ] ~docv:"K"
            ~doc:"Truncate the pruning path signature to the crashing \
                  operation's last $(docv) executed sites (0 = full path, \
@@ -156,7 +172,7 @@ let ckpt_ring_arg =
 
 let expand_budget_arg =
   let open Cmdliner in
-  Arg.(value & opt int W.Engine.default_cfg.expand_budget
+  Arg.(value & opt count_conv W.Engine.default_cfg.expand_budget
        & info [ "expand-budget" ] ~docv:"N"
            ~doc:"Spot-check validations per equivalence class beyond the \
                  representative (powers-of-two member indices); a \
@@ -429,7 +445,7 @@ let run_t =
 
 let campaign_t =
   let j =
-    Arg.(value & opt int 1
+    Arg.(value & opt (int_at_least 1) 1
          & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker processes to fork.")
   in
   let stores =

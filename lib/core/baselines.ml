@@ -124,30 +124,29 @@ let pmtest (trace : Trace.t) ~pool_size ~(annotations : annotation list) =
     let tid0, n = Option.value ~default:(tid, 0) (Hashtbl.find_opt hits ann) in
     Hashtbl.replace hits ann (tid0, n + 1)
   in
-  Trace.iter
-    (fun ev ->
-       (match ev with
-        | Trace.Tx_begin _ -> in_tx := true
-        | Trace.Tx_commit _ | Trace.Tx_abort _ -> in_tx := false
-        | Trace.Store s ->
-          List.iter
-            (fun ann ->
-               match ann with
-               | Ordered { before; after } ->
-                 if Sid.intern after = s.s_sid then (
-                   match Hashtbl.find_opt last_by_sid (Sid.intern before) with
-                   | Some before_tid
-                     when not (Crash_sim.is_guaranteed sim before_tid) ->
-                     record ann s.s_tid
-                   | _ -> ())
-               | In_tx { sid } ->
-                 if Sid.intern sid = s.s_sid && not !in_tx then
-                   record ann s.s_tid)
-            annotations;
-          Hashtbl.replace last_by_sid s.s_sid s.s_tid
-        | _ -> ());
-       Crash_sim.on_event sim ev)
-    trace;
+  for i = 0 to Trace.length trace - 1 do
+    (match Trace.get trace i with
+     | Trace.Tx_begin _ -> in_tx := true
+     | Trace.Tx_commit _ | Trace.Tx_abort _ -> in_tx := false
+     | Trace.Store s ->
+       List.iter
+         (fun ann ->
+            match ann with
+            | Ordered { before; after } ->
+              if Sid.intern after = s.s_sid then (
+                match Hashtbl.find_opt last_by_sid (Sid.intern before) with
+                | Some before_tid
+                  when not (Crash_sim.is_guaranteed sim before_tid) ->
+                  record ann s.s_tid
+                | _ -> ())
+            | In_tx { sid } ->
+              if Sid.intern sid = s.s_sid && not !in_tx then
+                record ann s.s_tid)
+         annotations;
+       Hashtbl.replace last_by_sid s.s_sid s.s_tid
+     | _ -> ());
+    Crash_sim.on_index sim i
+  done;
   Hashtbl.fold
     (fun ann (tid, n) acc -> { ann; at_tid = tid; occurrences = n } :: acc)
     hits []

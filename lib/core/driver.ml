@@ -100,11 +100,11 @@ let exec ?(log = true) ?(stop = fun () -> false) (module S : Store_intf.S)
       (float_of_int (Ctx.max_op_cost ctx))
   end
 
-let record ?(ckpt_stride = 0) ?(boxed = false) (module S : Store_intf.S) ops =
+let record ?(ckpt_stride = 0) (module S : Store_intf.S) ops =
   let ops = Array.of_list ops in
   let n = Array.length ops in
   let pmem = Pmem.create S.pool_size in
-  let ctx = Ctx.create ~boxed ~mode:Record pmem in
+  let ctx = Ctx.create ~mode:Record pmem in
   let ckpts = ckpts ckpt_stride in
   let outputs = Array.make n Output.Ok in
   exec (module S) ctx ops ~after_op:(fun index out ->

@@ -24,8 +24,8 @@ type cfg = {
                           sites; 0 = full path (cluster keys always full) *)
   (* Streaming pipeline (DESIGN §9). *)
   traffic : Traffic.cfg option;
-      (* YCSB-style generator instead of [workload]; honored by both
-         engines so streaming A/B comparisons run the same ops *)
+      (* YCSB-style generator instead of [workload], in both window
+         settings *)
   stream_seg_shift : int;  (* trace segment size: 2^shift events, in
                               both window settings *)
   stream_window : int;     (* live window, in segments *)

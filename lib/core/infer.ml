@@ -24,8 +24,8 @@
    word indexes are plain arrays indexed by 8-byte word number (pool
    sizes are a few MB, so at most pool_size/8 slots) rather than
    hash tables of list refs. [iter_words]/[iter_conds_for]/
-   [iter_guardians_for] are the allocation-free forms of the (kept)
-   list-returning API. *)
+   [iter_guardians_for] are allocation-free; [words] and [conds_for] are
+   their list-returning forms. *)
 
 type rule = PO1 | PO2 | PO3
 
@@ -348,8 +348,3 @@ let conds_for t addr len =
 let iter_guardians_for t addr len f =
   iter_words addr len
     (fun w -> Windex.iter_word t.guardian_index w ~addr ~len f)
-
-let guardians_for t addr len =
-  let acc = ref [] in
-  iter_guardians_for t addr len (fun c -> acc := c :: !acc);
-  List.rev !acc

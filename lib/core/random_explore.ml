@@ -20,22 +20,21 @@ let run ?(seed = 7) ?(samples_per_fence = 2) ~trace ~pool_size
   let sampled = ref 0 in
   let mismatches = ref 0 in
   let sites = Hashtbl.create 16 in
-  Trace.iter
-    (fun ev ->
-       (match ev with
-        | Trace.Fence f ->
-          for _ = 1 to samples_per_fence do
-            let extras = Crash_sim.random_feasible_extras sim rng in
-            let img = Crash_sim.materialize sim ~extras in
-            incr sampled;
-            match check ~img ~crash_op:f.n_op with
-            | Equiv.Consistent -> ()
-            | Equiv.Inconsistent _ ->
-              incr mismatches;
-              Hashtbl.replace sites (f.n_sid, f.n_op) ()
-          done
-        | _ -> ());
-       Crash_sim.on_event sim ev)
-    trace;
+  for i = 0 to Trace.length trace - 1 do
+    (match Trace.get trace i with
+     | Trace.Fence f ->
+       for _ = 1 to samples_per_fence do
+         let extras = Crash_sim.random_feasible_extras sim rng in
+         let img = Crash_sim.materialize sim ~extras in
+         incr sampled;
+         match check ~img ~crash_op:f.n_op with
+         | Equiv.Consistent -> ()
+         | Equiv.Inconsistent _ ->
+           incr mismatches;
+           Hashtbl.replace sites (f.n_sid, f.n_op) ()
+       done
+     | _ -> ());
+    Crash_sim.on_index sim i
+  done;
   { sampled = !sampled; mismatches = !mismatches;
     distinct_crash_sites = Hashtbl.length sites }

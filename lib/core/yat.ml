@@ -52,22 +52,21 @@ let estimate ~trace ~pool_size ~(per_op_images : (int, int) Hashtbl.t) ~n_ops =
   (* Yat permutes the uncommitted stores of each reordering window (the
      stores since the previous fence). *)
   let epoch_stores = ref 0 in
-  Trace.iter
-    (fun ev ->
-       (match ev with
-        | Trace.Store _ -> incr epoch_stores
-        | Trace.Fence f ->
-          let m = !epoch_stores in
-          epoch_stores := 0;
-          if m > 0 then begin
-            let states = log10_fact m +. log10_e in
-            total := log10_add !total states;
-            let op = min f.n_op n_ops in
-            if op >= 0 then yat.(op) <- !total
-          end
-        | _ -> ());
-       Crash_sim.on_event sim ev)
-    trace;
+  for i = 0 to Trace.length trace - 1 do
+    (match Trace.get trace i with
+     | Trace.Store _ -> incr epoch_stores
+     | Trace.Fence f ->
+       let m = !epoch_stores in
+       epoch_stores := 0;
+       if m > 0 then begin
+         let states = log10_fact m +. log10_e in
+         total := log10_add !total states;
+         let op = min f.n_op n_ops in
+         if op >= 0 then yat.(op) <- !total
+       end
+     | _ -> ());
+    Crash_sim.on_index sim i
+  done;
   (* forward-fill ops with no fence *)
   let last = ref 0.0 in
   Array.iteri
@@ -93,27 +92,26 @@ let exhaustive ?(per_fence_limit = 512) ?(max_images = 100_000) ~trace ~pool_siz
   let sim = Crash_sim.create ~trace ~pool_size in
   let count = ref 0 in
   let stop = ref false in
-  Trace.iter
-    (fun ev ->
-       if not !stop then begin
-         (match ev with
-          | Trace.Fence f ->
-            let sets = Crash_sim.all_feasible_extras sim ~limit:per_fence_limit in
-            List.iter
-              (fun extras ->
-                 if not !stop then begin
-                   incr count;
-                   if !count > max_images then stop := true
-                   else begin
-                     let img = Crash_sim.materialize sim ~extras in
-                     match on_image { img; crash_tid = f.n_tid; crash_op = f.n_op } with
-                     | `Continue -> ()
-                     | `Stop -> stop := true
-                   end
-                 end)
-              sets
-          | _ -> ());
-         Crash_sim.on_event sim ev
-       end)
-    trace;
+  for i = 0 to Trace.length trace - 1 do
+    if not !stop then begin
+      (match Trace.get trace i with
+       | Trace.Fence f ->
+         let sets = Crash_sim.all_feasible_extras sim ~limit:per_fence_limit in
+         List.iter
+           (fun extras ->
+              if not !stop then begin
+                incr count;
+                if !count > max_images then stop := true
+                else begin
+                  let img = Crash_sim.materialize sim ~extras in
+                  match on_image { img; crash_tid = f.n_tid; crash_op = f.n_op } with
+                  | `Continue -> ()
+                  | `Stop -> stop := true
+                end
+              end)
+           sets
+       | _ -> ());
+      Crash_sim.on_index sim i
+    end
+  done;
   !count

@@ -23,8 +23,8 @@
    read straight out of the trace's arena ([Trace.store_write]/
    [store_mix]), so feeding a store is two array writes and persisting
    one is an arena blit — no per-store hash table entries or event
-   reconstruction on the hot path. Feed events with [on_index] (by trace
-   index, allocation-free) or the [on_event] compatibility wrapper.
+   reconstruction on the hot path. Events are fed by trace index
+   ([on_index], allocation-free).
 
    The module incrementally maintains [persisted], the pool image holding
    exactly the guaranteed stores; [materialize] returns a copy-on-write
@@ -32,9 +32,11 @@
    stores written into the view — O(extras) work instead of an
    O(pool_size) copy. Same-line stores become guaranteed in program
    order, so the incremental application yields the correct final bytes.
+   The tests check closures and images against an independent model of
+   the same two rules (test/persist_model.ml).
 
    Lifetime: a materialized image aliases [persisted] as its read-only
-   base, so it is valid until the next [on_event] (which may mutate
+   base, so it is valid until the next [on_index] (which may mutate
    [persisted] at a fence). The pipeline checks each image before feeding
    the next trace event; callers that retain an image longer must detach
    it with [Pmem.copy]. *)
@@ -176,15 +178,6 @@ let on_index t i =
   else if k = Trace.k_flush then on_flush t (Trace.addr_at t.trace i)
   else if k = Trace.k_fence then on_fence t
 
-(* Feed any trace event (compatibility wrapper; events must come from the
-   trace this simulator was created over). *)
-let on_event t = function
-  | Trace.Store s -> on_store_tid t s.s_tid
-  | Trace.Flush f -> on_flush t f.f_line
-  | Trace.Fence _ -> on_fence t
-  | Trace.Load _ | Trace.Log_range _ | Trace.Tx_begin _ | Trace.Tx_commit _
-  | Trace.Tx_abort _ | Trace.Op_begin _ | Trace.Op_end _ -> ()
-
 (* A tid below the trace's live floor: its segment was retired, which a
    windowed run only allows once every store in it is guaranteed (dirty
    stores pin their segment). Queries must not touch its (recycled) slot,
@@ -292,16 +285,6 @@ let materialize t ~extras =
   (* COW build cost of this image: how many 64B lines the extras dirtied.
      The distribution backs the zero-copy scaling argument (DESIGN §6). *)
   Obs.Metrics.observe "crash_sim.overlay_lines" (Pmem.overlay_lines img);
-  img
-
-(* The detached materialization path: a [Pmem.copy] of the pool with the
-   extras written into it. Kept as the reference for bit-exactness tests;
-   the pipeline itself always uses [materialize]. *)
-let materialize_copy t ~extras =
-  let img = Pmem.copy t.persisted in
-  List.iter
-    (fun tid -> if fed t tid then Trace.store_write t.trace tid img)
-    (List.sort compare extras);
   img
 
 let bytes_materialized t = t.bytes_materialized

@@ -49,11 +49,8 @@ type t = {
    no guard bookkeeping: the streaming validation pass re-executes the
    deterministic workload only to regenerate event positions and store
    payloads, and never reads dependence edges, so it skips their cost. *)
-let create ?(boxed = false) ?(fuel = 100_000_000) ?trace
-    ?(taintless = false) ~mode pmem =
-  let trace =
-    match trace with Some tr -> tr | None -> Trace.create ~boxed ()
-  in
+let create ?(fuel = 100_000_000) ?trace ?(taintless = false) ~mode pmem =
+  let trace = match trace with Some tr -> tr | None -> Trace.create () in
   { pmem; mode; trace; taints = not taintless; cd_stack = [];
     op_cd = Taint.empty; cd = Taint.empty; op = -1; fuel; op_fuel = fuel;
     max_op_cost = 0; tx_counter = 0; rtrack = None }

@@ -11,18 +11,18 @@
    are a single merge pass, membership is a binary search. Deep guard
    nests and long dependence chains, however, accumulate sets whose
    elements are dense in tid-space (consecutive loads of one op); those
-   switch to a word bitmap where union and intersection run one OR/AND
-   per 32 tids.
+   switch to a word bitmap where union runs one OR per 32 tids.
 
    The representation is canonical — a pure function of the set: bitmaps
    are used exactly when the set has more than [small_max] elements and
    spans at most one bitmap word per element (so a bitmap is never larger
-   than the array it replaces). Canonical form keeps [equal] a cheap
-   structural comparison. Bitmap bases are 32-aligned and the word array
-   is trimmed (first and last words non-zero), which makes the encoding
-   of a given set unique. The empty set is one shared value, and unions
-   return an argument physically whenever the result equals it, so the
-   common guard-stack pattern (re-unioning an unchanged scope) allocates
+   than the array it replaces). Bitmap bases are 32-aligned and the word
+   array is trimmed (first and last words non-zero), which makes the
+   encoding of a given set unique, so structural equality ([=]) on taints
+   is set equality; the trace and front-end parity tests compare taints
+   with it. The empty set is one shared value, and unions return an
+   argument physically whenever the result equals it, so the common
+   guard-stack pattern (re-unioning an unchanged scope) allocates
    nothing. *)
 
 type bits = { base : int; words : int array; card : int }
@@ -207,55 +207,6 @@ let union (ta : t) (tb : t) : t =
         else of_sorted (bits_elements (lo lsl 5) words !card)
       end
 
-let add x t = union (singleton x) t
-
-(* Intersection: one AND per 32 tids on the bitmap path. Used by the
-   batched checker's dependence queries; small sets fall back to a merge
-   walk. *)
-let inter (ta : t) (tb : t) : t =
-  if ta == tb then ta
-  else
-    match ta, tb with
-    | Small a, Small b ->
-      let la = Array.length a and lb = Array.length b in
-      if la = 0 then ta
-      else if lb = 0 then tb
-      else begin
-        let out = Array.make (min la lb) 0 in
-        let i = ref 0 and j = ref 0 and k = ref 0 in
-        while !i < la && !j < lb do
-          let x = Array.unsafe_get a !i and y = Array.unsafe_get b !j in
-          if x < y then incr i
-          else if y < x then incr j
-          else (Array.unsafe_set out !k x; incr i; incr j; incr k)
-        done;
-        if !k = 0 then empty else of_sorted (Array.sub out 0 !k)
-      end
-    | Small s, Bits _ ->
-      of_sorted (Array.of_seq (Seq.filter (fun x -> mem x tb) (Array.to_seq s)))
-    | Bits _, Small s ->
-      of_sorted (Array.of_seq (Seq.filter (fun x -> mem x ta) (Array.to_seq s)))
-    | Bits a, Bits b ->
-      let a_lo = a.base lsr 5 and b_lo = b.base lsr 5 in
-      let a_hi = a_lo + Array.length a.words - 1 in
-      let b_hi = b_lo + Array.length b.words - 1 in
-      let lo = max a_lo b_lo and hi = min a_hi b_hi in
-      if lo > hi then empty
-      else begin
-        let words = Array.make (hi - lo + 1) 0 in
-        let card = ref 0 in
-        for k = lo to hi do
-          let w =
-            Array.unsafe_get a.words (k - a_lo)
-            land Array.unsafe_get b.words (k - b_lo)
-          in
-          Array.unsafe_set words (k - lo) w;
-          card := !card + pc32 w
-        done;
-        if !card = 0 then empty
-        else of_sorted (bits_elements (lo lsl 5) words !card)
-      end
-
 let iter f (t : t) =
   match t with
   | Small a ->
@@ -280,35 +231,6 @@ let elements (t : t) =
   match t with
   | Small a -> Array.to_list a
   | Bits b -> Array.to_list (bits_elements b.base b.words b.card)
-
-let of_list l : t =
-  match l with
-  | [] -> empty
-  | [ x ] -> singleton x
-  | l -> of_sorted (Array.of_list (List.sort_uniq Stdlib.compare l))
-
-(* Canonical representation: equal sets have equal structure. *)
-let equal (ta : t) (tb : t) =
-  ta == tb
-  ||
-  match ta, tb with
-  | Small a, Small b ->
-    Array.length a = Array.length b
-    && (let ok = ref true in
-        for i = 0 to Array.length a - 1 do
-          if Array.unsafe_get a i <> Array.unsafe_get b i then ok := false
-        done;
-        !ok)
-  | Bits a, Bits b ->
-    a.base = b.base && a.card = b.card
-    && Array.length a.words = Array.length b.words
-    && (let ok = ref true in
-        for i = 0 to Array.length a.words - 1 do
-          if Array.unsafe_get a.words i <> Array.unsafe_get b.words i then
-            ok := false
-        done;
-        !ok)
-  | _ -> false
 
 (* Smallest element, or [max_int] for the empty set. O(1) on the sorted
    Small representation, O(1 word) on Bits (words are trimmed, so the

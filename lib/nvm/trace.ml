@@ -7,24 +7,18 @@
    Events carry the dynamic trace id (tid), which is the event's index in
    the trace.
 
-   Two representations live behind one API:
+   The trace is a sequence of fixed-size columnar segments of
+   2^seg_shift events each. Hot event fields sit in unboxed int arrays
+   (kind tag, sid, address, length, op index), store payloads in a
+   per-segment [Bytes] arena and taints in two parallel arrays. Recording
+   an event is a handful of array writes; reading hot fields ([kind_at],
+   [addr_at], ...) never allocates. [retire_to] recycles a prefix of
+   segments the caller no longer needs, which is how a bounded trace
+   window keeps only its newest events; a trace that is never retired
+   keeps every segment.
 
-   - Segmented (the default): a sequence of fixed-size columnar segments
-     of 2^seg_shift events each. Hot event fields sit in unboxed int
-     arrays (kind tag, sid, address, length, op index), store payloads in
-     a per-segment [Bytes] arena and taints in two parallel arrays.
-     Recording an event is a handful of array writes; reading hot fields
-     ([kind_at], [addr_at], ...) never allocates. [retire_to] recycles a
-     prefix of segments the caller no longer needs, which is how a
-     bounded trace window keeps only its newest events; a trace that is
-     never retired keeps every segment.
-
-   - Boxed: one allocated [event] per entry in a Vec, the reference the
-     parity properties compare the segmented trace against; select it
-     with [create ~boxed:true] (or [Ctx.create ~boxed:true]).
-
-   [get]/[iter] reconstruct [event] values on demand for either
-   representation. *)
+   [get]/[iter] reconstruct [event] values on demand, for reports and
+   tests; the pipeline reads the columns. *)
 
 type store_ev = {
   s_tid : int;
@@ -126,12 +120,8 @@ type ring = {
   mutable rg_head : rseg option;         (* append cache: segment of len-1 *)
 }
 
-type repr =
-  | Boxed of event Vec.t
-  | Ring of ring
-
 type t = {
-  repr : repr;
+  rg : ring;
   mutable len : int;
   mutable n_loads : int;
   mutable n_stores : int;
@@ -139,25 +129,18 @@ type t = {
   mutable n_fences : int;
 }
 
-let dummy_event = Fence { n_tid = -1; n_sid = 0; n_op = -1 }
-
 (* Segment size of a trace created without [~ring_shift]: 2^14 events. *)
 let default_seg_shift = 14
 
-(* [ring_shift]: segments of 2^ring_shift events (ignored when [boxed]). *)
-let create ?(boxed = false) ?(ring_shift = default_seg_shift) () =
-  let repr =
-    if boxed then Boxed (Vec.create ~dummy:dummy_event ())
-    else begin
-      if ring_shift < 4 || ring_shift > 24 then
-        invalid_arg "Trace.create: ring_shift";
-      Ring
-        { rg_shift = ring_shift; rg_mask = (1 lsl ring_shift) - 1;
-          rg_slots = Array.make 16 None; rg_free = []; rg_floor = 0;
-          rg_phys = 0; rg_head = None }
-    end
-  in
-  { repr; len = 0; n_loads = 0; n_stores = 0; n_flushes = 0; n_fences = 0 }
+(* [ring_shift]: segments of 2^ring_shift events. *)
+let create ?(ring_shift = default_seg_shift) () =
+  if ring_shift < 4 || ring_shift > 24 then
+    invalid_arg "Trace.create: ring_shift";
+  { rg =
+      { rg_shift = ring_shift; rg_mask = (1 lsl ring_shift) - 1;
+        rg_slots = Array.make 16 None; rg_free = []; rg_floor = 0;
+        rg_phys = 0; rg_head = None };
+    len = 0; n_loads = 0; n_stores = 0; n_flushes = 0; n_fences = 0 }
 
 let length t = t.len
 let next_tid t = t.len
@@ -253,7 +236,7 @@ let ring_arena_reserve s n =
 
 (* ---------- windowed retirement ---------- *)
 
-let live_floor t = match t.repr with Ring rg -> rg.rg_floor | Boxed _ -> 0
+let live_floor t = t.rg.rg_floor
 
 let is_live t tid = tid >= live_floor t && tid < t.len
 
@@ -262,32 +245,23 @@ let is_live t tid = tid >= live_floor t && tid < t.len
    segments holding dirty (never-persisted) stores, whose payloads
    crash-image materialization may still need arbitrarily late. *)
 let pin t tid =
-  match t.repr with
-  | Ring rg ->
-    let s = ring_ro rg tid in
-    s.r_pins <- s.r_pins + 1
-  | Boxed _ -> ()
+  let s = ring_ro t.rg tid in
+  s.r_pins <- s.r_pins + 1
 
 let unpin t tid =
-  match t.repr with
-  | Ring rg ->
-    let s = ring_ro rg tid in
-    if s.r_pins > 0 then s.r_pins <- s.r_pins - 1
-  | Boxed _ -> ()
+  let s = ring_ro t.rg tid in
+  if s.r_pins > 0 then s.r_pins <- s.r_pins - 1
 
 (* A stable dense index for live tids: phys-segment id * seg size + the
    offset within the segment. Bounded by [slot_capacity], valid until
    the tid's segment is retired — side tables (Crash_sim's position
    maps) keyed by it stay O(window) instead of O(trace). *)
 let slot_pos t tid =
-  match t.repr with
-  | Ring rg ->
-    let s = ring_ro rg tid in
-    (s.r_phys lsl rg.rg_shift) lor (tid land rg.rg_mask)
-  | Boxed _ -> tid
+  let rg = t.rg in
+  let s = ring_ro rg tid in
+  (s.r_phys lsl rg.rg_shift) lor (tid land rg.rg_mask)
 
-let slot_capacity t =
-  match t.repr with Ring rg -> rg.rg_phys lsl rg.rg_shift | Boxed _ -> t.len
+let slot_capacity t = t.rg.rg_phys lsl t.rg.rg_shift
 
 (* Retire (recycle) the longest contiguous prefix of segments that lie
    wholly below [target], skipping any segment that is pinned or that a
@@ -295,68 +269,61 @@ let slot_capacity t =
    window boundary pins its segment). Returns the number of segments
    retired. *)
 let retire_to t ~target =
-  match t.repr with
-  | Boxed _ -> 0
-  | Ring rg ->
-    if t.len = 0 then 0
-    else begin
-      let shift = rg.rg_shift in
-      let lo = rg.rg_floor lsr shift and hi = (t.len - 1) lsr shift in
-      let n = hi - lo + 1 in
-      (* min_after.(i - lo) = oldest taint referenced by any segment newer
-         than seg i *)
-      let min_after = Array.make n max_int in
-      let acc = ref max_int in
-      for id = hi downto lo do
-        min_after.(id - lo) <- !acc;
-        (match rg.rg_slots.(slot rg.rg_slots id) with
-         | Some s when s.r_base = id lsl shift ->
-           if s.r_min_taint < !acc then acc := s.r_min_taint
-         | _ -> ())
-      done;
-      let retired = ref 0 in
-      let continue_ = ref true in
-      let id = ref lo in
-      (* never retire the head (still-appending) segment *)
-      while !continue_ && !id < hi do
-        let seg_end = (!id + 1) lsl shift in
-        (match rg.rg_slots.(slot rg.rg_slots !id) with
-         | Some s when s.r_base = !id lsl shift ->
-           if seg_end <= target && s.r_pins = 0
-              && min_after.(!id - lo) >= seg_end
-           then begin
-             rg.rg_slots.(slot rg.rg_slots !id) <- None;
-             s.r_base <- -1;
-             Array.fill s.r_dd 0 (Array.length s.r_dd) Taint.empty;
-             Array.fill s.r_cd 0 (Array.length s.r_cd) Taint.empty;
-             rg.rg_free <- s :: rg.rg_free;
-             rg.rg_floor <- seg_end;
-             incr retired
-           end
-           else continue_ := false
-         | _ -> continue_ := false);
-        incr id
-      done;
-      !retired
-    end
+  let rg = t.rg in
+  if t.len = 0 then 0
+  else begin
+    let shift = rg.rg_shift in
+    let lo = rg.rg_floor lsr shift and hi = (t.len - 1) lsr shift in
+    let n = hi - lo + 1 in
+    (* min_after.(i - lo) = oldest taint referenced by any segment newer
+       than seg i *)
+    let min_after = Array.make n max_int in
+    let acc = ref max_int in
+    for id = hi downto lo do
+      min_after.(id - lo) <- !acc;
+      (match rg.rg_slots.(slot rg.rg_slots id) with
+       | Some s when s.r_base = id lsl shift ->
+         if s.r_min_taint < !acc then acc := s.r_min_taint
+       | _ -> ())
+    done;
+    let retired = ref 0 in
+    let continue_ = ref true in
+    let id = ref lo in
+    (* never retire the head (still-appending) segment *)
+    while !continue_ && !id < hi do
+      let seg_end = (!id + 1) lsl shift in
+      (match rg.rg_slots.(slot rg.rg_slots !id) with
+       | Some s when s.r_base = !id lsl shift ->
+         if seg_end <= target && s.r_pins = 0
+            && min_after.(!id - lo) >= seg_end
+         then begin
+           rg.rg_slots.(slot rg.rg_slots !id) <- None;
+           s.r_base <- -1;
+           Array.fill s.r_dd 0 (Array.length s.r_dd) Taint.empty;
+           Array.fill s.r_cd 0 (Array.length s.r_cd) Taint.empty;
+           rg.rg_free <- s :: rg.rg_free;
+           rg.rg_floor <- seg_end;
+           incr retired
+         end
+         else continue_ := false
+       | _ -> continue_ := false);
+      incr id
+    done;
+    !retired
+  end
 
 (* ---------- fast append API (used by Ctx's recording paths) ---------- *)
 
 let add_load t ~sid ~addr ~len ~cd ~op =
   let tid = t.len in
   t.n_loads <- t.n_loads + 1;
-  (match t.repr with
-   | Boxed v ->
-     Vec.push v
-       (Load { l_tid = tid; l_sid = sid; l_addr = addr; l_len = len;
-               l_cd = cd; l_op = op })
-   | Ring rg ->
-     let s = ring_rw rg tid in
-     let i = tid land rg.rg_mask in
-     Bytes.unsafe_set s.r_kind i (Char.unsafe_chr k_load);
-     s.r_sid.(i) <- sid; s.r_a.(i) <- addr; s.r_b.(i) <- len;
-     s.r_op.(i) <- op; s.r_cd.(i) <- cd;
-     ring_note_taint s cd);
+  let rg = t.rg in
+  let s = ring_rw rg tid in
+  let i = tid land rg.rg_mask in
+  Bytes.unsafe_set s.r_kind i (Char.unsafe_chr k_load);
+  s.r_sid.(i) <- sid; s.r_a.(i) <- addr; s.r_b.(i) <- len;
+  s.r_op.(i) <- op; s.r_cd.(i) <- cd;
+  ring_note_taint s cd;
   t.len <- tid + 1;
   tid
 
@@ -373,17 +340,10 @@ let ring_store_fields rg s tid ~sid ~addr ~len ~off ~dd ~cd ~op =
 let add_store_sub t ~sid ~addr ~src ~src_off ~len ~dd ~cd ~op =
   let tid = t.len in
   t.n_stores <- t.n_stores + 1;
-  (match t.repr with
-   | Boxed v ->
-     Vec.push v
-       (Store { s_tid = tid; s_sid = sid; s_addr = addr; s_len = len;
-                s_data = String.sub src src_off len; s_dd = dd; s_cd = cd;
-                s_op = op })
-   | Ring rg ->
-     let s = ring_rw rg tid in
-     let off = ring_arena_reserve s len in
-     Bytes.blit_string src src_off s.r_arena off len;
-     ring_store_fields rg s tid ~sid ~addr ~len ~off ~dd ~cd ~op);
+  let s = ring_rw t.rg tid in
+  let off = ring_arena_reserve s len in
+  Bytes.blit_string src src_off s.r_arena off len;
+  ring_store_fields t.rg s tid ~sid ~addr ~len ~off ~dd ~cd ~op;
   t.len <- tid + 1;
   tid
 
@@ -392,207 +352,113 @@ let add_store_sub t ~sid ~addr ~src ~src_off ~len ~dd ~cd ~op =
 let add_store_u64 t ~sid ~addr ~v ~dd ~cd ~op =
   let tid = t.len in
   t.n_stores <- t.n_stores + 1;
-  (match t.repr with
-   | Boxed v_ ->
-     let b = Bytes.create 8 in
-     Bytes.set_int64_le b 0 (Int64.of_int v);
-     Vec.push v_
-       (Store { s_tid = tid; s_sid = sid; s_addr = addr; s_len = 8;
-                s_data = Bytes.unsafe_to_string b; s_dd = dd; s_cd = cd;
-                s_op = op })
-   | Ring rg ->
-     let s = ring_rw rg tid in
-     let off = ring_arena_reserve s 8 in
-     Bytes.set_int64_le s.r_arena off (Int64.of_int v);
-     ring_store_fields rg s tid ~sid ~addr ~len:8 ~off ~dd ~cd ~op);
+  let s = ring_rw t.rg tid in
+  let off = ring_arena_reserve s 8 in
+  Bytes.set_int64_le s.r_arena off (Int64.of_int v);
+  ring_store_fields t.rg s tid ~sid ~addr ~len:8 ~off ~dd ~cd ~op;
   t.len <- tid + 1;
   tid
 
 let add_flush t ~sid ~line ~op =
   let tid = t.len in
   t.n_flushes <- t.n_flushes + 1;
-  (match t.repr with
-   | Boxed v ->
-     Vec.push v (Flush { f_tid = tid; f_sid = sid; f_line = line; f_op = op })
-   | Ring rg ->
-     let s = ring_rw rg tid in
-     let i = tid land rg.rg_mask in
-     Bytes.unsafe_set s.r_kind i (Char.unsafe_chr k_flush);
-     s.r_sid.(i) <- sid; s.r_a.(i) <- line; s.r_op.(i) <- op);
+  let rg = t.rg in
+  let s = ring_rw rg tid in
+  let i = tid land rg.rg_mask in
+  Bytes.unsafe_set s.r_kind i (Char.unsafe_chr k_flush);
+  s.r_sid.(i) <- sid; s.r_a.(i) <- line; s.r_op.(i) <- op;
   t.len <- tid + 1;
   tid
 
 let add_fence t ~sid ~op =
   let tid = t.len in
   t.n_fences <- t.n_fences + 1;
-  (match t.repr with
-   | Boxed v -> Vec.push v (Fence { n_tid = tid; n_sid = sid; n_op = op })
-   | Ring rg ->
-     let s = ring_rw rg tid in
-     let i = tid land rg.rg_mask in
-     Bytes.unsafe_set s.r_kind i (Char.unsafe_chr k_fence);
-     s.r_sid.(i) <- sid; s.r_op.(i) <- op);
+  let rg = t.rg in
+  let s = ring_rw rg tid in
+  let i = tid land rg.rg_mask in
+  Bytes.unsafe_set s.r_kind i (Char.unsafe_chr k_fence);
+  s.r_sid.(i) <- sid; s.r_op.(i) <- op;
   t.len <- tid + 1;
   tid
 
 (* ---------- generic append (rare event kinds, tests) ---------- *)
 
 let push t ev =
-  match t.repr with
-  | Boxed v ->
-    (match ev with
-     | Load _ -> t.n_loads <- t.n_loads + 1
-     | Store _ -> t.n_stores <- t.n_stores + 1
-     | Flush _ -> t.n_flushes <- t.n_flushes + 1
-     | Fence _ -> t.n_fences <- t.n_fences + 1
-     | _ -> ());
-    Vec.push v ev;
-    t.len <- t.len + 1
-  | Ring rg ->
-    let tid = t.len in
-    let simple kind ~sid ~a ~b ~op ~aux =
-      let s = ring_rw rg tid in
-      let i = tid land rg.rg_mask in
-      Bytes.unsafe_set s.r_kind i (Char.unsafe_chr kind);
-      s.r_sid.(i) <- sid; s.r_a.(i) <- a; s.r_b.(i) <- b;
-      s.r_op.(i) <- op; s.r_aux.(i) <- aux;
-      t.len <- tid + 1
-    in
-    (match ev with
-     | Load l ->
-       ignore (add_load t ~sid:l.l_sid ~addr:l.l_addr ~len:l.l_len
-                 ~cd:l.l_cd ~op:l.l_op)
-     | Store st ->
-       ignore (add_store_sub t ~sid:st.s_sid ~addr:st.s_addr ~src:st.s_data
-                 ~src_off:0 ~len:(String.length st.s_data) ~dd:st.s_dd
-                 ~cd:st.s_cd ~op:st.s_op)
-     | Flush f -> ignore (add_flush t ~sid:f.f_sid ~line:f.f_line ~op:f.f_op)
-     | Fence f -> ignore (add_fence t ~sid:f.n_sid ~op:f.n_op)
-     | Log_range g ->
-       simple k_log_range ~sid:g.g_sid ~a:g.g_addr ~b:g.g_len ~op:g.g_op
-         ~aux:g.g_tx
-     | Tx_begin { t_tx; t_op; _ } ->
-       simple k_tx_begin ~sid:0 ~a:0 ~b:0 ~op:t_op ~aux:t_tx
-     | Tx_commit { t_tx; t_op; _ } ->
-       simple k_tx_commit ~sid:0 ~a:0 ~b:0 ~op:t_op ~aux:t_tx
-     | Tx_abort { t_tx; t_op; _ } ->
-       simple k_tx_abort ~sid:0 ~a:0 ~b:0 ~op:t_op ~aux:t_tx
-     | Op_begin o ->
-       let s = ring_rw rg tid in
-       let i = tid land rg.rg_mask in
-       Bytes.unsafe_set s.r_kind i (Char.unsafe_chr k_op_begin);
-       s.r_sid.(i) <- 0; s.r_b.(i) <- 0; s.r_aux.(i) <- 0;
-       s.r_a.(i) <- Vec.length s.r_descs;
-       Vec.push s.r_descs o.o_desc;
-       s.r_op.(i) <- o.o_index;
-       t.len <- tid + 1
-     | Op_end o -> simple k_op_end ~sid:0 ~a:0 ~b:0 ~op:o.o_index ~aux:0)
+  let rg = t.rg in
+  let tid = t.len in
+  let simple kind ~sid ~a ~b ~op ~aux =
+    let s = ring_rw rg tid in
+    let i = tid land rg.rg_mask in
+    Bytes.unsafe_set s.r_kind i (Char.unsafe_chr kind);
+    s.r_sid.(i) <- sid; s.r_a.(i) <- a; s.r_b.(i) <- b;
+    s.r_op.(i) <- op; s.r_aux.(i) <- aux;
+    t.len <- tid + 1
+  in
+  match ev with
+  | Load l ->
+    ignore (add_load t ~sid:l.l_sid ~addr:l.l_addr ~len:l.l_len ~cd:l.l_cd
+              ~op:l.l_op)
+  | Store st ->
+    ignore (add_store_sub t ~sid:st.s_sid ~addr:st.s_addr ~src:st.s_data
+              ~src_off:0 ~len:(String.length st.s_data) ~dd:st.s_dd
+              ~cd:st.s_cd ~op:st.s_op)
+  | Flush f -> ignore (add_flush t ~sid:f.f_sid ~line:f.f_line ~op:f.f_op)
+  | Fence f -> ignore (add_fence t ~sid:f.n_sid ~op:f.n_op)
+  | Log_range g ->
+    simple k_log_range ~sid:g.g_sid ~a:g.g_addr ~b:g.g_len ~op:g.g_op
+      ~aux:g.g_tx
+  | Tx_begin { t_tx; t_op; _ } ->
+    simple k_tx_begin ~sid:0 ~a:0 ~b:0 ~op:t_op ~aux:t_tx
+  | Tx_commit { t_tx; t_op; _ } ->
+    simple k_tx_commit ~sid:0 ~a:0 ~b:0 ~op:t_op ~aux:t_tx
+  | Tx_abort { t_tx; t_op; _ } ->
+    simple k_tx_abort ~sid:0 ~a:0 ~b:0 ~op:t_op ~aux:t_tx
+  | Op_begin o ->
+    let s = ring_rw rg tid in
+    let i = tid land rg.rg_mask in
+    Bytes.unsafe_set s.r_kind i (Char.unsafe_chr k_op_begin);
+    s.r_sid.(i) <- 0; s.r_b.(i) <- 0; s.r_aux.(i) <- 0;
+    s.r_a.(i) <- Vec.length s.r_descs;
+    Vec.push s.r_descs o.o_desc;
+    s.r_op.(i) <- o.o_index;
+    t.len <- tid + 1
+  | Op_end o -> simple k_op_end ~sid:0 ~a:0 ~b:0 ~op:o.o_index ~aux:0
 
-(* ---------- index-based fast reads (no allocation on the ring) ---------- *)
+(* ---------- index-based fast reads (no allocation) ---------- *)
 
 let kind_at t i =
-  match t.repr with
-  | Ring rg ->
-    let s = ring_ro rg i in
-    Char.code (Bytes.unsafe_get s.r_kind (i land rg.rg_mask))
-  | Boxed v ->
-    (match Vec.get v i with
-     | Load _ -> k_load | Store _ -> k_store | Flush _ -> k_flush
-     | Fence _ -> k_fence | Log_range _ -> k_log_range
-     | Tx_begin _ -> k_tx_begin | Tx_commit _ -> k_tx_commit
-     | Tx_abort _ -> k_tx_abort | Op_begin _ -> k_op_begin
-     | Op_end _ -> k_op_end)
+  let rg = t.rg in
+  Char.code (Bytes.unsafe_get (ring_ro rg i).r_kind (i land rg.rg_mask))
 
-let sid_at t i =
-  match t.repr with
-  | Ring rg -> (ring_ro rg i).r_sid.(i land rg.rg_mask)
-  | Boxed v ->
-    (match Vec.get v i with
-     | Load l -> l.l_sid | Store s -> s.s_sid | Flush f -> f.f_sid
-     | Fence f -> f.n_sid | Log_range g -> g.g_sid
-     | Tx_begin _ | Tx_commit _ | Tx_abort _ | Op_begin _ | Op_end _ -> 0)
+let sid_at t i = (ring_ro t.rg i).r_sid.(i land t.rg.rg_mask)
 
 (* addr for loads/stores/log ranges, line for flushes *)
-let addr_at t i =
-  match t.repr with
-  | Ring rg -> (ring_ro rg i).r_a.(i land rg.rg_mask)
-  | Boxed v ->
-    (match Vec.get v i with
-     | Load l -> l.l_addr | Store s -> s.s_addr | Flush f -> f.f_line
-     | Log_range g -> g.g_addr
-     | Fence _ | Tx_begin _ | Tx_commit _ | Tx_abort _ | Op_begin _
-     | Op_end _ -> 0)
-
-let len_at t i =
-  match t.repr with
-  | Ring rg -> (ring_ro rg i).r_b.(i land rg.rg_mask)
-  | Boxed v ->
-    (match Vec.get v i with
-     | Load l -> l.l_len | Store s -> s.s_len | Log_range g -> g.g_len
-     | _ -> 0)
-
-let op_at t i =
-  match t.repr with
-  | Ring rg -> (ring_ro rg i).r_op.(i land rg.rg_mask)
-  | Boxed v ->
-    (match Vec.get v i with
-     | Load l -> l.l_op | Store s -> s.s_op | Flush f -> f.f_op
-     | Fence f -> f.n_op | Log_range g -> g.g_op
-     | Tx_begin x -> x.t_op | Tx_commit x -> x.t_op | Tx_abort x -> x.t_op
-     | Op_begin o -> o.o_index | Op_end o -> o.o_index)
-
-let tx_at t i =
-  match t.repr with
-  | Ring rg -> (ring_ro rg i).r_aux.(i land rg.rg_mask)
-  | Boxed v ->
-    (match Vec.get v i with
-     | Log_range g -> g.g_tx
-     | Tx_begin x -> x.t_tx | Tx_commit x -> x.t_tx | Tx_abort x -> x.t_tx
-     | _ -> 0)
-
-let dd_at t i =
-  match t.repr with
-  | Ring rg -> (ring_ro rg i).r_dd.(i land rg.rg_mask)
-  | Boxed v -> (match Vec.get v i with Store s -> s.s_dd | _ -> Taint.empty)
-
-let cd_at t i =
-  match t.repr with
-  | Ring rg -> (ring_ro rg i).r_cd.(i land rg.rg_mask)
-  | Boxed v ->
-    (match Vec.get v i with
-     | Store s -> s.s_cd | Load l -> l.l_cd | _ -> Taint.empty)
+let addr_at t i = (ring_ro t.rg i).r_a.(i land t.rg.rg_mask)
+let len_at t i = (ring_ro t.rg i).r_b.(i land t.rg.rg_mask)
+let op_at t i = (ring_ro t.rg i).r_op.(i land t.rg.rg_mask)
+let tx_at t i = (ring_ro t.rg i).r_aux.(i land t.rg.rg_mask)
+let dd_at t i = (ring_ro t.rg i).r_dd.(i land t.rg.rg_mask)
+let cd_at t i = (ring_ro t.rg i).r_cd.(i land t.rg.rg_mask)
 
 (* Write store [i]'s payload into [pmem] at its recorded address, straight
    from the segment's arena — no intermediate string. The alias is read
    synchronously inside [write_sub] and never retained, so the arena's
    later growth/appends cannot be observed through it. *)
 let store_write t i pmem =
-  match t.repr with
-  | Ring rg ->
-    let s = ring_ro rg i in
-    let j = i land rg.rg_mask in
-    Pmem.write_sub pmem s.r_a.(j) (Bytes.unsafe_to_string s.r_arena)
-      s.r_aux.(j) s.r_b.(j)
-  | Boxed v ->
-    (match Vec.get v i with
-     | Store s -> Pmem.write_bytes pmem s.s_addr s.s_data
-     | _ -> invalid_arg "Trace.store_write: not a store")
+  let s = ring_ro t.rg i in
+  let j = i land t.rg.rg_mask in
+  Pmem.write_sub pmem s.r_a.(j) (Bytes.unsafe_to_string s.r_arena)
+    s.r_aux.(j) s.r_b.(j)
 
 (* Fold store [i] (address + payload) into a content digest; equal to
    [Pmem.mix_string (Pmem.mix h addr) data]. *)
 let store_mix t h i =
-  match t.repr with
-  | Ring rg ->
-    let s = ring_ro rg i in
-    let j = i land rg.rg_mask in
-    Pmem.mix_sub (Pmem.mix h s.r_a.(j)) (Bytes.unsafe_to_string s.r_arena)
-      s.r_aux.(j) s.r_b.(j)
-  | Boxed v ->
-    (match Vec.get v i with
-     | Store s -> Pmem.mix_string (Pmem.mix h s.s_addr) s.s_data
-     | _ -> invalid_arg "Trace.store_mix: not a store")
+  let s = ring_ro t.rg i in
+  let j = i land t.rg.rg_mask in
+  Pmem.mix_sub (Pmem.mix h s.r_a.(j)) (Bytes.unsafe_to_string s.r_arena)
+    s.r_aux.(j) s.r_b.(j)
 
-(* ---------- event reconstruction (compat API) ---------- *)
+(* ---------- event reconstruction ---------- *)
 
 let ring_get rg tid =
   let s = ring_ro rg tid in
@@ -622,16 +488,11 @@ let ring_get rg tid =
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Trace.get";
-  match t.repr with
-  | Boxed v -> Vec.get v i
-  | Ring rg -> ring_get rg i
+  ring_get t.rg i
 
-(* On the ring, [iter] covers only the live window (retired prefixes are
-   gone by construction). *)
-let iter f t =
-  match t.repr with
-  | Boxed v -> Vec.iter f v
-  | Ring rg -> for i = rg.rg_floor to t.len - 1 do f (ring_get rg i) done
+(* [iter] covers only the live window (retired prefixes are gone by
+   construction). *)
+let iter f t = for i = t.rg.rg_floor to t.len - 1 do f (ring_get t.rg i) done
 
 let stats t = (t.n_loads, t.n_stores, t.n_flushes, t.n_fences)
 

@@ -40,11 +40,6 @@ let drop_front t k =
     t.len <- t.len - k
   end
 
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done
-
 let fold_left f init t =
   let acc = ref init in
   for i = 0 to t.len - 1 do

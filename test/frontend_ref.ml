@@ -1,0 +1,303 @@
+(* Reference front end for the parity property in test_frontend.ml:
+   inference and crash-image generation written over the events
+   [Trace.get] rebuilds, with hash-table indexes instead of Infer's word
+   arrays and packed dedup set, and with every persistency question —
+   guarantee, closure, feasibility and the image itself — answered by
+   Persist_model instead of Crash_sim. Equal condition counts, generation
+   stats and images from both front ends license the fast path's
+   indexes, closure slices and copy-on-write images.
+
+   One deliberate choice keeps the two comparable: the epoch dedup table
+   is keyed on the condition tuple itself rather than a hash of it, as in
+   the fast path (a hash key can conflate distinct conditions). *)
+
+open Nvm
+module Infer = Witcher.Infer
+module M = Persist_model
+
+type t = {
+  po_index : (int, Infer.po list ref) Hashtbl.t;  (* watch word -> conds *)
+  guardian_index : (int, Infer.cell list ref) Hashtbl.t;
+  mutable n_guardians : int;
+  mutable n_po1 : int;
+  mutable n_po2 : int;
+  mutable n_po3 : int;
+}
+
+let cell_of_load (l : Trace.load_ev) : Infer.cell =
+  { c_addr = l.l_addr; c_len = l.l_len; c_sid = l.l_sid }
+
+let add_po (t : t) seen ~(watch : Infer.cell) ~(req : Infer.cell) rule =
+  if not (Infer.overlap watch.c_addr watch.c_len req.c_addr req.c_len)
+  then begin
+    let key = (watch.c_addr, watch.c_len, req.c_addr, req.c_len, rule) in
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.add seen key ();
+      (match rule with
+       | Infer.PO1 -> t.n_po1 <- t.n_po1 + 1
+       | Infer.PO2 -> t.n_po2 <- t.n_po2 + 1
+       | Infer.PO3 -> t.n_po3 <- t.n_po3 + 1);
+      let cond : Infer.po = { watch; req; rule } in
+      List.iter
+        (fun w ->
+           match Hashtbl.find_opt t.po_index w with
+           | Some l -> l := cond :: !l
+           | None -> Hashtbl.add t.po_index w (ref [ cond ]))
+        (Infer.words watch.c_addr watch.c_len)
+    end
+  end
+
+let add_guardian t seen_g (cell : Infer.cell) =
+  let key = (cell.c_addr, cell.c_len) in
+  if not (Hashtbl.mem seen_g key) then begin
+    Hashtbl.add seen_g key ();
+    t.n_guardians <- t.n_guardians + 1;
+    List.iter
+      (fun w ->
+         match Hashtbl.find_opt t.guardian_index w with
+         | Some l -> l := cell :: !l
+         | None -> Hashtbl.add t.guardian_index w (ref [ cell ]))
+      (Infer.words cell.c_addr cell.c_len)
+  end
+
+let infer (trace : Trace.t) =
+  let t =
+    { po_index = Hashtbl.create 4096;
+      guardian_index = Hashtbl.create 256;
+      n_guardians = 0; n_po1 = 0; n_po2 = 0; n_po3 = 0 }
+  in
+  let seen = Hashtbl.create 8192 in
+  let seen_g = Hashtbl.create 256 in
+  let load_of tid =
+    match Trace.get trace tid with
+    | Trace.Load l -> Some l
+    | _ -> None
+  in
+  Trace.iter
+    (fun ev ->
+       match ev with
+       | Trace.Store s ->
+         let y : Infer.cell =
+           { c_addr = s.s_addr; c_len = s.s_len; c_sid = s.s_sid }
+         in
+         Taint.fold
+           (fun tid () ->
+              match load_of tid with
+              | Some l -> add_po t seen ~watch:y ~req:(cell_of_load l) Infer.PO1
+              | None -> ())
+           s.s_dd ();
+         Taint.fold
+           (fun tid () ->
+              match load_of tid with
+              | Some l -> add_po t seen ~watch:y ~req:(cell_of_load l) Infer.PO2
+              | None -> ())
+           s.s_cd ()
+       | Trace.Load l when not (Taint.is_empty l.l_cd) ->
+         let y = cell_of_load l in
+         Taint.fold
+           (fun tid () ->
+              match load_of tid with
+              | Some g ->
+                let x = cell_of_load g in
+                if not (Infer.overlap x.c_addr x.c_len y.c_addr y.c_len) then begin
+                  add_po t seen ~watch:x ~req:y Infer.PO3;
+                  add_guardian t seen_g x
+                end
+              | None -> ())
+           l.l_cd ()
+       | _ -> ())
+    trace;
+  t
+
+(* The entries of [index] overlapping a store to [addr,len). *)
+let overlapping index overlaps addr len =
+  List.concat_map
+    (fun w ->
+       match Hashtbl.find_opt index w with
+       | Some l -> List.filter (fun x -> overlaps x addr len) !l
+       | None -> [])
+    (Infer.words addr len)
+
+let conds_for t =
+  overlapping t.po_index (fun (c : Infer.po) ->
+      Infer.overlap c.watch.c_addr c.watch.c_len)
+
+let guardians_for t =
+  overlapping t.guardian_index (fun (c : Infer.cell) ->
+      Infer.overlap c.c_addr c.c_len)
+
+type epoch_cand =
+  | C_po of Infer.po * int
+  | C_guardian of Infer.cell * int
+
+let generate ?(cfg = Witcher.Crash_gen.default_cfg) ~trace ~(conds : t)
+    ~pool_size ~on_image () =
+  let open Witcher.Crash_gen in
+  let m = M.create () in
+  let stats =
+    { candidates = 0; generated = 0; eligible = 0; deferred = 0; tested = 0;
+      bytes_materialized = 0; per_op_images = Hashtbl.create 64 }
+  in
+  let store_evs : (int, Trace.store_ev) Hashtbl.t = Hashtbl.create 4096 in
+  let last_store_word : (int, int) Hashtbl.t = Hashtbl.create 4096 in
+  let epoch : epoch_cand list ref = ref [] in
+  let epoch_seen : (Infer.cell * Infer.cell * Infer.rule, unit) Hashtbl.t =
+    Hashtbl.create 64
+  in
+  let site_count : (int * int * int, int) Hashtbl.t = Hashtbl.create 256 in
+  let img_seen : (int * int, unit) Hashtbl.t = Hashtbl.create 1024 in
+  let path_hash = ref 0 in
+  let stop = ref false in
+  let latest_store_to (cell : Infer.cell) =
+    List.fold_left
+      (fun acc w ->
+         match Hashtbl.find_opt last_store_word w with
+         | Some tid ->
+           let s = Hashtbl.find store_evs tid in
+           if not (Infer.overlap s.s_addr s.s_len cell.c_addr cell.c_len) then acc
+           else (match acc with Some best when best >= tid -> acc | _ -> Some tid)
+         | None -> acc)
+      None
+      (Infer.words cell.c_addr cell.c_len)
+  in
+  let sid_of_store tid = (Hashtbl.find store_evs tid).s_sid in
+  let site_ok key =
+    let n = Option.value ~default:0 (Hashtbl.find_opt site_count key) in
+    if n >= cfg.per_site_cap then false
+    else begin
+      Hashtbl.replace site_count key (n + 1);
+      true
+    end
+  in
+  (* The one admission path, for the baseline image ([extras] = None) and
+     violation images alike: dedup on (fence, key), then the image budget
+     and the site cap. The key is [Hashtbl.hash] of the full extras list,
+     the identity [Crash_sim.closure_key] reproduces from a closure's
+     first 10 tids; ROADMAP item 1(a) replaces both keys together. *)
+  let admit ~fence_tid ~op ~extras ~viol ~site_key =
+    stats.candidates <- stats.candidates + 1;
+    let key = match extras with None -> 0 | Some l -> Hashtbl.hash l in
+    if not (Hashtbl.mem img_seen (fence_tid, key)) then begin
+      Hashtbl.add img_seen (fence_tid, key) ();
+      stats.generated <- stats.generated + 1;
+      Hashtbl.replace stats.per_op_images op
+        (1 + Option.value ~default:0 (Hashtbl.find_opt stats.per_op_images op));
+      if stats.eligible < cfg.max_images && site_ok site_key then begin
+        stats.eligible <- stats.eligible + 1;
+        stats.tested <- stats.tested + 1;
+        let extras = Option.value extras ~default:[] in
+        List.iter
+          (fun tid ->
+             stats.bytes_materialized <-
+               stats.bytes_materialized + (Hashtbl.find store_evs tid).s_len)
+          extras;
+        let image =
+          { img = M.image m trace ~pool_size ~extras; crash_tid = fence_tid;
+            crash_op = op; viol; path_hash = !path_hash;
+            path_sig = !path_hash; extras = Array.of_list extras;
+            digest = 0 (* images are compared by content *) }
+        in
+        match on_image image with
+        | `Continue -> ()
+        | `Stop -> stop := true
+      end
+    end
+  in
+  let emit ~fence_tid ~op ~persist_tid ~avoid_tid ~viol ~site_key =
+    if (not !stop) && M.feasible m ~persist:persist_tid ~avoid:avoid_tid then
+      admit ~fence_tid ~op ~extras:(Some (M.closure m persist_tid)) ~viol
+        ~site_key
+  in
+  let process_fence fence_tid fence_sid op =
+    (match
+       List.find_opt
+         (function C_po (_, tid) | C_guardian (_, tid) -> not (M.guaranteed m tid))
+         !epoch
+     with
+     | Some (C_po (_, first_lost) | C_guardian (_, first_lost)) when not !stop ->
+       admit ~fence_tid ~op ~extras:None
+         ~viol:
+           (Unpersisted_epoch
+              { fence_sid; first_lost_sid = sid_of_store first_lost })
+         ~site_key:(fence_sid, -1, 2)
+     | _ -> ());
+    List.iter
+      (function
+        | C_po (po, sy_tid) ->
+          (match latest_store_to po.Infer.req with
+           | Some sx_tid when sx_tid <> sy_tid ->
+             emit ~fence_tid ~op ~persist_tid:sy_tid ~avoid_tid:sx_tid
+               ~viol:
+                 (Ordering
+                    { rule = po.rule; watch_sid = sid_of_store sy_tid;
+                      req_sid = sid_of_store sx_tid; watch_tid = sy_tid;
+                      req_tid = sx_tid })
+               ~site_key:(sid_of_store sy_tid, sid_of_store sx_tid, 0)
+           | _ -> ())
+        | C_guardian _ -> ())
+      !epoch;
+    let guardian_stores =
+      List.filter_map
+        (function C_guardian (c, tid) -> Some (c, tid) | C_po _ -> None)
+        !epoch
+    in
+    let pairs = ref 0 in
+    let rec all_pairs = function
+      | [] -> ()
+      | (c1, t1) :: rest ->
+        List.iter
+          (fun (c2, t2) ->
+             if t1 <> t2
+             && not (Infer.overlap c1.Infer.c_addr c1.c_len c2.Infer.c_addr c2.c_len)
+             && !pairs < cfg.max_pa_pairs_per_fence then begin
+               incr pairs;
+               let atomicity persisted lost =
+                 emit ~fence_tid ~op ~persist_tid:persisted ~avoid_tid:lost
+                   ~viol:
+                     (Atomicity
+                        { persisted_sid = sid_of_store persisted;
+                          lost_sid = sid_of_store lost;
+                          persisted_tid = persisted; lost_tid = lost })
+                   ~site_key:(sid_of_store persisted, sid_of_store lost, 1)
+               in
+               atomicity t1 t2;
+               atomicity t2 t1
+             end)
+          rest;
+        all_pairs rest
+    in
+    all_pairs guardian_stores;
+    epoch := [];
+    Hashtbl.reset epoch_seen
+  in
+  for tid = 0 to Trace.length trace - 1 do
+    if not !stop then begin
+      let ev = Trace.get trace tid in
+      (match ev with
+       | Trace.Op_begin _ -> path_hash := 0
+       | Trace.Load l -> path_hash := path_hash_step !path_hash l.l_sid
+       | Trace.Store s -> path_hash := path_hash_step !path_hash s.s_sid
+       | _ -> ());
+      (match ev with
+       | Trace.Store s ->
+         Hashtbl.replace store_evs tid s;
+         List.iter
+           (fun w -> Hashtbl.replace last_store_word w tid)
+           (Infer.words s.s_addr s.s_len);
+         List.iter
+           (fun (po : Infer.po) ->
+              let key = (po.watch, po.req, po.rule) in
+              if not (Hashtbl.mem epoch_seen key) then begin
+                Hashtbl.add epoch_seen key ();
+                epoch := C_po (po, tid) :: !epoch
+              end)
+           (conds_for conds s.s_addr s.s_len);
+         List.iter
+           (fun g -> epoch := C_guardian (g, tid) :: !epoch)
+           (guardians_for conds s.s_addr s.s_len)
+       | Trace.Fence f -> process_fence tid f.n_sid f.n_op
+       | _ -> ());
+      M.feed m ev
+    end
+  done;
+  stats

@@ -1,7 +1,10 @@
-(* An independent model of x86 clwb/sfence persistency, used only by tests
-   as the feasibility oracle for Crash_sim's closures and the images
-   Crash_gen generates. It is written from the two rules of §4.3.1, not
-   from Crash_sim's code, and reads the boxed events [Trace.get] rebuilds:
+(* An independent model of x86 clwb/sfence persistency, used only by tests:
+   the feasibility oracle for Crash_sim's closures and the images Crash_gen
+   generates, the persistency half of the reference front end
+   (Frontend_ref), and the reference crash image Crash_sim's copy-on-write
+   images are compared against. It is written from the two rules of
+   §4.3.1, not from Crash_sim's code, and reads the events [Trace.get]
+   rebuilds:
 
    - Rule 1: a fence makes every store flushed before it durable.
    - Rule 2: stores to the same cache line persist in program order, so a
@@ -102,3 +105,23 @@ let prefix_closed m extras =
            (fun t -> guaranteed m t || List.mem t extras)
            (List.filteri (fun j _ -> j < i) (stores_of m l)))
     extras
+
+(* The crash state guaranteed ∪ [extras] as a pool, built from scratch: a
+   fresh pool of [pool_size] bytes holding every guaranteed store and then
+   the extras, each group written in tid order. A store lives on one line
+   and, by rule 2, a line's guaranteed stores precede its extras, so each
+   byte ends up holding the newest store of the state that wrote it. *)
+let image m trace ~pool_size ~extras =
+  let img = Pmem.create pool_size in
+  let write tid =
+    match Trace.get trace tid with
+    | Store s -> Pmem.write_bytes img s.s_addr s.s_data
+    | _ -> invalid_arg "Persist_model.image: not a store"
+  in
+  let durable =
+    Hashtbl.fold (fun tid _ acc -> if guaranteed m tid then tid :: acc else acc)
+      m.where []
+  in
+  List.iter write (List.sort compare durable);
+  List.iter write (List.sort compare extras);
+  img

@@ -1,11 +1,11 @@
 (* Front-end fast-path tests: sid interning, epoch dedup, and full
    fast-vs-reference parity (record + infer + generate).
 
-   [Frontend_ref] is the pre-interning front end kept as the parity
-   baseline; these properties are what license every fast-path
-   optimization (packed dedup sets, array indexes, singleton
-   persist-set closure): identical condition counts, identical crash
-   image digest sequences, identical generation stats. *)
+   [Frontend_ref] (frontend_ref.ml) is the reference front end, built on
+   Persist_model; the parity property is what licenses every fast-path
+   optimization (packed dedup sets, array indexes, closure slices,
+   copy-on-write images): identical condition counts, identical images
+   (crash point, extras, contents), identical generation stats. *)
 
 open Nvm
 module W = Witcher
@@ -88,72 +88,104 @@ let test_epoch_dedup_distinct_conds () =
 
 (* --- Fast-vs-reference parity -------------------------------------- *)
 
-(* Record [ops] into a segmented trace of 2^[ring_shift]-event segments,
-   through the op loop the engine's passes share. *)
+(* Record [ops] into a trace of 2^[ring_shift]-event segments, through the
+   op loop the engine's passes share. *)
 let record_segmented ~ring_shift (module S : W.Store_intf.S) ops =
   let trace = Trace.create ~ring_shift () in
   let ctx = Ctx.create ~trace ~mode:Record (Pmem.create S.pool_size) in
   W.Driver.exec (module S) ctx (Array.of_list ops) ~after_op:(fun _ _ -> ());
   trace
 
-(* Run one store's workload through both front ends and compare
-   everything observable: the traces, the condition counts, the crash
-   image digest sequence and the generation stats. The fast side records
-   into segments of 2^[ring_shift] events, so a small shift makes every
-   comparison cross segment boundaries. *)
-let check_parity ~name ~n_ops ~seed ~max_images ~ring_shift =
+(* An image's contents, whatever pool representation backs it: every line
+   holding a non-zero byte, in ascending order. *)
+let contents img =
+  let acc = ref [] in
+  Pmem.iter_lines img (fun line b ->
+      if Bytes.exists (fun c -> c <> '\000') b then
+        acc := (line, Bytes.to_string b) :: !acc);
+  List.rev !acc
+
+(* Run one store's workload through both front ends and compare what they
+   produce: the condition counts, the generation stats and, image by
+   image, the crash point, violation, path hash, extras and contents. The
+   workload is recorded twice, into 16-event segments and into
+   default-size ones, and the two traces must rebuild the same event at
+   every tid; [small_fast] picks the trace the fast path reads, and the
+   reference reads the other. Within the fast run, two images at one crash
+   op with equal digests must hold equal contents: that is what lets
+   Equiv's memo return a stored verdict for the second. *)
+let check_parity ~name ~n_ops ~seed ~max_images ~small_fast =
   let e = Option.get (Stores.Registry.find name) in
+  let module S = (val e.buggy ()) in
   let ops =
-    let module S = (val e.buggy ()) in
-    let wl =
-      if S.supports_scan then { W.Workload.default with n_ops; seed }
-      else W.Workload.no_scan { W.Workload.default with n_ops; seed }
-    in
-    W.Workload.generate wl
+    let wl = { W.Workload.default with n_ops; seed } in
+    W.Workload.generate (if S.supports_scan then wl else W.Workload.no_scan wl)
   in
-  let rec_ref = W.Driver.record ~boxed:true (e.buggy ()) ops in
-  let trace = record_segmented ~ring_shift (e.buggy ()) ops in
-  let name = Printf.sprintf "%s (seed %d, 2^%d segments)" name seed ring_shift in
-  if Trace.length rec_ref.trace <> Trace.length trace then
+  let small = record_segmented ~ring_shift:4 (e.buggy ()) ops in
+  let default =
+    record_segmented ~ring_shift:Trace.default_seg_shift (e.buggy ()) ops
+  in
+  let name =
+    Printf.sprintf "%s (seed %d, fast path on %s segments)" name seed
+      (if small_fast then "16-event" else "default")
+  in
+  if Trace.length small <> Trace.length default then
     QCheck2.Test.fail_reportf "%s: trace lengths differ" name;
-  for i = 0 to Trace.length trace - 1 do
-    if Trace.get rec_ref.trace i <> Trace.get trace i then
+  for i = 0 to Trace.length small - 1 do
+    if Trace.get small i <> Trace.get default i then
       QCheck2.Test.fail_reportf "%s: traces differ at tid %d" name i
   done;
-  let conds_ref = W.Frontend_ref.infer rec_ref.trace in
-  let conds_fast = W.Infer.infer trace in
-  let counts_ref =
-    ( conds_ref.W.Frontend_ref.n_po1, conds_ref.W.Frontend_ref.n_po2,
-      conds_ref.W.Frontend_ref.n_po3, conds_ref.W.Frontend_ref.n_guardians )
-  and counts_fast =
-    ( conds_fast.W.Infer.n_po1, conds_fast.W.Infer.n_po2,
-      conds_fast.W.Infer.n_po3, conds_fast.W.Infer.n_guardians )
+  let fast_trace, ref_trace =
+    if small_fast then (small, default) else (default, small)
   in
-  if counts_ref <> counts_fast then
-    QCheck2.Test.fail_reportf "%s: condition counts differ" name;
+  let conds_ref = Frontend_ref.infer ref_trace in
+  let conds_fast = W.Infer.infer fast_trace in
+  if
+    ( conds_ref.n_po1, conds_ref.n_po2, conds_ref.n_po3, conds_ref.n_guardians )
+    <> ( conds_fast.W.Infer.n_po1, conds_fast.n_po2, conds_fast.n_po3,
+         conds_fast.n_guardians )
+  then QCheck2.Test.fail_reportf "%s: condition counts differ" name;
   let cfg = { W.Crash_gen.default_cfg with max_images } in
-  let digests gen =
-    let acc = ref [] in
-    let stats =
-      gen (fun (img : W.Crash_gen.image) ->
-          acc := img.digest :: !acc;
+  let observed (i : W.Crash_gen.image) =
+    (i.crash_tid, i.crash_op, i.viol, i.path_hash, i.extras, contents i.img)
+  in
+  let ref_images = ref [] in
+  let stats_ref =
+    Frontend_ref.generate ~cfg ~trace:ref_trace ~conds:conds_ref
+      ~pool_size:S.pool_size
+      ~on_image:(fun i ->
+          ref_images := observed i :: !ref_images;
           `Continue)
-    in
-    (List.rev !acc, stats)
+      ()
   in
-  let dig_ref, stats_ref =
-    digests (fun on_image ->
-        W.Frontend_ref.generate ~cfg ~trace:rec_ref.trace ~conds:conds_ref
-          ~pool_size:rec_ref.pool_size ~on_image ())
+  let expected = ref (List.rev !ref_images) in
+  let by_digest = Hashtbl.create 256 in
+  let n_fast = ref 0 in
+  let stats_fast =
+    W.Crash_gen.generate ~cfg ~trace:fast_trace ~conds:conds_fast
+      ~pool_size:S.pool_size
+      ~on_image:(fun i ->
+          let ((_, _, _, _, _, c) as got) = observed i in
+          (match !expected with
+           | want :: rest when want = got -> expected := rest
+           | _ ->
+             QCheck2.Test.fail_reportf
+               "%s: image %d (fence %d) differs from the reference" name
+               !n_fast i.crash_tid);
+          (match Hashtbl.find_opt by_digest (i.crash_op, i.digest) with
+           | Some c' when c' <> c ->
+             QCheck2.Test.fail_reportf
+               "%s: two images at op %d share digest %d but not contents"
+               name i.crash_op i.digest
+           | Some _ -> ()
+           | None -> Hashtbl.add by_digest (i.crash_op, i.digest) c);
+          incr n_fast;
+          `Continue)
+      ()
   in
-  let dig_fast, stats_fast =
-    digests (fun on_image ->
-        W.Crash_gen.generate ~cfg ~trace ~conds:conds_fast
-          ~pool_size:rec_ref.pool_size ~on_image ())
-  in
-  if dig_ref <> dig_fast then
-    QCheck2.Test.fail_reportf "%s: digest sequences differ (%d vs %d images)"
-      name (List.length dig_ref) (List.length dig_fast);
+  if !expected <> [] then
+    QCheck2.Test.fail_reportf "%s: %d images, the reference %d" name !n_fast
+      (List.length !ref_images);
   if
     ( stats_ref.W.Crash_gen.candidates, stats_ref.generated, stats_ref.tested,
       stats_ref.bytes_materialized )
@@ -174,11 +206,10 @@ let prop_frontend_parity =
     QCheck2.Gen.(
       triple
         (int_range 0 (List.length parity_stores - 1))
-        (int_range 0 10_000)
-        (oneofl [ 4; Trace.default_seg_shift ]))
-    (fun (si, seed, ring_shift) ->
+        (int_range 0 10_000) bool)
+    (fun (si, seed, small_fast) ->
        check_parity ~name:(List.nth parity_stores si) ~n_ops:40 ~seed
-         ~max_images:200 ~ring_shift)
+         ~max_images:200 ~small_fast)
 
 (* --- Golden end-to-end JSON ---------------------------------------- *)
 

@@ -292,6 +292,116 @@ let test_ctx_fuel () =
   | () -> Alcotest.fail "expected fuel exhaustion"
   | exception Ctx.Fuel_exhausted -> ()
 
+(* --- Trace: the columnar encoding round-trips every event kind --- *)
+
+let taint_of = List.fold_left (fun t x -> Taint.union t (Taint.singleton x)) Taint.empty
+
+(* Append one drawn event through the call that records its kind, and
+   return the event [Trace.get] must rebuild. [k] picks the kind (u64 and
+   multi-byte stores apart); [a] is the address or line and picks the sid,
+   [b] the length or payload offset, [v] the u64 value or tx id, [s] the
+   payload source or op description. *)
+let rt_append tr (k, (a, b, op, v), (s, dd, cd)) =
+  let tid = Trace.length tr in
+  let sid = Sid.intern (Printf.sprintf "rt.%d" (a mod 5)) in
+  let dd = taint_of dd and cd = taint_of cd in
+  let store ~len data =
+    Trace.Store
+      { s_tid = tid; s_sid = sid; s_addr = a; s_len = len; s_data = data;
+        s_dd = dd; s_cd = cd; s_op = op }
+  in
+  match k with
+  | 0 ->
+    ignore (Trace.add_load tr ~sid ~addr:a ~len:b ~cd ~op);
+    Trace.Load { l_tid = tid; l_sid = sid; l_addr = a; l_len = b; l_cd = cd; l_op = op }
+  | 1 ->
+    ignore (Trace.add_store_u64 tr ~sid ~addr:a ~v ~dd ~cd ~op);
+    let data = Bytes.create 8 in
+    Bytes.set_int64_le data 0 (Int64.of_int v);
+    store ~len:8 (Bytes.to_string data)
+  | 2 ->
+    let off = b mod String.length s in
+    let len = String.length s - off in
+    ignore (Trace.add_store_sub tr ~sid ~addr:a ~src:s ~src_off:off ~len ~dd ~cd ~op);
+    store ~len (String.sub s off len)
+  | 3 ->
+    ignore (Trace.add_flush tr ~sid ~line:a ~op);
+    Trace.Flush { f_tid = tid; f_sid = sid; f_line = a; f_op = op }
+  | 4 ->
+    ignore (Trace.add_fence tr ~sid ~op);
+    Trace.Fence { n_tid = tid; n_sid = sid; n_op = op }
+  | _ ->
+    let ev : Trace.event =
+      match k with
+      | 5 -> Log_range { g_tid = tid; g_sid = sid; g_addr = a; g_len = b; g_tx = v; g_op = op }
+      | 6 -> Tx_begin { t_tid = tid; t_tx = v; t_op = op }
+      | 7 -> Tx_commit { t_tid = tid; t_tx = v; t_op = op }
+      | 8 -> Tx_abort { t_tid = tid; t_tx = v; t_op = op }
+      | 9 -> Op_begin { o_tid = tid; o_index = op; o_desc = s }
+      | _ -> Op_end { o_tid = tid; o_index = op }
+    in
+    Trace.push tr ev;
+    ev
+
+(* The columns the trace defines for [ev]'s kind, read back at tid [i]. *)
+let rt_columns_ok tr i (ev : Trace.event) =
+  let k = Trace.kind_at tr i and sid = Trace.sid_at tr i
+  and addr = Trace.addr_at tr i and len = Trace.len_at tr i
+  and op = Trace.op_at tr i and tx = Trace.tx_at tr i in
+  match ev with
+  | Load l ->
+    k = Trace.k_load && sid = l.l_sid && addr = l.l_addr && len = l.l_len
+    && op = l.l_op && Trace.cd_at tr i = l.l_cd
+  | Store s ->
+    let p = Pmem.create 4096 in
+    Trace.store_write tr i p;
+    k = Trace.k_store && sid = s.s_sid && addr = s.s_addr && len = s.s_len
+    && op = s.s_op && Trace.dd_at tr i = s.s_dd && Trace.cd_at tr i = s.s_cd
+    && Pmem.read_bytes p s.s_addr s.s_len = s.s_data
+    && Trace.store_mix tr 7 i = Pmem.mix_string (Pmem.mix 7 s.s_addr) s.s_data
+  | Flush f -> k = Trace.k_flush && sid = f.f_sid && addr = f.f_line && op = f.f_op
+  | Fence f -> k = Trace.k_fence && sid = f.n_sid && op = f.n_op
+  | Log_range g ->
+    k = Trace.k_log_range && sid = g.g_sid && addr = g.g_addr && len = g.g_len
+    && tx = g.g_tx && op = g.g_op
+  | Tx_begin x -> k = Trace.k_tx_begin && tx = x.t_tx && op = x.t_op
+  | Tx_commit x -> k = Trace.k_tx_commit && tx = x.t_tx && op = x.t_op
+  | Tx_abort x -> k = Trace.k_tx_abort && tx = x.t_tx && op = x.t_op
+  | Op_begin o -> k = Trace.k_op_begin && op = o.o_index
+  | Op_end o -> k = Trace.k_op_end && op = o.o_index
+
+(* qcheck: random sequences of all ten event kinds (taints up to 12
+   members, so both taint representations) appended to a trace of
+   16-event segments read back as the list appended, through every
+   accessor: rebuilt events, columns, payload writes and digests, the
+   live-window walk and the kind counts. *)
+let prop_trace_roundtrip =
+  let open QCheck2.Gen in
+  let members = list_size (int_range 0 12) (int_range 0 40) in
+  let step =
+    triple (int_range 0 10)
+      (quad (int_range 0 4000) (int_range 1 64) (int_range 0 9) int)
+      (triple (string_size (int_range 1 24)) members members)
+  in
+  QCheck2.Test.make ~name:"trace round-trip = event list" ~count:200
+    (list_size (int_range 0 300) step)
+    (fun steps ->
+       let tr = Trace.create ~ring_shift:4 () in
+       let evs =
+         List.rev (List.fold_left (fun acc st -> rt_append tr st :: acc) [] steps)
+       in
+       let walked = ref [] in
+       Trace.iter (fun ev -> walked := ev :: !walked) tr;
+       let count p = List.length (List.filter p evs) in
+       List.for_all Fun.id
+         (List.mapi (fun i ev -> Trace.get tr i = ev && rt_columns_ok tr i ev) evs)
+       && List.rev !walked = evs
+       && Trace.stats tr
+          = ( count (function Trace.Load _ -> true | _ -> false),
+              count (function Trace.Store _ -> true | _ -> false),
+              count (function Trace.Flush _ -> true | _ -> false),
+              count (function Trace.Fence _ -> true | _ -> false) ))
+
 (* --- Crash_sim: flush/fence semantics --- *)
 
 (* The simulator is trace-backed: tests append events to a live trace and
@@ -390,10 +500,11 @@ let prop_prefix_closed =
                 !stores)
            extras)
 
-(* qcheck: COW materialization is bit-identical to the pre-refactor
-   full-copy path for every feasible extras set the generator reaches. *)
-let prop_materialize_bit_identical =
-  QCheck2.Test.make ~name:"cow materialize = full-copy materialize" ~count:100
+(* qcheck: a COW image holds exactly the crash state the persistency
+   model builds from scratch (its guaranteed stores, then the extras) for
+   every feasible extras set the generator reaches. *)
+let prop_materialize_model =
+  QCheck2.Test.make ~name:"cow materialize = model image" ~count:100
     QCheck2.Gen.(list_size (int_range 1 40) (pair (int_range 0 31) (int_range 0 2)))
     (fun ops ->
        let tr, sim = sim_pair ~pool_size:4096 in
@@ -412,6 +523,8 @@ let prop_materialize_bit_identical =
               sim_flush tr sim (Pmem.line_of_addr (word * 8));
               sim_fence tr sim)
          ops;
+       let m = Persist_model.create () in
+       ignore (Persist_model.feed_range m tr ~from:0 ~upto:(Trace.length tr));
        let extras_of tid = Crash_sim.closure_tids (Crash_sim.closure sim tid) in
        let first_tid, last_tid =
          match List.rev !store_tids with
@@ -421,9 +534,9 @@ let prop_materialize_bit_identical =
        List.for_all
          (fun extras ->
             let cow_img = Crash_sim.materialize sim ~extras in
-            let flat_img = Crash_sim.materialize_copy sim ~extras in
+            let model_img = Persist_model.image m tr ~pool_size:4096 ~extras in
             Pmem.is_cow cow_img
-            && Pmem.snapshot cow_img = Pmem.snapshot flat_img)
+            && Pmem.snapshot cow_img = Pmem.snapshot model_img)
          [ []; extras_of first_tid; extras_of last_tid ])
 
 let suite =
@@ -435,10 +548,11 @@ let suite =
     Alcotest.test_case "ctx records dd/cd" `Quick test_ctx_trace;
     Alcotest.test_case "ctx splits at line boundary" `Quick test_ctx_line_split;
     Alcotest.test_case "ctx fuel" `Quick test_ctx_fuel;
+    QCheck_alcotest.to_alcotest prop_trace_roundtrip;
     Alcotest.test_case "sim flush+fence guarantee" `Quick test_sim_guarantee;
     Alcotest.test_case "sim per-line closure" `Quick test_sim_closure;
     Alcotest.test_case "sim materialize latest-wins" `Quick test_sim_materialize;
     QCheck_alcotest.to_alcotest prop_prefix_closed;
     QCheck_alcotest.to_alcotest prop_cow_equals_flat;
     QCheck_alcotest.to_alcotest prop_pmem_multi_page;
-    QCheck_alcotest.to_alcotest prop_materialize_bit_identical ]
+    QCheck_alcotest.to_alcotest prop_materialize_model ]

@@ -85,11 +85,9 @@ let test_tx_recovery_via_crash_image () =
   Ctx.write_u64 ctx ~sid:"dirty" a (Tv.const 2);
   (* crash here: replay the trace through the simulator and materialize
      the guaranteed-only state *)
-  let sim =
-    Crash_sim.create ~trace:(Ctx.trace ctx)
-      ~pool_size:(Pmem.size (Ctx.pmem ctx))
-  in
-  Trace.iter (fun ev -> Crash_sim.on_event sim ev) (Ctx.trace ctx);
+  let trace = Ctx.trace ctx in
+  let sim = Crash_sim.create ~trace ~pool_size:(Pmem.size (Ctx.pmem ctx)) in
+  for i = 0 to Trace.length trace - 1 do Crash_sim.on_index sim i done;
   let img = Crash_sim.materialize sim ~extras:[] in
   let ctx2 = Ctx.create ~mode:Quiet img in
   let pool2 = Pmdk.Pool.open_ ctx2 in
