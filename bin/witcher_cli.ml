@@ -37,6 +37,19 @@ let int_at_least lo =
 
 let count_conv = int_at_least 0
 
+(* A duration flag: a value at or below zero fails at argument parsing
+   too, instead of timing out every job or spinning the heartbeat. *)
+let seconds_conv =
+  let open Cmdliner in
+  let parse = Arg.conv_parser Arg.float in
+  Arg.conv
+    ( (fun s ->
+        match parse s with
+        | Ok x when not (x > 0.) ->
+          Error (`Msg (Printf.sprintf "invalid value '%s', expected a number > 0" s))
+        | r -> r),
+      Arg.conv_printer Arg.float )
+
 let store_arg =
   let open Cmdliner in
   Arg.(
@@ -156,15 +169,15 @@ let traffic_arg =
 
 let window_arg =
   let open Cmdliner in
-  Arg.(value & opt int W.Engine.default_cfg.stream_window
+  Arg.(value & opt (int_at_least 1) W.Engine.default_cfg.stream_window
        & info [ "window" ] ~docv:"SEGS"
            ~doc:"Streaming live-window size, in trace segments (each 2^14 \
-                 events); segments older than the window are recycled \
-                 unless pinned by a dirty store or a spanning condition.")
+                 events); every segment older than the window is \
+                 recycled.")
 
 let ckpt_ring_arg =
   let open Cmdliner in
-  Arg.(value & opt int W.Engine.default_cfg.ckpt_ring
+  Arg.(value & opt (int_at_least 1) W.Engine.default_cfg.ckpt_ring
        & info [ "ckpt-ring" ] ~docv:"R"
            ~doc:"Streaming checkpoint-ring capacity: only the newest \
                  $(docv) pool snapshots are kept; oracles for older crash \
@@ -237,8 +250,8 @@ let run_cmd store fixed ops seed max_images prune expand_budget sig_depth
       prune; expand_budget; sig_depth;
       traffic =
         Option.map (fun t -> { t with W.Traffic.n_ops = ops; seed }) traffic;
-      stream_window = max 1 window;
-      ckpt_ring = max 1 ckpt_ring }
+      stream_window = window;
+      ckpt_ring }
   in
   (* the event sink also powers the -v per-bug footer, so verbose runs
      record even without --events (to memory only) *)
@@ -463,7 +476,7 @@ let campaign_t =
              ~doc:"Also run every store's repaired variant (Table 5 style).")
   in
   let timeout =
-    Arg.(value & opt float 300.
+    Arg.(value & opt seconds_conv 300.
          & info [ "timeout" ] ~docv:"SECS"
              ~doc:"Per-job wall-clock budget; over-budget workers are killed \
                    and journaled as timeouts.")
@@ -481,7 +494,7 @@ let campaign_t =
                    restarted from scratch.")
   in
   let heartbeat =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some seconds_conv) None
          & info [ "heartbeat" ] ~docv:"SECS"
              ~doc:"Render a live status line every $(docv) seconds: jobs \
                    done/total, each worker's current job and elapsed time, \
@@ -508,7 +521,7 @@ let explain_t =
 
 let trace_t =
   let head =
-    Arg.(value & opt int 60 & info [ "head" ] ~docv:"N" ~doc:"Events to print.")
+    Arg.(value & opt count_conv 60 & info [ "head" ] ~docv:"N" ~doc:"Events to print.")
   in
   Term.(const trace_cmd $ store_arg $ ops_arg $ seed_arg $ head)
 let perf_t = Term.(const perf_cmd $ store_arg $ ops_arg $ seed_arg)

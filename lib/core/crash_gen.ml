@@ -145,9 +145,9 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
      a small dense prefix, and eagerly clearing pool-sized arrays would
      dominate small runs. The addr/len/sid columns shadow the store's
      trace fields so [latest_store_to] never reads the trace — over a
-     windowed ring the latest store to a word may be long retired (and by
-     the retirement invariant, guaranteed), and these probes must not
-     fault on it. *)
+     windowed ring the latest store to a word may be long retired, and
+     still unguaranteed (the simulator holds it), and these probes must
+     not fault on it. *)
   let last_store_word = ref (Array.make 4096 (-1)) in
   let last_store_addr = ref (Array.make 4096 0) in
   let last_store_len = ref (Array.make 4096 0) in
@@ -233,7 +233,11 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
          end);
     if !best < 0 then None else Some (!best, !best_sid)
   in
-  let sid_of_store tid = Trace.sid_at trace tid in
+  (* Every store a fence's candidates name (this epoch's stores, closure
+     members) is unguaranteed while the fence is processed, so its sid
+     comes from the simulator, which holds it even after the window has
+     retired its segment. *)
+  let sid_of_store tid = Crash_sim.store_sid sim tid in
   (* Event-log record for an eligible image, tested or deferred. Emitted
      here, not in Engine: only the generator holds the simulator state
      (guaranteed/in-flight counts) and the extra persist-set that define
@@ -259,11 +263,12 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
         Obs.Jsonx.List
           (List.map
              (fun tid ->
+                let addr, len = Crash_sim.store_range sim tid in
                 Obs.Jsonx.Obj
                   [ ("tid", Obs.Jsonx.Int tid);
-                    ("sid", Obs.Jsonx.Str (Sid.to_string (Trace.sid_at trace tid)));
-                    ("addr", Obs.Jsonx.Int (Trace.addr_at trace tid));
-                    ("len", Obs.Jsonx.Int (Trace.len_at trace tid)) ])
+                    ("sid", Obs.Jsonx.Str (Sid.to_string (sid_of_store tid)));
+                    ("addr", Obs.Jsonx.Int addr);
+                    ("len", Obs.Jsonx.Int len) ])
              extras)
       in
       let fields =

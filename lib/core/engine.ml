@@ -140,8 +140,8 @@ let replay_headroom = 16
      holds about 64) and feeds inference once the run is recorded.
      Windowed, it feeds each op's events as they are appended
      (condition discovery only ever looks backward, so the condition set
-     is the same) and retires segments as the window slides; a segment a
-     younger event still taint-references stays resident.
+     is the same) and, after each op, retires every segment that has left
+     the window.
 
    - Pass B (validate) feeds the trace, event by event, to crash-image
      generation against the complete condition set, checking each image
@@ -149,14 +149,17 @@ let replay_headroom = 16
      M)] accesses, M being the costliest op pass A recorded. Unbounded,
      it walks the retained pass-A trace. Windowed, it re-executes the ops
      without taint tracking into a fresh trace — the identical event
-     stream, guarded op by op — pins dirty stores until they are
-     guaranteed, and keeps the newest [ckpt_ring] snapshots. Expansion
-     waves of the representative policy are further pass-B walks.
+     stream, guarded op by op — retires segments by the same rule, and
+     keeps the newest [ckpt_ring] snapshots. Expansion waves of the
+     representative policy are further pass-B walks.
 
    Verdicts do not depend on the window: generation and checking see the
-   same event indices in the same order either way, and the window only
-   changes which trace bytes are still resident. A window too small for
-   the store's reference distance raises [Nvm.Trace.Retired] loudly.
+   same event indices in the same order either way, and whatever they
+   need of a store the simulator has not guaranteed comes from the
+   simulator, which copied it when the store was fed. The window only
+   changes which trace bytes are still resident. A pass-A event whose
+   taint reaches a load further back than the window (a store carrying a
+   tainted value across ops) raises [Nvm.Trace.Retired] loudly.
 
    One run owns the process-local observability state: the default
    metrics registry and span buffer are reset at entry, so the snapshot a
@@ -268,13 +271,16 @@ let pipeline ~window ~cfg ~class_memo (module S : Store_intf.S) =
       ~checkpoints:record_ckpts.held (module S : Store_intf.S) ~ops
       ~committed:outputs
   in
-  (* The trace pass B is walking: the batch checker reads store ranges off
-     it and bug slices come from it; tids are pass-invariant. *)
+  (* The trace and simulator of the pass-B walk in progress; tids are
+     walk-invariant. Bug slices come from the trace. The batch checker
+     reads its extras' store ranges from the simulator: a fence group's
+     images are all checked before the walk feeds that fence, so their
+     extras are still unguaranteed, and the simulator holds them. *)
   let btrace = ref trace in
+  let bsim = ref None in
   if cfg.batch then
-    Equiv.enable_batch checker
-      ~addr_len:(fun tid ->
-        (Nvm.Trace.addr_at !btrace tid, Nvm.Trace.len_at !btrace tid));
+    Equiv.enable_batch checker ~addr_len:(fun tid ->
+        Nvm.Crash_sim.store_range (Option.get !bsim) tid);
   let clusters = Cluster.create ~store_name:S.name in
   let n_mismatch = ref 0 in
   (* Interned operation type per op index: cluster keys and pruning
@@ -418,29 +424,30 @@ let pipeline ~window ~cfg ~class_memo (module S : Store_intf.S) =
     `Continue
   in
   (* ---- pass B: one validation walk admitting what [decide] tests ---- *)
+  let walk ~decide ~pass ~on_image tr =
+    let gen =
+      Crash_gen.stream_create ~cfg:cfg.crash ~decide ~pass
+        ~sig_depth:cfg.sig_depth ~trace:tr ~conds ~pool_size ~on_image ()
+    in
+    btrace := tr;
+    bsim := Some gen.Crash_gen.g_sim;
+    gen
+  in
   let validate =
     match window with
     | None ->
       fun ~decide ~pass ~on_image ->
-        Crash_gen.generate ~cfg:cfg.crash ~decide ~pass
-          ~sig_depth:cfg.sig_depth ~trace ~conds ~pool_size ~on_image ()
+        let gen = walk ~decide ~pass ~on_image trace in
+        for i = 0 to Nvm.Trace.length trace - 1 do gen.Crash_gen.g_feed i done;
+        gen.Crash_gen.g_finish ()
     | Some w ->
       fun ~decide ~pass ~on_image ->
         let tr = Nvm.Trace.create ~ring_shift:cfg.stream_seg_shift () in
-        btrace := tr;
         let pmem = Nvm.Pmem.create pool_size in
         let ctx =
           Nvm.Ctx.create ~trace:tr ~taintless:true ~mode:Nvm.Ctx.Record pmem
         in
-        let gen =
-          Crash_gen.stream_create ~cfg:cfg.crash ~decide ~pass
-            ~sig_depth:cfg.sig_depth ~trace:tr ~conds ~pool_size ~on_image ()
-        in
-        (* Dirty stores pin their segment (image materialization reads
-           their payloads); the simulator unpins each as its fence
-           guarantees it. *)
-        Nvm.Crash_sim.set_on_guarantee gen.Crash_gen.g_sim
-          (fun tid -> Nvm.Trace.unpin tr tid);
+        let gen = walk ~decide ~pass ~on_image tr in
         (* Oracles resume from the nearest snapshot, and images are
            checked at their fence, so the newest [ckpt_ring] are the ones
            near every crash point still to come. *)
@@ -457,22 +464,9 @@ let pipeline ~window ~cfg ~class_memo (module S : Store_intf.S) =
                      "Engine.run_stream: %s diverged between passes at op %d"
                      S.name index);
               let len = Nvm.Trace.length tr in
-              for i = !fed to len - 1 do
-                if Nvm.Trace.kind_at tr i = Nvm.Trace.k_store then
-                  Nvm.Trace.pin tr i;
-                gen.Crash_gen.g_feed i
-              done;
+              for i = !fed to len - 1 do gen.Crash_gen.g_feed i done;
               fed := len;
-              (* The fence-batched checker resolves its extras' store
-                 ranges off the trace lazily at group flush; flush any
-                 open group before events can retire so those lookups
-                 never chase a recycled segment. (Under sparse sampling a
-                 group can stay open across an arbitrary stretch of
-                 trace.) *)
-              let target = len - w in
-              if target > Nvm.Trace.live_floor tr then
-                Equiv.flush_batch checker;
-              retire tr ~pass ~target;
+              retire tr ~pass ~target:(len - w);
               if Driver.checkpoint ~log:false ring ~n ~index pmem then
                 Equiv.set_checkpoints checker ring.held;
               if pass = 0 && index > 0 then begin

@@ -283,8 +283,10 @@ let create () =
     seen_g = Pair_set.create 256 }
 
 (* Process the event at trace index [i]. The only trace reads are of [i]
-   itself and of the (younger-than-window-pinned) loads in its taints, so
-   feeding works over a windowed ring as well as a full trace. Feeding
+   itself and of the loads in its taints. A windowed run feeds each op's
+   events before any segment of the op can retire, so only a taint
+   carried over from an op further back than the window reaches a
+   retired load, and that raises [Nvm.Trace.Retired]. Feeding
    every index once, in order, is exactly the batch walk: condition
    discovery depends only on the prefix up to [i]. *)
 let feed t (trace : Nvm.Trace.t) i =

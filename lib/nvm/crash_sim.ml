@@ -18,13 +18,14 @@
    turned into a tid list ([closure_tids]) only for an image that is
    materialized or logged.
 
-   The simulator is backed by the trace it walks: store positions live in
-   two int arrays indexed by trace slot ([pos]) and store payloads are
-   read straight out of the trace's arena ([Trace.store_write]/
-   [store_mix]), so feeding a store is two array writes and persisting
-   one is an arena blit — no per-store hash table entries or event
-   reconstruction on the hot path. Events are fed by trace index
-   ([on_index], allocation-free).
+   The simulator owns the stores it has not guaranteed: feeding a store
+   copies its address, payload, sid, cache line and per-line index into
+   a tid-keyed table, and the fence that guarantees the store persists it
+   from there and drops the entry. Guarantee, closures, materialization
+   and [store_sid]/[store_range] answer from that table, so the
+   simulator reads the trace only at the index being fed ([on_index])
+   and a bounded trace window may retire a segment whose stores are not
+   guaranteed yet. A fed store absent from the table is guaranteed.
 
    The module incrementally maintains [persisted], the pool image holding
    exactly the guaranteed stores; [materialize] returns a copy-on-write
@@ -53,57 +54,44 @@ type line_state = {
   mutable guaranteed_upto : int;   (* seq prefix that is durable *)
 }
 
+(* A fed store that is not guaranteed yet. *)
+type store = {
+  st_addr : int;
+  st_data : string;      (* payload *)
+  st_sid : Sid.t;
+  st_ls : line_state;    (* its cache line *)
+  st_idx : int;          (* absolute index in the line's [seq] *)
+}
+
+(* Tids are dense and ascending, so the identity hashes them evenly. *)
+module Tid_tbl = Hashtbl.Make (struct
+    type t = int
+    let equal = Int.equal
+    let hash tid = tid land max_int
+  end)
+
 type t = {
   trace : Trace.t;
   lines : (int, line_state) Hashtbl.t;
-  mutable pos_line : int array;    (* store slot -> cache line, -1 = not fed *)
-  mutable pos_idx : int array;     (* store slot -> index in line's seq *)
-  mutable touched : int list;      (* lines flushed since last fence *)
+  unguaranteed : store Tid_tbl.t;  (* fed stores with no guarantee yet *)
+  mutable fed : int;               (* trace indices fed so far: [0, fed) *)
+  mutable touched : line_state list;  (* lines flushed since last fence *)
   persisted : Pmem.t;
   mutable n_guaranteed : int;
-  mutable n_dirty : int;           (* stores with no guarantee yet *)
   mutable bytes_materialized : int; (* bytes written to build images *)
   mutable digest : int;            (* digest of [persisted]'s content *)
-  mutable on_guarantee : (int -> unit) option;
-      (* called with each store tid as it becomes guaranteed; the streaming
-         engine unpins the store's trace segment here *)
 }
 
 let create ~trace ~pool_size =
-  let n = max 16 (Trace.slot_capacity trace) in
   { trace;
     lines = Hashtbl.create 1024;
-    pos_line = Array.make n (-1);
-    pos_idx = Array.make n (-1);
+    unguaranteed = Tid_tbl.create 1024;
+    fed = 0;
     touched = [];
     persisted = Pmem.create pool_size;
     n_guaranteed = 0;
-    n_dirty = 0;
     bytes_materialized = 0;
-    digest = 0x1505;
-    on_guarantee = None }
-
-let set_on_guarantee t f = t.on_guarantee <- Some f
-
-(* Position-map key. Tid-indexed arrays would grow with the whole run
-   even when the trace window is bounded; [Trace.slot_pos] is dense over
-   the live window, so the maps stay O(window). A recycled slot is
-   overwritten when its new store is fed; queries are only meaningful for
-   live tids. *)
-let[@inline] pos t tid = Trace.slot_pos t.trace tid
-
-let ensure t p =
-  let cap = Array.length t.pos_idx in
-  if p >= cap then begin
-    let n = max (2 * cap) (p + 1) in
-    let grow a =
-      let b = Array.make n (-1) in
-      Array.blit a 0 b 0 cap;
-      b
-    in
-    t.pos_line <- grow t.pos_line;
-    t.pos_idx <- grow t.pos_idx
-  end
+    digest = 0x1505 }
 
 let line_state t line =
   match Hashtbl.find_opt t.lines line with
@@ -129,39 +117,37 @@ let compact ls =
     ls.dropped <- ls.guaranteed_upto
   end
 
-let on_store_tid t tid =
-  let line = Pmem.line_of_addr (Trace.addr_at t.trace tid) in
-  let ls = line_state t line in
-  let p = pos t tid in
-  ensure t p;
-  t.pos_line.(p) <- line;
-  t.pos_idx.(p) <- seq_len ls;
-  Vec.push ls.seq tid;
-  t.n_dirty <- t.n_dirty + 1
+let on_store t i =
+  let tr = t.trace in
+  let addr = Trace.addr_at tr i in
+  let ls = line_state t (Pmem.line_of_addr addr) in
+  Tid_tbl.replace t.unguaranteed i
+    { st_addr = addr; st_data = Trace.store_payload tr i;
+      st_sid = Trace.sid_at tr i; st_ls = ls; st_idx = seq_len ls };
+  Vec.push ls.seq i
 
 let on_flush t line =
   let ls = line_state t line in
   if ls.pending_upto < seq_len ls then begin
     ls.pending_upto <- seq_len ls;
-    t.touched <- line :: t.touched
+    t.touched <- ls :: t.touched
   end
 
 let on_fence t =
   Obs.Metrics.incr "crash_sim.fences";
   List.iter
-    (fun line ->
-       let ls = line_state t line in
+    (fun ls ->
        for i = ls.guaranteed_upto to ls.pending_upto - 1 do
          let tid = seq_get ls i in
-         Trace.store_write t.trace tid t.persisted;
+         let st = Tid_tbl.find t.unguaranteed tid in
+         Pmem.write_bytes t.persisted st.st_addr st.st_data;
          (* Incremental content digest of [persisted]: same guaranteed
             store sequence => same digest. Identical content reached by
             different sequences may digest differently, which only costs
             a missed memo hit, never a wrong one. *)
-         t.digest <- Trace.store_mix t.trace t.digest tid;
+         t.digest <- Pmem.mix_string (Pmem.mix t.digest st.st_addr) st.st_data;
          t.n_guaranteed <- t.n_guaranteed + 1;
-         t.n_dirty <- t.n_dirty - 1;
-         match t.on_guarantee with None -> () | Some f -> f tid
+         Tid_tbl.remove t.unguaranteed tid
        done;
        if ls.guaranteed_upto < ls.pending_upto then begin
          ls.guaranteed_upto <- ls.pending_upto;
@@ -170,35 +156,34 @@ let on_fence t =
     t.touched;
   t.touched <- []
 
-(* Feed the event at trace index [i]; non-persistence events are ignored.
-   The fast path: dispatches on the kind tag without building an event. *)
+(* Feed the event at trace index [i], the next one; non-persistence
+   events are ignored. The fast path: dispatches on the kind tag without
+   building an event. *)
 let on_index t i =
   let k = Trace.kind_at t.trace i in
-  if k = Trace.k_store then on_store_tid t i
+  if k = Trace.k_store then on_store t i
   else if k = Trace.k_flush then on_flush t (Trace.addr_at t.trace i)
-  else if k = Trace.k_fence then on_fence t
+  else if k = Trace.k_fence then on_fence t;
+  t.fed <- i + 1
 
-(* A tid below the trace's live floor: its segment was retired, which a
-   windowed run only allows once every store in it is guaranteed (dirty
-   stores pin their segment). Queries must not touch its (recycled) slot,
-   and may answer from the invariant instead. *)
-let[@inline] retired t tid = tid < Trace.live_floor t.trace
-
-let fed t tid =
-  tid >= 0
-  && (retired t tid
-      || (let p = pos t tid in
-          p < Array.length t.pos_idx && t.pos_idx.(p) >= 0))
-
+(* Whether fed store [tid] is guaranteed (false for a tid not fed yet). *)
 let is_guaranteed t tid =
-  retired t tid
-  || (fed t tid
-      && (let p = pos t tid in
-          let ls = Hashtbl.find t.lines t.pos_line.(p) in
-          t.pos_idx.(p) < ls.guaranteed_upto))
+  tid >= 0 && tid < t.fed && not (Tid_tbl.mem t.unguaranteed tid)
 
 let n_guaranteed t = t.n_guaranteed
-let n_dirty t = t.n_dirty
+let n_dirty t = Tid_tbl.length t.unguaranteed
+
+let held t tid =
+  match Tid_tbl.find_opt t.unguaranteed tid with
+  | Some st -> st
+  | None -> invalid_arg "Crash_sim: store is guaranteed or not fed"
+
+(* Site and written byte range of an unguaranteed store. *)
+let store_sid t tid = (held t tid).st_sid
+
+let store_range t tid =
+  let st = held t tid in
+  (st.st_addr, String.length st.st_data)
 
 (* The minimal extra persist-set making one store durable: every
    not-yet-guaranteed store on its line up to and including it (x86-TSO
@@ -206,49 +191,40 @@ let n_dirty t = t.n_dirty
    absolute indices [cl_lo] (the line's [guaranteed_upto]) to [cl_hi]
    (the store's own index) — so keying and avoid-checking a candidate
    reads a few ints and builds no list. Empty ([cl_hi < cl_lo]) when the
-   store is retired, not fed or already guaranteed.
+   store is not fed or already guaranteed.
 
    Lifetime: a closure is valid until the next [on_index], because a
    fence may compact the line's [seq] — the same rule as for a
    materialized image. *)
 type closure = {
-  cl_line : int;        (* cache line, -1 for the empty closure *)
   cl_ls : line_state;
   cl_lo : int;
   cl_hi : int;
 }
 
 let empty_closure =
-  { cl_line = -1;
-    cl_ls = { seq = Vec.create ~dummy:(-1) (); dropped = 0; pending_upto = 0;
+  { cl_ls = { seq = Vec.create ~dummy:(-1) (); dropped = 0; pending_upto = 0;
               guaranteed_upto = 0 };
     cl_lo = 0; cl_hi = -1 }
 
 let closure t tid =
-  if retired t tid || not (fed t tid) then empty_closure
-  else begin
-    let p = pos t tid in
-    let line = t.pos_line.(p) in
-    let ls = Hashtbl.find t.lines line in
-    { cl_line = line; cl_ls = ls; cl_lo = ls.guaranteed_upto;
-      cl_hi = t.pos_idx.(p) }
-  end
+  match Tid_tbl.find_opt t.unguaranteed tid with
+  | Some st ->
+    { cl_ls = st.st_ls; cl_lo = st.st_ls.guaranteed_upto; cl_hi = st.st_idx }
+  | None -> empty_closure
 
 (* The closure of [persist] if it can persist while [avoid] stays
    non-durable; [None] if [avoid] is already guaranteed or sits in the
    closure (same line, index in [guaranteed_upto, persist's index]). *)
 let feasible_closure t ~avoid persist =
-  if is_guaranteed t avoid then None
-  else begin
+  match Tid_tbl.find_opt t.unguaranteed avoid with
+  | None when is_guaranteed t avoid -> None
+  | a ->
     let c = closure t persist in
-    if
-      fed t avoid
-      && (let p = pos t avoid in
-          t.pos_line.(p) = c.cl_line
-          && t.pos_idx.(p) >= c.cl_lo && t.pos_idx.(p) <= c.cl_hi)
-    then None
-    else Some c
-  end
+    match a with
+    | Some a when a.st_ls == c.cl_ls && a.st_idx >= c.cl_lo
+                  && a.st_idx <= c.cl_hi -> None
+    | _ -> Some c
 
 (* The closure's tids at indices [cl_lo, hi], in program order. *)
 let tids_upto c hi =
@@ -274,12 +250,13 @@ let materialize t ~extras =
   let img = Pmem.cow t.persisted in
   List.iter
     (fun tid ->
-       if fed t tid then begin
-         Trace.store_write t.trace tid img;
-         let len = Trace.len_at t.trace tid in
+       match Tid_tbl.find_opt t.unguaranteed tid with
+       | Some st ->
+         Pmem.write_bytes img st.st_addr st.st_data;
+         let len = String.length st.st_data in
          t.bytes_materialized <- t.bytes_materialized + len;
          Obs.Metrics.incr ~n:len "crash_sim.bytes_materialized"
-       end)
+       | None -> ())
     (List.sort compare extras);
   Obs.Metrics.incr "crash_sim.images_materialized";
   (* COW build cost of this image: how many 64B lines the extras dirtied.

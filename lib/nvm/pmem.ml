@@ -244,22 +244,6 @@ let mix_string h s =
   done;
   !h
 
-(* [mix_sub h s off len] = [mix_string h (String.sub s off len)] without
-   materializing the substring. *)
-let mix_sub h s off len =
-  let h = ref (mix h len) in
-  let b = Bytes.unsafe_of_string s in
-  let i = ref 0 in
-  while !i + 8 <= len do
-    h := mix !h (Int64.to_int (Bytes.get_int64_le b (off + !i)));
-    i := !i + 8
-  done;
-  while !i < len do
-    h := mix !h (Char.code (String.unsafe_get s (off + !i)));
-    incr i
-  done;
-  !h
-
 (* 64-bit content digest. For a view, pass the digest of the base as
    [seed] (Crash_sim maintains it incrementally): only the view's own
    lines are folded in, in ascending line order, so digesting a crash

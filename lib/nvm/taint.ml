@@ -232,20 +232,6 @@ let elements (t : t) =
   | Small a -> Array.to_list a
   | Bits b -> Array.to_list (bits_elements b.base b.words b.card)
 
-(* Smallest element, or [max_int] for the empty set. O(1) on the sorted
-   Small representation, O(1 word) on Bits (words are trimmed, so the
-   first word is non-zero). The windowed-trace retirement rule uses this
-   to find the oldest load a live event still references. *)
-let min_elt (t : t) =
-  match t with
-  | Small [||] -> max_int
-  | Small a -> a.(0)
-  | Bits b ->
-    let w = b.words.(0) in
-    let bit = ref 0 in
-    while w land (1 lsl !bit) = 0 do incr bit done;
-    b.base + !bit
-
 let union_list = List.fold_left union empty
 
 let pp ppf t =

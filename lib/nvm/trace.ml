@@ -12,10 +12,12 @@
    (kind tag, sid, address, length, op index), store payloads in a
    per-segment [Bytes] arena and taints in two parallel arrays. Recording
    an event is a handful of array writes; reading hot fields ([kind_at],
-   [addr_at], ...) never allocates. [retire_to] recycles a prefix of
-   segments the caller no longer needs, which is how a bounded trace
-   window keeps only its newest events; a trace that is never retired
-   keeps every segment.
+   [addr_at], ...) never allocates. [retire_to] recycles every segment
+   wholly below a target tid, which is how a bounded trace window keeps
+   only its newest events; a trace that is never retired keeps every
+   segment. The trace keeps nothing alive for its readers: a reader that
+   needs an event after its segment may retire (the crash simulator's
+   unguaranteed stores) copies what it needs when it is fed the event.
 
    [get]/[iter] reconstruct [event] values on demand, for reports and
    tests; the pipeline reads the columns. *)
@@ -94,7 +96,6 @@ let () =
      op_end:                               op=index *)
 type rseg = {
   mutable r_base : int;          (* tid of index 0; -1 while on the free list *)
-  r_phys : int;                  (* stable physical id (see [slot_pos]) *)
   r_kind : Bytes.t;
   r_sid : int array;
   r_a : int array;               (* addr / line / desc index *)
@@ -106,8 +107,6 @@ type rseg = {
   mutable r_arena : Bytes.t;     (* store payloads, concatenated *)
   mutable r_arena_len : int;
   r_descs : string Vec.t;        (* op_begin descriptions *)
-  mutable r_min_taint : int;     (* oldest load any event in the seg references *)
-  mutable r_pins : int;          (* external pins (e.g. dirty-store payloads) *)
 }
 
 type ring = {
@@ -116,7 +115,6 @@ type ring = {
   mutable rg_slots : rseg option array;  (* seg_id mod n_slots -> segment *)
   mutable rg_free : rseg list;
   mutable rg_floor : int;                (* first live tid *)
-  mutable rg_phys : int;                 (* segments ever allocated *)
   mutable rg_head : rseg option;         (* append cache: segment of len-1 *)
 }
 
@@ -139,7 +137,7 @@ let create ?(ring_shift = default_seg_shift) () =
   { rg =
       { rg_shift = ring_shift; rg_mask = (1 lsl ring_shift) - 1;
         rg_slots = Array.make 16 None; rg_free = []; rg_floor = 0;
-        rg_phys = 0; rg_head = None };
+        rg_head = None };
     len = 0; n_loads = 0; n_stores = 0; n_flushes = 0; n_fences = 0 }
 
 let length t = t.len
@@ -154,16 +152,13 @@ let rseg_alloc rg =
     s
   | [] ->
     let n = 1 lsl rg.rg_shift in
-    let phys = rg.rg_phys in
-    rg.rg_phys <- phys + 1;
-    { r_base = -1; r_phys = phys;
+    { r_base = -1;
       r_kind = Bytes.create n;
       r_sid = Array.make n 0; r_a = Array.make n 0; r_b = Array.make n 0;
       r_op = Array.make n 0; r_aux = Array.make n 0;
       r_dd = Array.make n Taint.empty; r_cd = Array.make n Taint.empty;
       r_arena = Bytes.create (n * 8); r_arena_len = 0;
-      r_descs = Vec.create ~dummy:"" ();
-      r_min_taint = max_int; r_pins = 0 }
+      r_descs = Vec.create ~dummy:"" () }
 
 (* Slot of segment [seg_id]: seg_id mod n_slots, a mask because the slot
    table's length is a power of two (16, doubled on growth). Live
@@ -188,8 +183,6 @@ let ring_open rg tid =
   do ring_grow_slots rg done;
   let s = rseg_alloc rg in
   s.r_base <- seg_id lsl rg.rg_shift;
-  s.r_min_taint <- max_int;
-  s.r_pins <- 0;
   s.r_arena_len <- 0;
   Vec.clear s.r_descs;
   rg.rg_slots.(slot rg.rg_slots seg_id) <- Some s;
@@ -215,12 +208,6 @@ let[@inline] ring_ro rg tid =
   | Some s when s.r_base = tid land lnot rg.rg_mask -> s
   | _ -> raise_retired rg tid
 
-let ring_note_taint s taint =
-  if not (Taint.is_empty taint) then begin
-    let m = Taint.min_elt taint in
-    if m < s.r_min_taint then s.r_min_taint <- m
-  end
-
 (* Reserve [n] arena bytes; returns the offset they start at. *)
 let ring_arena_reserve s n =
   let cap = Bytes.length s.r_arena in
@@ -240,77 +227,28 @@ let live_floor t = t.rg.rg_floor
 
 let is_live t tid = tid >= live_floor t && tid < t.len
 
-(* Pin/unpin the segment containing [tid]: a pinned segment survives
-   [retire_to] no matter how far the window slides. A windowed run pins
-   segments holding dirty (never-persisted) stores, whose payloads
-   crash-image materialization may still need arbitrarily late. *)
-let pin t tid =
-  let s = ring_ro t.rg tid in
-  s.r_pins <- s.r_pins + 1
-
-let unpin t tid =
-  let s = ring_ro t.rg tid in
-  if s.r_pins > 0 then s.r_pins <- s.r_pins - 1
-
-(* A stable dense index for live tids: phys-segment id * seg size + the
-   offset within the segment. Bounded by [slot_capacity], valid until
-   the tid's segment is retired — side tables (Crash_sim's position
-   maps) keyed by it stay O(window) instead of O(trace). *)
-let slot_pos t tid =
-  let rg = t.rg in
-  let s = ring_ro rg tid in
-  (s.r_phys lsl rg.rg_shift) lor (tid land rg.rg_mask)
-
-let slot_capacity t = t.rg.rg_phys lsl t.rg.rg_shift
-
-(* Retire (recycle) the longest contiguous prefix of segments that lie
-   wholly below [target], skipping any segment that is pinned or that a
-   newer live event still taint-references (a condition spanning the
-   window boundary pins its segment). Returns the number of segments
-   retired. *)
+(* Retire (recycle) every segment that lies wholly below [target], the
+   head (still-appending) segment excepted. Retirement is prefix-only,
+   so the live segments stay one contiguous range. Returns the number of
+   segments retired. *)
 let retire_to t ~target =
   let rg = t.rg in
-  if t.len = 0 then 0
-  else begin
-    let shift = rg.rg_shift in
-    let lo = rg.rg_floor lsr shift and hi = (t.len - 1) lsr shift in
-    let n = hi - lo + 1 in
-    (* min_after.(i - lo) = oldest taint referenced by any segment newer
-       than seg i *)
-    let min_after = Array.make n max_int in
-    let acc = ref max_int in
-    for id = hi downto lo do
-      min_after.(id - lo) <- !acc;
-      (match rg.rg_slots.(slot rg.rg_slots id) with
-       | Some s when s.r_base = id lsl shift ->
-         if s.r_min_taint < !acc then acc := s.r_min_taint
-       | _ -> ())
-    done;
-    let retired = ref 0 in
-    let continue_ = ref true in
-    let id = ref lo in
-    (* never retire the head (still-appending) segment *)
-    while !continue_ && !id < hi do
-      let seg_end = (!id + 1) lsl shift in
-      (match rg.rg_slots.(slot rg.rg_slots !id) with
-       | Some s when s.r_base = !id lsl shift ->
-         if seg_end <= target && s.r_pins = 0
-            && min_after.(!id - lo) >= seg_end
-         then begin
-           rg.rg_slots.(slot rg.rg_slots !id) <- None;
-           s.r_base <- -1;
-           Array.fill s.r_dd 0 (Array.length s.r_dd) Taint.empty;
-           Array.fill s.r_cd 0 (Array.length s.r_cd) Taint.empty;
-           rg.rg_free <- s :: rg.rg_free;
-           rg.rg_floor <- seg_end;
-           incr retired
-         end
-         else continue_ := false
-       | _ -> continue_ := false);
-      incr id
-    done;
-    !retired
-  end
+  let shift = rg.rg_shift in
+  let head = (t.len - 1) asr shift in
+  let retired = ref 0 in
+  let id = ref (rg.rg_floor lsr shift) in
+  while !id < head && (!id + 1) lsl shift <= target do
+    let s = ring_ro rg (!id lsl shift) in
+    rg.rg_slots.(slot rg.rg_slots !id) <- None;
+    s.r_base <- -1;
+    Array.fill s.r_dd 0 (Array.length s.r_dd) Taint.empty;
+    Array.fill s.r_cd 0 (Array.length s.r_cd) Taint.empty;
+    rg.rg_free <- s :: rg.rg_free;
+    incr retired;
+    incr id;
+    rg.rg_floor <- !id lsl shift
+  done;
+  !retired
 
 (* ---------- fast append API (used by Ctx's recording paths) ---------- *)
 
@@ -323,7 +261,6 @@ let add_load t ~sid ~addr ~len ~cd ~op =
   Bytes.unsafe_set s.r_kind i (Char.unsafe_chr k_load);
   s.r_sid.(i) <- sid; s.r_a.(i) <- addr; s.r_b.(i) <- len;
   s.r_op.(i) <- op; s.r_cd.(i) <- cd;
-  ring_note_taint s cd;
   t.len <- tid + 1;
   tid
 
@@ -332,9 +269,7 @@ let ring_store_fields rg s tid ~sid ~addr ~len ~off ~dd ~cd ~op =
   Bytes.unsafe_set s.r_kind i (Char.unsafe_chr k_store);
   s.r_sid.(i) <- sid; s.r_a.(i) <- addr; s.r_b.(i) <- len;
   s.r_op.(i) <- op; s.r_aux.(i) <- off;
-  s.r_dd.(i) <- dd; s.r_cd.(i) <- cd;
-  ring_note_taint s dd;
-  ring_note_taint s cd
+  s.r_dd.(i) <- dd; s.r_cd.(i) <- cd
 
 (* Append a store whose payload is [src[src_off .. src_off+len)]. *)
 let add_store_sub t ~sid ~addr ~src ~src_off ~len ~dd ~cd ~op =
@@ -440,23 +375,11 @@ let tx_at t i = (ring_ro t.rg i).r_aux.(i land t.rg.rg_mask)
 let dd_at t i = (ring_ro t.rg i).r_dd.(i land t.rg.rg_mask)
 let cd_at t i = (ring_ro t.rg i).r_cd.(i land t.rg.rg_mask)
 
-(* Write store [i]'s payload into [pmem] at its recorded address, straight
-   from the segment's arena — no intermediate string. The alias is read
-   synchronously inside [write_sub] and never retained, so the arena's
-   later growth/appends cannot be observed through it. *)
-let store_write t i pmem =
+(* Store [i]'s payload, copied out of the segment's arena. *)
+let store_payload t i =
   let s = ring_ro t.rg i in
   let j = i land t.rg.rg_mask in
-  Pmem.write_sub pmem s.r_a.(j) (Bytes.unsafe_to_string s.r_arena)
-    s.r_aux.(j) s.r_b.(j)
-
-(* Fold store [i] (address + payload) into a content digest; equal to
-   [Pmem.mix_string (Pmem.mix h addr) data]. *)
-let store_mix t h i =
-  let s = ring_ro t.rg i in
-  let j = i land t.rg.rg_mask in
-  Pmem.mix_sub (Pmem.mix h s.r_a.(j)) (Bytes.unsafe_to_string s.r_arena)
-    s.r_aux.(j) s.r_b.(j)
+  Bytes.sub_string s.r_arena s.r_aux.(j) s.r_b.(j)
 
 (* ---------- event reconstruction ---------- *)
 

@@ -353,12 +353,9 @@ let rt_columns_ok tr i (ev : Trace.event) =
     k = Trace.k_load && sid = l.l_sid && addr = l.l_addr && len = l.l_len
     && op = l.l_op && Trace.cd_at tr i = l.l_cd
   | Store s ->
-    let p = Pmem.create 4096 in
-    Trace.store_write tr i p;
     k = Trace.k_store && sid = s.s_sid && addr = s.s_addr && len = s.s_len
     && op = s.s_op && Trace.dd_at tr i = s.s_dd && Trace.cd_at tr i = s.s_cd
-    && Pmem.read_bytes p s.s_addr s.s_len = s.s_data
-    && Trace.store_mix tr 7 i = Pmem.mix_string (Pmem.mix 7 s.s_addr) s.s_data
+    && Trace.store_payload tr i = s.s_data
   | Flush f -> k = Trace.k_flush && sid = f.f_sid && addr = f.f_line && op = f.f_op
   | Fence f -> k = Trace.k_fence && sid = f.n_sid && op = f.n_op
   | Log_range g ->
@@ -373,8 +370,8 @@ let rt_columns_ok tr i (ev : Trace.event) =
 (* qcheck: random sequences of all ten event kinds (taints up to 12
    members, so both taint representations) appended to a trace of
    16-event segments read back as the list appended, through every
-   accessor: rebuilt events, columns, payload writes and digests, the
-   live-window walk and the kind counts. *)
+   accessor: rebuilt events, columns, store payloads, the live-window
+   walk and the kind counts. *)
 let prop_trace_roundtrip =
   let open QCheck2.Gen in
   let members = list_size (int_range 0 12) (int_range 0 40) in

@@ -9,7 +9,8 @@
    deliberately tiny window (4 segments of 128 events) so a
    few-thousand-event trace retires dozens of segments mid-run, plus a
    2-deep checkpoint ring to force evictions — parity must survive
-   both. *)
+   both. Nothing holds a segment back: each pass retires every segment
+   that leaves the window. *)
 
 module W = Witcher
 module R = Stores.Registry
@@ -35,11 +36,24 @@ let fingerprint (r : W.Engine.result) =
     List.sort compare r.site_pairs,
     List.sort compare r.bug_reports )
 
+(* Segments a bounded run retires: pass A and pass B each retire every
+   segment wholly below the window by the end of the run. *)
+let expected_retirements (c : W.Engine.cfg) ~trace_len =
+  let window = c.stream_window lsl c.stream_seg_shift in
+  2 * (max 0 (trace_len - window) lsr c.stream_seg_shift)
+
 let check_parity (c : W.Engine.cfg) (e : R.entry) =
   let batch = W.Engine.run ~cfg:c (e.buggy ()) in
-  let stream = W.Engine.run_stream ~cfg:(stream_cfg c) (e.buggy ()) in
+  let sc = stream_cfg c in
+  let stream = W.Engine.run_stream ~cfg:sc (e.buggy ()) in
   if not stream.stream_on then
     Alcotest.failf "%s: run_stream did not mark stream_on" e.name;
+  let want = expected_retirements sc ~trace_len:stream.trace_len in
+  if stream.window_retirements <> want then
+    Alcotest.failf
+      "%s seed=%d n=%d %s: %d segments retired, want %d (trace %d events)"
+      e.name c.workload.seed c.workload.n_ops (Prune.Policy.name c.prune)
+      stream.window_retirements want stream.trace_len;
   if fingerprint batch <> fingerprint stream then
     Alcotest.failf
       "%s seed=%d n=%d %s%s: stream/batch divergence \
@@ -66,22 +80,45 @@ let parity_prop =
          R.all;
        true)
 
+(* The `image` events of a run, without the event ids they carry and
+   point to (unbounded runs also log pass-A `ckpt` events, which shift
+   the ids). *)
+let image_events run =
+  Obs.Event.start ();
+  (match run () with
+   | _ -> ()
+   | exception ex -> ignore (Obs.Event.stop ()); raise ex);
+  List.filter_map
+    (function
+      | Obs.Jsonx.Obj fields when List.assoc "e" fields = Obs.Jsonx.Str "image" ->
+        Some (List.filter (fun (k, _) -> k <> "i" && k <> "cond") fields)
+      | _ -> None)
+    (Obs.Event.stop ())
+
 (* The tiny window must actually slide: with 4 x 128 live events and a
    multi-thousand-event trace, retirement is guaranteed, as are
-   checkpoint-ring evictions with stride 32, ring 2 and 100+ ops. *)
+   checkpoint-ring evictions with stride 32, ring 2 and 100+ ops. Buggy
+   level-hash never flushes its counters' line, so many images persist
+   stores whose segments are long retired; their `image` events (sids
+   and ranges of the extras) must read exactly as unbounded. *)
 let test_stream_counters () =
   let e =
     List.find (fun (e : R.entry) -> e.R.name = "level-hash") R.all
   in
-  let r =
-    check_parity (cfg ~prune:Prune.Policy.Exhaustive ~seed:7 ~n_ops:120) e
-  in
+  let c = cfg ~prune:Prune.Policy.Exhaustive ~seed:7 ~n_ops:120 in
+  let r = check_parity c e in
   Alcotest.(check bool) "window retired segments" true
     (r.window_retirements > 0);
   Alcotest.(check bool) "checkpoint ring evicted" true
     (r.ckpt_ring_evictions > 0);
   Alcotest.(check bool) "peak live heap sampled" true
-    (r.peak_live_words > 0)
+    (r.peak_live_words > 0);
+  let batch = image_events (fun () -> W.Engine.run ~cfg:c (e.buggy ())) in
+  let stream =
+    image_events (fun () -> W.Engine.run_stream ~cfg:(stream_cfg c) (e.buggy ()))
+  in
+  Alcotest.(check bool) "images logged" true (batch <> []);
+  Alcotest.(check bool) "image events equal unbounded" true (batch = stream)
 
 (* [ckpt_bytes] counts the pool snapshots actually held: none without a
    stride; at 128 ops with the default stride the three taken after ops
@@ -143,11 +180,16 @@ let add_n tr n =
          ~cd:Nvm.Taint.empty ~op:0)
   done
 
+let allocated f =
+  let a0 = Gc.allocated_bytes () in
+  f ();
+  Gc.allocated_bytes () -. a0
+
 let test_ring_retires () =
   let tr = ring () in
   add_n tr 100;
   let r = T.retire_to tr ~target:(T.length tr - 32) in
-  Alcotest.(check bool) "retired some segments" true (r >= 3);
+  Alcotest.(check int) "every segment below the target" 4 r;
   Alcotest.(check int) "floor advanced" (r * 16) (T.live_floor tr);
   Alcotest.(check int) "length unaffected" 100 (T.length tr);
   Alcotest.(check bool) "old tid not live" false (T.is_live tr 0);
@@ -155,27 +197,65 @@ let test_ring_retires () =
   (match T.addr_at tr 0 with
    | _ -> Alcotest.fail "retired access must raise"
    | exception T.Retired _ -> ());
-  (* slot reuse: capacity stays bounded by the live window *)
-  add_n tr 200;
-  ignore (T.retire_to tr ~target:(T.length tr - 32));
-  Alcotest.(check bool) "slot capacity bounded"
-    true
-    (T.slot_capacity tr < T.length tr)
+  (* Recycling: sliding the window over 200 more events opens 12
+     segments, each taken from the free list. A fresh 16-event segment
+     allocates over 1 KB of columns; recycling costs a list cell per
+     retirement. *)
+  let a =
+    allocated (fun () ->
+        for _ = 1 to 20 do
+          add_n tr 10;
+          ignore (T.retire_to tr ~target:(T.length tr - 32))
+        done)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "200 windowed appends allocate %.0f bytes < 1 KB" a)
+    true (a < 1024.)
 
-let test_ring_pin_blocks_retirement () =
+(* The simulator owns the stores it has not guaranteed: a never-flushed
+   store whose segment has been retired is still unguaranteed, still
+   heads its closure, still reports its sid and range, and still writes
+   its bytes into an image that persists it. *)
+let test_sim_holds_retired_store () =
+  let module Sim = Nvm.Crash_sim in
   let tr = ring () in
-  add_n tr 100;
-  T.pin tr 3;  (* pins segment 0 *)
+  let sim = Sim.create ~trace:tr ~pool_size:4096 in
+  let sid = Nvm.Sid.intern "t:dirty" in
+  let dirty =
+    T.add_store_u64 tr ~sid ~addr:128 ~v:0x1234_5678 ~dd:Nvm.Taint.empty
+      ~cd:Nvm.Taint.empty ~op:0
+  in
+  Sim.on_index sim dirty;
+  (* 60 more events, a flushed and fenced store on another line among
+     them: fences pass, but none guarantees the dirty store *)
+  for i = 1 to 20 do
+    let st =
+      T.add_store_u64 tr ~sid:(Nvm.Sid.intern "t:clean") ~addr:(256 + (8 * i))
+        ~v:i ~dd:Nvm.Taint.empty ~cd:Nvm.Taint.empty ~op:0
+    in
+    Sim.on_index sim st;
+    Sim.on_index sim
+      (T.add_flush tr ~sid:(Nvm.Sid.intern "t:fl")
+         ~line:(Nvm.Pmem.line_of_addr (256 + (8 * i))) ~op:0);
+    Sim.on_index sim (T.add_fence tr ~sid:(Nvm.Sid.intern "t:fe") ~op:0)
+  done;
   let r = T.retire_to tr ~target:(T.length tr - 16) in
-  Alcotest.(check int) "pinned head segment blocks retirement" 0 r;
-  Alcotest.(check int) "floor unmoved" 0 (T.live_floor tr);
-  T.unpin tr 3;
-  let r = T.retire_to tr ~target:(T.length tr - 16) in
-  Alcotest.(check bool) "unpinned: retirement proceeds" true (r > 0)
+  Alcotest.(check bool) "the store's segment retired" true
+    (r > 0 && not (T.is_live tr dirty));
+  Alcotest.(check bool) "still unguaranteed" false (Sim.is_guaranteed sim dirty);
+  Alcotest.(check (list int)) "heads its closure" [ dirty ]
+    (Sim.closure_tids (Sim.closure sim dirty));
+  Alcotest.(check int) "sid" sid (Sim.store_sid sim dirty);
+  Alcotest.(check (pair int int)) "range" (128, 8) (Sim.store_range sim dirty);
+  let img = Sim.materialize sim ~extras:[ dirty ] in
+  Alcotest.(check int) "image holds its bytes" 0x1234_5678
+    (Nvm.Pmem.read_u64 img 128);
+  Alcotest.(check int) "the guaranteed base does not" 0
+    (Nvm.Pmem.read_u64 (Sim.materialize sim ~extras:[]) 128)
 
-(* A condition spanning the window boundary: a *newer* event whose taint
-   references an event in the oldest segment must keep that segment (and
-   therefore everything after it) resident. *)
+(* A condition spanning the window boundary holds nothing: the segment a
+   newer event's taint references retires like any other, and reading
+   the referenced load then raises [Retired]. *)
 let test_ring_taint_spans_window () =
   let tr = ring () in
   let first =
@@ -189,14 +269,17 @@ let test_ring_taint_spans_window () =
        ~dd:(Nvm.Taint.singleton first) ~cd:Nvm.Taint.empty ~op:1);
   add_n tr 40;
   let r = T.retire_to tr ~target:(T.length tr - 16) in
-  Alcotest.(check int) "taint-referenced segment is pinned" 0 r;
-  Alcotest.(check int) "tid 0 still readable" 0 (T.addr_at tr first)
+  Alcotest.(check int) "every segment below the target retires"
+    ((T.length tr - 16) / 16) r;
+  match T.addr_at tr first with
+  | _ -> Alcotest.fail "the referenced load must be retired"
+  | exception T.Retired _ -> ()
 
 let suite =
   [ Alcotest.test_case "ring retires and recycles" `Quick test_ring_retires;
-    Alcotest.test_case "pin blocks retirement" `Quick
-      test_ring_pin_blocks_retirement;
-    Alcotest.test_case "spanning taint pins segment" `Quick
+    Alcotest.test_case "sim keeps a retired dirty store" `Quick
+      test_sim_holds_retired_store;
+    Alcotest.test_case "spanning taint holds no segment" `Quick
       test_ring_taint_spans_window;
     Alcotest.test_case "streaming counters move" `Slow test_stream_counters;
     Alcotest.test_case "ckpt_bytes without a stride" `Quick
