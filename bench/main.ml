@@ -161,8 +161,7 @@ let fig4 () =
        let rec_ = record_store e in
        let r = run_store e in
        let series =
-         W.Yat.estimate ~trace:rec_.trace ~pool_size:rec_.pool_size
-           ~per_op_images:r.per_op_images ~n_ops
+         W.Yat.estimate ~trace:rec_.trace ~per_op_images:r.per_op_images ~n_ops
        in
        print_endline (W.Report.figure4 ~name series ~step:(max 1 (n_ops / 12)));
        let last = Array.length series.yat_log10 - 1 in

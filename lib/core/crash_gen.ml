@@ -95,7 +95,6 @@ type cand = {
   cd_key : int;         (* [Crash_sim.closure_key] of the extra
                            persist-set (its first 10 tids); 0 = baseline *)
   cd_viol : violation;
-  cd_path_hash : int;
   cd_path_sig : int;    (* truncated path digest, see [image.path_sig] *)
 }
 
@@ -331,8 +330,7 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
         match
           decide
             { cd_fence_tid = fence_tid; cd_crash_op = op; cd_key = key;
-              cd_viol = viol; cd_path_hash = !path_hash;
-              cd_path_sig = !cur_sig }
+              cd_viol = viol; cd_path_sig = !cur_sig }
         with
         | `Defer ->
           stats.deferred <- stats.deferred + 1;

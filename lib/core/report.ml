@@ -143,23 +143,15 @@ let figure4 ~name (s : Yat.series) ~step =
   Buffer.add_string buf
     (Printf.sprintf "%6s | %18s | %14s\n" "op" "Yat (log10 states)" "Witcher images");
   let n = Array.length s.yat_log10 in
-  let rec go i =
-    if i < n then begin
-      Buffer.add_string buf
-        (Printf.sprintf "%6d | %18.1f | %14d\n" i s.yat_log10.(i) s.witcher.(i));
-      go (min (i + step) (if i = n - 1 then n else n - 1 + (n - 1 - i)))
-    end
-  in
   (* print every [step]-th op plus the last one *)
-  let rec go2 i =
+  let rec go i =
     if i < n - 1 then begin
       Buffer.add_string buf
         (Printf.sprintf "%6d | %18.1f | %14d\n" i s.yat_log10.(i) s.witcher.(i));
-      go2 (i + step)
+      go (i + step)
     end
   in
-  ignore go;
-  go2 0;
+  go 0;
   if n > 0 then
     Buffer.add_string buf
       (Printf.sprintf "%6d | %18.1f | %14d\n" (n - 1)

@@ -45,27 +45,25 @@ type series = {
 
 (* Build Figure 4's two curves from a trace and the per-op image counts
    produced by Crash_gen. *)
-let estimate ~trace ~pool_size ~(per_op_images : (int, int) Hashtbl.t) ~n_ops =
-  let sim = Crash_sim.create ~trace ~pool_size in
+let estimate ~trace ~(per_op_images : (int, int) Hashtbl.t) ~n_ops =
   let yat = Array.make (n_ops + 1) neg_infinity in
   let total = ref neg_infinity in
   (* Yat permutes the uncommitted stores of each reordering window (the
      stores since the previous fence). *)
   let epoch_stores = ref 0 in
   for i = 0 to Trace.length trace - 1 do
-    (match Trace.get trace i with
-     | Trace.Store _ -> incr epoch_stores
-     | Trace.Fence f ->
-       let m = !epoch_stores in
-       epoch_stores := 0;
-       if m > 0 then begin
-         let states = log10_fact m +. log10_e in
-         total := log10_add !total states;
-         let op = min f.n_op n_ops in
-         if op >= 0 then yat.(op) <- !total
-       end
-     | _ -> ());
-    Crash_sim.on_index sim i
+    let k = Trace.kind_at trace i in
+    if k = Trace.k_store then incr epoch_stores
+    else if k = Trace.k_fence then begin
+      let m = !epoch_stores in
+      epoch_stores := 0;
+      if m > 0 then begin
+        let states = log10_fact m +. log10_e in
+        total := log10_add !total states;
+        let op = min (Trace.op_at trace i) n_ops in
+        if op >= 0 then yat.(op) <- !total
+      end
+    end
   done;
   (* forward-fill ops with no fence *)
   let last = ref 0.0 in

@@ -311,16 +311,15 @@ let all_feasible_extras t ~limit =
   let rec product acc = function
     | [] -> acc
     | prefixes :: rest ->
-      if List.length acc * List.length prefixes > limit then
-        (* truncate: keep the empty-prefix choice plus as many as fit *)
-        let budget = max 1 (limit / max 1 (List.length acc)) in
-        let prefixes = List.filteri (fun i _ -> i < budget) prefixes in
-        product
-          (List.concat_map (fun set -> List.map (fun p -> p @ set) prefixes) acc)
-          rest
-      else
-        product
-          (List.concat_map (fun set -> List.map (fun p -> p @ set) prefixes) acc)
-          rest
+      let prefixes =
+        if List.length acc * List.length prefixes <= limit then prefixes
+        else
+          (* truncate: keep the empty-prefix choice plus as many as fit *)
+          let budget = max 1 (limit / max 1 (List.length acc)) in
+          List.filteri (fun i _ -> i < budget) prefixes
+      in
+      product
+        (List.concat_map (fun set -> List.map (fun p -> p @ set) prefixes) acc)
+        rest
   in
   product [ [] ] per_line

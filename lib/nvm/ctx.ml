@@ -4,6 +4,10 @@
    needs (§4.1-4.2). In [Quiet] mode (oracle runs, crash-image resumption)
    accesses hit the pool directly with no tracing and no taint.
 
+   Control dependencies come from two places: branch scopes ([if_],
+   [when_], [with_guard]) and pointer-chase guards, where the first
+   [read_ptr] of each address in an op guards the rest of that op.
+
    Stores are split at cache-line boundaries so that every Store event
    lives on exactly one line; the crash simulator and image builder rely
    on this to keep per-line persist-order reasoning exact.
@@ -32,6 +36,7 @@ type t = {
   taints : bool;               (* false: record events, skip taint tracking *)
   mutable cd_stack : Taint.t list;
   mutable op_cd : Taint.t;     (* pointer-chase guards, cleared per op *)
+  mutable op_ptrs : int list;  (* addresses [op_cd] guards, cleared per op *)
   mutable cd : Taint.t;        (* cached union of cd_stack + op_cd *)
   mutable op : int;
   mutable fuel : int;
@@ -52,8 +57,8 @@ type t = {
 let create ?(fuel = 100_000_000) ?trace ?(taintless = false) ~mode pmem =
   let trace = match trace with Some tr -> tr | None -> Trace.create () in
   { pmem; mode; trace; taints = not taintless; cd_stack = [];
-    op_cd = Taint.empty; cd = Taint.empty; op = -1; fuel; op_fuel = fuel;
-    max_op_cost = 0; tx_counter = 0; rtrack = None }
+    op_cd = Taint.empty; op_ptrs = []; cd = Taint.empty; op = -1; fuel;
+    op_fuel = fuel; max_op_cost = 0; tx_counter = 0; rtrack = None }
 
 let set_read_track t w = t.rtrack <- w
 
@@ -237,7 +242,15 @@ let pop_guard t =
    current operation does afterwards is only reachable through this
    pointer, so the load guards the rest of the op — this is how the PDG's
    address-level data dependencies surface (e.g. "the table pointer is a
-   guardian of the rehashed slots"). Cleared at op boundaries. *)
+   guardian of the rehashed slots"). Cleared at op boundaries.
+
+   Only the op's first load of an address becomes a guard (level-hash's
+   rehash re-reads its two table pointers hundreds of times per op); a
+   re-read still returns a value with its own taint, so data dependences
+   keep every load. Dropping the re-reads loses no condition: inference
+   keys every condition and guardian by the load's (address, 8) cell,
+   never by its sid or tid, and walks a taint in ascending tid, so the
+   oldest load, the one kept, is the one whose sid a condition records. *)
 let read_ptr t ~sid addr =
   burn t;
   let v = Pmem.read_u64 t.pmem addr in
@@ -249,8 +262,12 @@ let read_ptr t ~sid addr =
     in
     if t.taints then begin
       let taint = Taint.singleton tid in
-      t.op_cd <- Taint.union t.op_cd taint;
-      t.cd <- Taint.union t.cd taint;
+      (* addresses are immediate ints, so [memq] is value equality *)
+      if not (List.memq addr t.op_ptrs) then begin
+        t.op_ptrs <- addr :: t.op_ptrs;
+        t.op_cd <- Taint.union t.op_cd taint;
+        t.cd <- Taint.union t.cd taint
+      end;
       Tv.make ~taint v
     end
     else Tv.const v
@@ -278,6 +295,7 @@ let op_begin t ~index ~desc =
   t.op <- index;
   t.op_fuel <- t.fuel;
   t.op_cd <- Taint.empty;
+  t.op_ptrs <- [];
   t.cd <- Taint.union_list t.cd_stack;
   if recording t then
     Trace.push t.trace

@@ -575,8 +575,7 @@ let test_yat_estimate_monotone () =
   in
   let r = W.Driver.record (module S) ops in
   let series =
-    W.Yat.estimate ~trace:r.trace ~pool_size:r.pool_size
-      ~per_op_images:(Hashtbl.create 1) ~n_ops:120
+    W.Yat.estimate ~trace:r.trace ~per_op_images:(Hashtbl.create 1) ~n_ops:120
   in
   let arr = series.yat_log10 in
   let ok = ref true in

@@ -28,6 +28,44 @@ let test_taint () =
   checkb "mem" true (Taint.mem 1 u);
   checkb "empty" true (Taint.is_empty Taint.empty)
 
+(* qcheck: taints built by [singleton], [union] and [union_list] from
+   random tid lists agree with a sorted distinct list in elements,
+   cardinal, membership, iteration order and structural equality; and a
+   union that equals one of its arguments returns that argument, the
+   reuse that lets the guard stack re-union an unchanged scope without
+   allocating. *)
+let prop_taint_model =
+  let tids = QCheck2.Gen.(list_size (int_range 0 40) (int_range 0 100)) in
+  QCheck2.Test.make ~name:"taint = sorted-list model" ~count:500
+    QCheck2.Gen.(pair tids tids)
+    (fun (xs, ys) ->
+       let model l = List.sort_uniq compare l in
+       let agrees t l =
+         let walked = ref [] in
+         Taint.iter (fun x -> walked := x :: !walked) t;
+         Taint.elements t = l
+         && Taint.cardinal t = List.length l
+         && Taint.is_empty t = (l = [])
+         && List.rev !walked = l
+         && List.for_all (fun x -> Taint.mem x t = List.mem x l)
+              (List.init 103 (fun i -> i - 1))
+       in
+       let subset p q = List.for_all (fun x -> List.mem x q) p in
+       let a =
+         List.fold_left (fun t x -> Taint.union t (Taint.singleton x)) Taint.empty xs
+       in
+       let b = Taint.union_list (List.rev_map Taint.singleton ys) in
+       let u = Taint.union a b in
+       let reuses x y =
+         let r = Taint.union x y in
+         if subset (Taint.elements y) (Taint.elements x) then r == x
+         else if subset (Taint.elements x) (Taint.elements y) then r == y
+         else true
+       in
+       agrees a (model xs) && agrees b (model ys) && agrees u (model (xs @ ys))
+       && u = Taint.union b a
+       && reuses a b && reuses b a && reuses u a && reuses b u && reuses a a)
+
 let test_tv_arith () =
   let a = Tv.make ~taint:(Taint.singleton 1) 10 in
   let b = Tv.make ~taint:(Taint.singleton 2) 32 in
@@ -268,6 +306,56 @@ let test_ctx_trace () =
    | Trace.Load l -> checkb "cd nonempty" false (Taint.is_empty l.l_cd)
    | _ -> Alcotest.fail "expected load")
 
+(* Pointer-chase guards: the op's first [read_ptr] of an address guards
+   the rest of the op; a re-read returns a value with its own taint but
+   adds no guard, and the next op starts from no guards. *)
+let test_ctx_ptr_guards () =
+  let last_store_cd ctx =
+    Ctx.write_u64 ctx ~sid:"w" 64 Tv.one;
+    let tr = Ctx.trace ctx in
+    match Trace.get tr (Trace.length tr - 1) with
+    | Trace.Store s -> Taint.elements s.s_cd
+    | _ -> Alcotest.fail "expected store"
+  in
+  let tids = Alcotest.(check (list int)) in
+  let ctx = Ctx.create ~mode:Record (Pmem.create 1024) in
+  (* event 0 is Op_begin, 1 and 2 the loads of address 0, 3 the store *)
+  Ctx.op_begin ctx ~index:0 ~desc:"t";
+  ignore (Ctx.read_ptr ctx ~sid:"p.first" 0);
+  let again = Ctx.read_ptr ctx ~sid:"p.again" 0 in
+  tids "a re-read adds no guard" [ 1 ] (last_store_cd ctx);
+  tids "a re-read keeps its own taint" [ 2 ] (Taint.elements (Tv.taint again));
+  (* 4 loads address 8, 5 is the store *)
+  ignore (Ctx.read_ptr ctx ~sid:"p.other" 8);
+  tids "another address guards" [ 1; 4 ] (last_store_cd ctx);
+  (* 6 Op_end, 7 Op_begin, 8 the load *)
+  Ctx.op_end ctx ~index:0;
+  Ctx.op_begin ctx ~index:1 ~desc:"t";
+  ignore (Ctx.read_ptr ctx ~sid:"p.first" 0);
+  tids "the next op admits the address again" [ 8 ] (last_store_cd ctx);
+  let quiet = Ctx.create ~mode:Record ~taintless:true (Pmem.create 1024) in
+  Ctx.op_begin quiet ~index:0 ~desc:"t";
+  let v = Ctx.read_ptr quiet ~sid:"p.first" 0 in
+  ignore (Ctx.read_ptr quiet ~sid:"p.other" 8);
+  tids "a taintless context records no guards" [] (last_store_cd quiet);
+  tids "nor value taints" [] (Taint.elements (Tv.taint v))
+
+(* Complexity guard: buggy level-hash's rehash re-reads its two table
+   pointers hundreds of times in one op. With one guard per address per
+   op no event's control taint holds more than 8 loads at 1,000 ops; with
+   a guard per re-read the largest held 507. *)
+let test_ptr_guards_bounded () =
+  let e = Option.get (Stores.Registry.find "level-hash") in
+  let module S = (val e.buggy ()) in
+  let wl = { Witcher.Workload.default with n_ops = 1000 } in
+  let wl = if S.supports_scan then wl else Witcher.Workload.no_scan wl in
+  let r = Witcher.Driver.record (module S) (Witcher.Workload.generate wl) in
+  let largest = ref 0 in
+  for i = 0 to Trace.length r.trace - 1 do
+    largest := max !largest (Taint.cardinal (Trace.cd_at r.trace i))
+  done;
+  checkb (Printf.sprintf "largest cd (%d loads) <= 8" !largest) true (!largest <= 8)
+
 let test_ctx_line_split () =
   let p = Pmem.create 1024 in
   let ctx = Ctx.create ~mode:Record p in
@@ -367,11 +455,10 @@ let rt_columns_ok tr i (ev : Trace.event) =
   | Op_begin o -> k = Trace.k_op_begin && op = o.o_index
   | Op_end o -> k = Trace.k_op_end && op = o.o_index
 
-(* qcheck: random sequences of all ten event kinds (taints up to 12
-   members, so both taint representations) appended to a trace of
-   16-event segments read back as the list appended, through every
-   accessor: rebuilt events, columns, store payloads, the live-window
-   walk and the kind counts. *)
+(* qcheck: random sequences of all ten event kinds (taints of up to 12
+   members) appended to a trace of 16-event segments read back as the
+   list appended, through every accessor: rebuilt events, columns, store
+   payloads, the live-window walk and the kind counts. *)
 let prop_trace_roundtrip =
   let open QCheck2.Gen in
   let members = list_size (int_range 0 12) (int_range 0 40) in
@@ -539,10 +626,13 @@ let prop_materialize_model =
 let suite =
   [ Alcotest.test_case "vec" `Quick test_vec;
     Alcotest.test_case "taint" `Quick test_taint;
+    QCheck_alcotest.to_alcotest prop_taint_model;
     Alcotest.test_case "tv arithmetic taints" `Quick test_tv_arith;
     Alcotest.test_case "pmem bounds + snapshot" `Quick test_pmem;
     Alcotest.test_case "pmem cow view" `Quick test_pmem_cow;
     Alcotest.test_case "ctx records dd/cd" `Quick test_ctx_trace;
+    Alcotest.test_case "ctx guards each pointer once per op" `Quick test_ctx_ptr_guards;
+    Alcotest.test_case "level-hash guard sets stay small" `Quick test_ptr_guards_bounded;
     Alcotest.test_case "ctx splits at line boundary" `Quick test_ctx_line_split;
     Alcotest.test_case "ctx fuel" `Quick test_ctx_fuel;
     QCheck_alcotest.to_alcotest prop_trace_roundtrip;
