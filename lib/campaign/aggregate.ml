@@ -30,7 +30,6 @@ type row = {
   prune_reps : int;         (* representatives + spot-checks validated *)
   images_elided : int;      (* images never validated thanks to pruning *)
   prune_expansions : int;   (* classes promoted back to full validation *)
-  seed_memo_hits : int;     (* classes elided via the cross-seed memo *)
   stream_jobs : int;        (* jobs run by the bounded-memory engine *)
   window_retirements : int; (* trace segments recycled by the window *)
   ckpt_ring_evictions : int;(* checkpoints dropped by the bounded ring *)
@@ -56,7 +55,7 @@ let empty_row store variant =
     oracle_ops_saved = 0; memo_hits = 0; ckpt_bytes = 0; batch_fences = 0;
     inherit_hits = 0; batch_saved = 0; prune_classes = 0;
     prune_reps = 0; images_elided = 0; prune_expansions = 0;
-    seed_memo_hits = 0; stream_jobs = 0; window_retirements = 0;
+    stream_jobs = 0; window_retirements = 0;
     ckpt_ring_evictions = 0; peak_live_words = 0; t_equiv = 0.; wall = 0. }
 
 let add_record row (r : Journal.record) =
@@ -116,7 +115,6 @@ let add_record row (r : Journal.record) =
     prune_reps = row.prune_reps + p "reps";
     images_elided = row.images_elided + p "elided";
     prune_expansions = row.prune_expansions + p "expansions";
-    seed_memo_hits = row.seed_memo_hits + p "seed_memo_hits";
     stream_jobs = row.stream_jobs + (if stream_j = None then 0 else 1);
     window_retirements = row.window_retirements + s "window_retirements";
     ckpt_ring_evictions = row.ckpt_ring_evictions + s "ckpt_ring_evictions";
@@ -174,7 +172,6 @@ let of_records (records : Journal.record list) =
            prune_reps = acc.prune_reps + row.prune_reps;
            images_elided = acc.images_elided + row.images_elided;
            prune_expansions = acc.prune_expansions + row.prune_expansions;
-           seed_memo_hits = acc.seed_memo_hits + row.seed_memo_hits;
            stream_jobs = acc.stream_jobs + row.stream_jobs;
            window_retirements =
              acc.window_retirements + row.window_retirements;
@@ -280,7 +277,6 @@ let row_json row =
       ("prune_reps", Jsonx.Int row.prune_reps);
       ("images_elided", Jsonx.Int row.images_elided);
       ("prune_expansions", Jsonx.Int row.prune_expansions);
-      ("seed_memo_hits", Jsonx.Int row.seed_memo_hits);
       ("stream_jobs", Jsonx.Int row.stream_jobs);
       ("window_retirements", Jsonx.Int row.window_retirements);
       ("ckpt_ring_evictions", Jsonx.Int row.ckpt_ring_evictions);

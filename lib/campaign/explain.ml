@@ -332,11 +332,10 @@ let render_bug_text buf i (b : bug) =
       | None -> add "  provenance : %s%s\n" prov memo
       | Some cl ->
         add "  provenance : %s%s; class of %d member(s), %d deferred, \
-             %d spot-check(s)%s%s\n"
+             %d spot-check(s)%s\n"
           prov memo (int_f cl "members") (int_f cl "deferred")
           (int_f cl "spots")
-          (if bool_field cl "promoted" then ", promoted" else "")
-          (if bool_field cl "memo_hit" then ", cross-seed memo hit" else "")))
+          (if bool_field cl "promoted" then ", promoted" else "")))
 
 let no_event_note =
   "note: no event data recorded (pre-forensics journal or a campaign run \

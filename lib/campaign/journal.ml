@@ -63,14 +63,7 @@ let prune_json (r : W.Engine.result) =
            ("reps", Jsonx.Int r.prune_reps);
            ("deferred", Jsonx.Int r.images_deferred);
            ("elided", Jsonx.Int r.images_elided);
-           ("expansions", Jsonx.Int r.prune_expansions);
-           ("seed_memo_hits", Jsonx.Int r.seed_memo_hits);
-           ("class_outcomes",
-            Jsonx.List
-              (List.map
-                 (fun (k, ok) ->
-                    Jsonx.Obj [ ("k", Jsonx.Str k); ("ok", Jsonx.Bool ok) ])
-                 r.class_outcomes)) ]) ]
+           ("expansions", Jsonx.Int r.prune_expansions) ]) ]
 
 (* Batch block, emitted only when fence-batched checking ran: batch-off
    results stay byte-identical to pre-batch journals, and pre-batch

@@ -52,9 +52,9 @@ let mkdir_p dir =
 
 (* What one worker does: look the store up, build the engine config the
    job spec describes, run the pipeline, return the per-job JSON. Runs
-   inside the forked child; [memo] is the orchestrator's cross-seed class
-   memo, captured (as of fork time) for representative-mode jobs. *)
-let default_run_job ?memo ?events_dir (spec : Job.spec) =
+   inside the forked child, and reads nothing but the spec, so a job's
+   result is the same whatever ran before it or beside it. *)
+let default_run_job ?events_dir (spec : Job.spec) =
   match Stores.Registry.find spec.store with
   | None -> failwith ("unknown store " ^ spec.store)
   | Some e ->
@@ -70,16 +70,13 @@ let default_run_job ?memo ?events_dir (spec : Job.spec) =
         crash = { W.Crash_gen.default_cfg with max_images = spec.max_images };
         prune = spec.prune; expand_budget = spec.expand_budget }
     in
-    let class_memo =
-      match memo with None -> None | Some m -> Some (Seed_memo.fn m spec)
-    in
     (* Event shard: one file per job key, written by the forked child.
        Keyed on Job.key so the post-sweep merge is a pure function of
        the matrix, independent of worker scheduling. *)
     (match events_dir with
      | Some d -> Obs.Event.start ~path:(Filename.concat d (Job.key spec ^ ".jsonl")) ()
      | None -> ());
-    let result = Journal.result_json (W.Engine.run ~cfg ?class_memo instance) in
+    let result = Journal.result_json (W.Engine.run ~cfg instance) in
     if events_dir <> None then ignore (Obs.Event.stop ());
     result
 
@@ -175,10 +172,6 @@ let run_matrix ?run_job (cfg : cfg) ~jobs =
   if not cfg.resume && Sys.file_exists journal_path then
     Sys.remove journal_path;
   let done_keys = Journal.completed_keys prior in
-  (* Cross-seed class memo: seeded from the resumed journal (so a resumed
-     sweep keeps its dedup), grown as results land. Workers capture it at
-     fork time; the default runner consults it per job. *)
-  let memo = Seed_memo.of_records prior in
   let events_dir =
     match cfg.events with
     | None -> None
@@ -190,7 +183,7 @@ let run_matrix ?run_job (cfg : cfg) ~jobs =
   let run_job =
     match run_job with
     | Some f -> f
-    | None -> fun spec -> default_run_job ~memo ?events_dir spec
+    | None -> default_run_job ?events_dir
   in
   let to_run, skipped =
     List.partition (fun s -> not (Hashtbl.mem done_keys (Job.key s))) jobs
@@ -220,7 +213,6 @@ let run_matrix ?run_job (cfg : cfg) ~jobs =
           Journal.record ?obs:jr.obs ~spec:jr.spec ~t_wall:jr.t_wall
             jr.outcome
         in
-        Seed_memo.add_record memo record;
         Journal.append oc record;
         cfg.progress (progress_line ~done_:!executed ~total jr))
     ();

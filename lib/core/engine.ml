@@ -86,8 +86,12 @@ type result = {
   images_deferred : int;     (* eligible images elided at decision time *)
   images_elided : int;       (* deferred images never validated at all *)
   prune_expansions : int;    (* classes promoted back to full validation *)
-  seed_memo_hits : int;      (* classes elided via the cross-seed memo *)
-  class_outcomes : (string * bool) list;  (* stable class key -> consistent *)
+  seed_memo_hits : int;
+  class_outcomes : (string * bool) list;
+      (* always 0 and []: a job's result depends only on the job, so no
+         class outcome carries over between runs. Kept as fields only
+         because the standing benchmark (perfbench/perfbench.ml) builds
+         this record. *)
   (* Streaming pipeline (DESIGN §9); stream_on = false in batch runs. *)
   stream_on : bool;
   window_retirements : int;  (* ring segments recycled (both passes) *)
@@ -166,7 +170,7 @@ let replay_headroom = 16
    campaign worker ships (or `witcher run -v` prints) covers exactly this
    run. The event sink is caller-owned; a `run` header event scopes this
    run's ids within the shard. *)
-let pipeline ~window ~cfg ~class_memo (module S : Store_intf.S) =
+let pipeline ~window ~cfg (module S : Store_intf.S) =
   let bounded = window <> None in
   Obs.Metrics.reset Obs.Metrics.default;
   Obs.Span.clear Obs.Span.default_buf;
@@ -386,7 +390,7 @@ let pipeline ~window ~cfg ~class_memo (module S : Store_intf.S) =
         Cluster.signature ~op_kind:op_kind_sids.(image.crash_op) image
       in
       let skey = Prune.Path_sig.stable_key sig_ in
-      let memo_hit = (Equiv.stats checker).Equiv.n_memo_hits > memo_before in
+      let memoized = (Equiv.stats checker).Equiv.n_memo_hits > memo_before in
       let inherit_hit =
         (Equiv.stats checker).Equiv.n_inherit_hits > inherit_before
       in
@@ -394,7 +398,7 @@ let pipeline ~window ~cfg ~class_memo (module S : Store_intf.S) =
         [ ("image", Obs.Jsonx.Int !Obs.Event.last_image_id);
           ("class", Obs.Jsonx.Str skey);
           ("consistent", Obs.Jsonx.Bool (verdict = Equiv.Consistent));
-          ("memo", Obs.Jsonx.Bool memo_hit);
+          ("memo", Obs.Jsonx.Bool memoized);
           ("inherit", Obs.Jsonx.Bool inherit_hit);
           ("prov", Obs.Jsonx.Str !prov) ]
         @ (match verdict with
@@ -505,8 +509,7 @@ let pipeline ~window ~cfg ~class_memo (module S : Store_intf.S) =
         | Prune.Policy.Representative ->
           let r =
             Prune.Equiv_class.create
-              ~expand:(Prune.Expand.create ~budget:cfg.expand_budget)
-              ~memo:class_memo ()
+              ~expand:(Prune.Expand.create ~budget:cfg.expand_budget) ()
           in
           reg := Some r;
           (* Pass 1: one representative (plus spot-checks) per class;
@@ -630,14 +633,12 @@ let pipeline ~window ~cfg ~class_memo (module S : Store_intf.S) =
     List.length
       (List.filter (fun (r : Cluster.report) -> r.kind = kind) bug_reports)
   in
-  let prune_classes, prune_reps, prune_expansions, seed_memo_hits,
-      class_outcomes =
+  let prune_classes, prune_reps, prune_expansions =
     match !reg with
     | Some r ->
       ( Prune.Equiv_class.n_classes r, Prune.Equiv_class.n_reps r,
-        Prune.Equiv_class.n_promoted r, Prune.Equiv_class.n_memo_hits r,
-        Prune.Equiv_class.outcomes r )
-    | None -> (0, 0, 0, 0, [])
+        Prune.Equiv_class.n_promoted r )
+    | None -> (0, 0, 0)
   in
   let images_deferred = stats.deferred in
   let images_elided = stats.deferred - !expanded_tested in
@@ -645,8 +646,7 @@ let pipeline ~window ~cfg ~class_memo (module S : Store_intf.S) =
     Obs.Metrics.incr ~n:prune_classes "prune.classes";
     Obs.Metrics.incr ~n:prune_reps "prune.reps";
     Obs.Metrics.incr ~n:images_elided "prune.images_elided";
-    Obs.Metrics.incr ~n:prune_expansions "prune.expansions";
-    Obs.Metrics.incr ~n:seed_memo_hits "prune.seed_memo_hits"
+    Obs.Metrics.incr ~n:prune_expansions "prune.expansions"
   end;
   (* End-of-run forensics: one `class` event per pruning class, one
      `cluster` event per failing cluster (flagged when it is a root
@@ -674,7 +674,6 @@ let pipeline ~window ~cfg ~class_memo (module S : Store_intf.S) =
                      ("deferred", Obs.Jsonx.Int ci.i_deferred);
                      ("spots", Obs.Jsonx.Int ci.i_spots);
                      ("promoted", Obs.Jsonx.Bool ci.i_promoted);
-                     ("memo_hit", Obs.Jsonx.Bool ci.i_memo_hit);
                      ("prediction",
                       match ci.i_prediction with
                       | None -> Obs.Jsonx.Null
@@ -772,7 +771,7 @@ let pipeline ~window ~cfg ~class_memo (module S : Store_intf.S) =
     inherit_ops_saved = estats.Equiv.n_inherit_ops_saved;
     prune_policy = cfg.prune;
     prune_classes; prune_reps; images_deferred; images_elided;
-    prune_expansions; seed_memo_hits; class_outcomes;
+    prune_expansions; seed_memo_hits = 0; class_outcomes = [];
     stream_on = bounded;
     window_retirements = !retirements;
     ckpt_ring_evictions = !evictions;
@@ -780,13 +779,9 @@ let pipeline ~window ~cfg ~class_memo (module S : Store_intf.S) =
     t_record; t_infer; t_gen; t_equiv }
 
 (* The whole trace and every record-time checkpoint stay resident. *)
-let run ?(cfg = default_cfg) ?(class_memo = fun (_ : string) -> None) store =
-  pipeline ~window:None ~cfg ~class_memo store
+let run ?(cfg = default_cfg) store = pipeline ~window:None ~cfg store
 
 (* Bounded memory: a window of [stream_window] trace segments of
    2^[stream_seg_shift] events and a ring of [ckpt_ring] checkpoints. *)
-let run_stream ?(cfg = default_cfg) ?(class_memo = fun (_ : string) -> None)
-    store =
-  pipeline
-    ~window:(Some (cfg.stream_window lsl cfg.stream_seg_shift))
-    ~cfg ~class_memo store
+let run_stream ?(cfg = default_cfg) store =
+  pipeline ~window:(Some (cfg.stream_window lsl cfg.stream_seg_shift)) ~cfg store

@@ -84,11 +84,11 @@ let prune_line (r : Engine.result) =
   in
   Printf.sprintf
     "%-18s prune=%s | classes %d | reps %d | expanded %d class(es) | \
-     validated %d | elided %d images (%.1f%%) | seed-memo hits %d"
+     validated %d | elided %d images (%.1f%%)"
     r.name
     (Prune.Policy.name r.prune_policy)
     r.prune_classes r.prune_reps r.prune_expansions r.images_tested
-    r.images_elided pct r.seed_memo_hits
+    r.images_elided pct
 
 (* Fence-batched checking summary (`witcher run -v`, DESIGN §5): how many
    fence groups formed, how dense they were, and how much replay work

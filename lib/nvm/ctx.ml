@@ -34,10 +34,12 @@ type t = {
   mode : mode;
   trace : Trace.t;             (* empty and unused in Quiet mode *)
   taints : bool;               (* false: record events, skip taint tracking *)
-  mutable cd_stack : Taint.t list;
+  mutable cd_stack : (Taint.t * Taint.t) list;
+      (* per open guard scope, [cd] and [op_cd] as they were when it
+         opened; empty between ops *)
   mutable op_cd : Taint.t;     (* pointer-chase guards, cleared per op *)
   mutable op_ptrs : int list;  (* addresses [op_cd] guards, cleared per op *)
-  mutable cd : Taint.t;        (* cached union of cd_stack + op_cd *)
+  mutable cd : Taint.t;        (* open scopes' guards + op_cd *)
   mutable op : int;
   mutable fuel : int;
   mutable op_fuel : int;       (* [fuel] at the current op's [op_begin] *)
@@ -225,18 +227,24 @@ let tx_abort t ~tx =
 
 (* Control dependencies. [if_] branches on a tainted condition; while the
    chosen branch runs, every access is control-dependent on the loads in
-   the guard's taint — rules PO2/PO3 read these edges back off the trace. *)
+   the guard's taint — rules PO2/PO3 read these edges back off the trace.
+
+   Leaving a scope restores the guard set that was in force when it
+   opened. [op_cd] only grows within an op, so the one thing a scope can
+   add that outlives it is a pointer guard: the saved set is unioned
+   with [op_cd] only when [op_cd] changed inside the scope, and a scope
+   that loaded no new pointer costs no allocation on exit. *)
 
 let push_guard t taint =
-  t.cd_stack <- taint :: t.cd_stack;
+  t.cd_stack <- (t.cd, t.op_cd) :: t.cd_stack;
   t.cd <- Taint.union t.cd taint
 
 let pop_guard t =
   match t.cd_stack with
   | [] -> invalid_arg "Ctx.pop_guard: empty guard stack"
-  | _ :: rest ->
+  | (cd, op_cd) :: rest ->
     t.cd_stack <- rest;
-    t.cd <- Taint.union (Taint.union_list rest) t.op_cd
+    t.cd <- (if t.op_cd == op_cd then cd else Taint.union cd t.op_cd)
 
 (* Pointer-chase dependency: a load used as an address. Everything the
    current operation does afterwards is only reachable through this
@@ -296,7 +304,7 @@ let op_begin t ~index ~desc =
   t.op_fuel <- t.fuel;
   t.op_cd <- Taint.empty;
   t.op_ptrs <- [];
-  t.cd <- Taint.union_list t.cd_stack;
+  t.cd <- Taint.empty;
   if recording t then
     Trace.push t.trace
       (Op_begin { o_tid = Trace.next_tid t.trace; o_index = index; o_desc = desc })

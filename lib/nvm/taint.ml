@@ -13,8 +13,10 @@
    encoding, so structural equality ([=]) on taints is set equality; the
    trace and front-end parity tests compare taints with it. The empty set
    is one shared value, and [union] returns an argument physically
-   whenever the result equals it, so the common guard-stack pattern
-   (re-unioning an unchanged scope) allocates nothing. *)
+   whenever the result equals it, so a set that gains nothing stays
+   shared. Finding that out still merges into a scratch array unless an
+   argument is empty or both are the same value, which is why [Ctx]
+   restores a saved guard set on scope exit instead of re-unioning. *)
 
 type t = int array (* sorted, distinct *)
 
@@ -72,8 +74,6 @@ let fold f (t : t) init =
   !acc
 
 let elements (t : t) = Array.to_list t
-
-let union_list = List.fold_left union empty
 
 let pp ppf t =
   Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any ",") int) (elements t)

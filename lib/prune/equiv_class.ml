@@ -13,7 +13,6 @@
 type 'a cls = {
   sig_ : Path_sig.t;
   skey : string;                    (* stable cross-process class name *)
-  memo_hit : bool;                  (* predicted consistent by a prior seed *)
   mutable n_members : int;
   mutable prediction : bool option; (* Some true = predicted consistent *)
   mutable promoted : bool;
@@ -24,11 +23,9 @@ type 'a cls = {
 type 'a t = {
   classes : (Path_sig.t, 'a cls) Hashtbl.t;
   expand : Expand.t;
-  memo : string -> bool option;     (* cross-seed class-outcome lookup *)
   mutable n_reps : int;             (* representative + spot validations *)
   mutable n_inline_expanded : int;  (* validated because class already promoted *)
   mutable n_deferred : int;
-  mutable n_memo_hits : int;
   mutable n_promoted : int;
   mutable last_reason : string;
   (* why the most recent [decide] said `Test: "rep" | "spot" |
@@ -37,41 +34,22 @@ type 'a t = {
      verdict's provenance tag for the event log. *)
 }
 
-let create ?(expand = Expand.default) ?(memo = fun _ -> None) () =
-  { classes = Hashtbl.create 256; expand; memo; n_reps = 0;
-    n_inline_expanded = 0; n_deferred = 0; n_memo_hits = 0; n_promoted = 0;
+let create ?(expand = Expand.default) () =
+  { classes = Hashtbl.create 256; expand; n_reps = 0;
+    n_inline_expanded = 0; n_deferred = 0; n_promoted = 0;
     last_reason = "" }
 
-let defer t c member =
-  c.deferred <- member :: c.deferred;
-  t.n_deferred <- t.n_deferred + 1;
-  `Defer
-
 (* Decision for the eligible candidate [member] of class [sig_]. The
-   first member of an unknown class is its representative; a class a
-   prior seed proved consistent starts predicted-consistent and defers
-   even its first member (the cross-seed elision), subject to the same
-   spot-checks as any other prediction. *)
+   first member of an unknown class is its representative. *)
 let decide t ~sig_ ~member =
   match Hashtbl.find_opt t.classes sig_ with
   | None ->
-    let skey = Path_sig.stable_key sig_ in
-    let memo_hit = t.memo skey = Some true in
-    let c =
-      { sig_; skey; memo_hit; n_members = 1;
-        prediction = (if memo_hit then Some true else None);
-        promoted = false; spots_used = 0; deferred = [] }
-    in
-    Hashtbl.add t.classes sig_ c;
-    if memo_hit then begin
-      t.n_memo_hits <- t.n_memo_hits + 1;
-      defer t c member
-    end
-    else begin
-      t.n_reps <- t.n_reps + 1;
-      t.last_reason <- "rep";
-      `Test
-    end
+    Hashtbl.add t.classes sig_
+      { sig_; skey = Path_sig.stable_key sig_; n_members = 1;
+        prediction = None; promoted = false; spots_used = 0; deferred = [] };
+    t.n_reps <- t.n_reps + 1;
+    t.last_reason <- "rep";
+    `Test
   | Some c ->
     let m = c.n_members in
     c.n_members <- m + 1;
@@ -87,7 +65,11 @@ let decide t ~sig_ ~member =
       t.last_reason <- "spot";
       `Test
     end
-    else defer t c member
+    else begin
+      c.deferred <- member :: c.deferred;
+      t.n_deferred <- t.n_deferred + 1;
+      `Defer
+    end
 
 let promote t c =
   if not c.promoted then begin
@@ -135,19 +117,6 @@ let tail_spots t =
        | _ -> acc)
     t.classes []
 
-(* (stable key, class proved consistent) for every class that got at
-   least one verdict (or a memo prediction): the journal payload future
-   seeds dedup against. A class is exportable as consistent only when it
-   was never promoted and its prediction is Consistent. *)
-let outcomes t =
-  Hashtbl.fold
-    (fun _ c acc ->
-       match c.prediction with
-       | None -> acc
-       | Some p -> (c.skey, p && not c.promoted) :: acc)
-    t.classes []
-  |> List.sort compare
-
 (* Per-class forensics for the end-of-run `class` events: everything the
    registry knows about a class, in stable-key order (deterministic
    event streams need a deterministic fold). *)
@@ -158,7 +127,6 @@ type info = {
   i_deferred : int;
   i_spots : int;
   i_promoted : bool;
-  i_memo_hit : bool;
   i_prediction : bool option;
 }
 
@@ -167,8 +135,7 @@ let classes_info t =
     (fun _ c acc ->
        { i_skey = c.skey; i_sig = c.sig_; i_members = c.n_members;
          i_deferred = List.length c.deferred; i_spots = c.spots_used;
-         i_promoted = c.promoted; i_memo_hit = c.memo_hit;
-         i_prediction = c.prediction }
+         i_promoted = c.promoted; i_prediction = c.prediction }
        :: acc)
     t.classes []
   |> List.sort (fun a b -> compare a.i_skey b.i_skey)
@@ -179,5 +146,4 @@ let n_classes t = Hashtbl.length t.classes
 let n_reps t = t.n_reps
 let n_inline_expanded t = t.n_inline_expanded
 let n_deferred t = t.n_deferred
-let n_memo_hits t = t.n_memo_hits
 let n_promoted t = t.n_promoted

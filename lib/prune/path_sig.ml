@@ -10,9 +10,11 @@
    int: sid ints are assigned in interning order, which differs across
    processes, seeds and store subsets, while the label-derived hash is the
    same everywhere. That stability is what lets [stable_key] name a class
-   across campaign workers and seeds (the cross-seed memo), and it is why
-   both crash-generation front ends must fold their path hashes through
-   [step]. *)
+   the same way in every process: the event log's `class` and `cluster`
+   events and the root-cause order of [Cluster.reports_keyed] are then a
+   function of (store, seed, config) alone, whichever campaign worker ran
+   the job. It is also why both crash-generation front ends must fold
+   their path hashes through [step]. *)
 
 open Nvm
 

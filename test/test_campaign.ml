@@ -224,9 +224,8 @@ let test_preoracle_journal_compat () =
 
 (* Journals written before the pruning layer carry no prune fields in
    either the job spec or the result payload. They must parse as
-   exhaustive jobs under the unchanged v1 key (so --resume skips them),
-   aggregate with every prune column defaulting to 0, and contribute
-   nothing to the cross-seed class memo. *)
+   exhaustive jobs under the unchanged v1 key (so --resume skips them)
+   and aggregate with every prune column defaulting to 0. *)
 let test_preprune_journal_compat () =
   let dir = tmp_dir () in
   let path = Filename.concat dir "journal.jsonl" in
@@ -255,14 +254,11 @@ let test_preprune_journal_compat () =
   Alcotest.(check int) "prune_reps defaults to 0" 0 agg.total.prune_reps;
   Alcotest.(check int) "images_elided defaults to 0" 0 agg.total.images_elided;
   Alcotest.(check int) "expansions default to 0" 0 agg.total.prune_expansions;
-  Alcotest.(check int) "seed_memo_hits default to 0" 0 agg.total.seed_memo_hits;
   Alcotest.(check bool) "report renders" true
     (String.length (C.Aggregate.to_text agg) > 0);
   let done_ = C.Journal.completed_keys records in
   Alcotest.(check bool) "old key counts as completed for --resume" true
-    (Hashtbl.mem done_ (C.Job.key s));
-  Alcotest.(check int) "no class outcomes harvested" 0
-    (C.Seed_memo.n_classes (C.Seed_memo.of_records records))
+    (Hashtbl.mem done_ (C.Job.key s))
 
 (* Journals written before fence-batched checking carry no "batch"
    member in the result payload. They must still parse, aggregate with
@@ -472,7 +468,8 @@ let test_resume_retries_timeouts () =
 let engine_cfg (s : C.Job.spec) =
   { W.Engine.default_cfg with
     workload = { W.Workload.default with n_ops = s.n_ops; seed = s.seed };
-    crash = { W.Crash_gen.default_cfg with max_images = s.max_images } }
+    crash = { W.Crash_gen.default_cfg with max_images = s.max_images };
+    prune = s.prune; expand_budget = s.expand_budget }
 
 let test_mini_campaign_totals () =
   let dir = tmp_dir () in
@@ -509,6 +506,49 @@ let test_mini_campaign_totals () =
      with
      | Ok _ -> true
      | Error _ -> false)
+
+(* A job's journaled result depends only on the job: representative
+   jobs of one store at neighbouring seeds share pruning classes, and the
+   two workers run them in whatever order the pool schedules, yet every
+   journal line must equal an in-process run of that job alone (apart
+   from the t_* timings). *)
+let test_representative_jobs_independent () =
+  let dir = tmp_dir () in
+  let jobs =
+    List.concat_map
+      (fun st ->
+         List.map
+           (fun seed ->
+              spec ~seed ~n_ops:60 ~max_images:400
+                ~prune:Prune.Policy.Representative st)
+           [ 1; 2; 3 ])
+      [ "level-hash"; "cceh" ]
+  in
+  let s = C.Orchestrator.run_matrix (orch_cfg ~j:2 dir) ~jobs in
+  Alcotest.(check int) "all ok" 6 s.aggregate.total.ok;
+  let rec untimed = function
+    | C.Jsonx.Obj kvs ->
+      C.Jsonx.Obj
+        (List.filter_map
+           (fun (k, v) ->
+              if String.starts_with ~prefix:"t_" k then None
+              else Some (k, untimed v))
+           kvs)
+    | C.Jsonx.List l -> C.Jsonx.List (List.map untimed l)
+    | j -> j
+  in
+  List.iter
+    (fun (r : C.Journal.record) ->
+       let e = Option.get (Stores.Registry.find r.spec.store) in
+       let alone =
+         C.Journal.result_json
+           (W.Engine.run ~cfg:(engine_cfg r.spec) (e.buggy ()))
+       in
+       Alcotest.(check string)
+         (C.Job.describe r.spec ^ " = the job run alone")
+         (C.Jsonx.to_string (untimed alone))
+         (C.Jsonx.to_string (untimed (Option.get r.result))))
+    s.records
 
 (* ---------- jsonx ---------- *)
 
@@ -566,6 +606,8 @@ let suite =
       test_resume_skips_journaled;
     Alcotest.test_case "resume retries timeouts" `Quick
       test_resume_retries_timeouts;
+    Alcotest.test_case "representative jobs = jobs run alone" `Slow
+      test_representative_jobs_independent;
     Alcotest.test_case "mini-campaign totals = independent runs" `Slow
       test_mini_campaign_totals;
     Alcotest.test_case "jsonx roundtrip" `Quick test_jsonx_roundtrip;

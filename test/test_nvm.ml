@@ -28,12 +28,11 @@ let test_taint () =
   checkb "mem" true (Taint.mem 1 u);
   checkb "empty" true (Taint.is_empty Taint.empty)
 
-(* qcheck: taints built by [singleton], [union] and [union_list] from
-   random tid lists agree with a sorted distinct list in elements,
-   cardinal, membership, iteration order and structural equality; and a
-   union that equals one of its arguments returns that argument, the
-   reuse that lets the guard stack re-union an unchanged scope without
-   allocating. *)
+(* qcheck: taints folded with [singleton] and [union] from random tid
+   lists, from either side, agree with a sorted distinct list in
+   elements, cardinal, membership, iteration order and structural
+   equality; and a union that equals one of its arguments returns that
+   argument, so a set that gains nothing stays one shared value. *)
 let prop_taint_model =
   let tids = QCheck2.Gen.(list_size (int_range 0 40) (int_range 0 100)) in
   QCheck2.Test.make ~name:"taint = sorted-list model" ~count:500
@@ -54,7 +53,9 @@ let prop_taint_model =
        let a =
          List.fold_left (fun t x -> Taint.union t (Taint.singleton x)) Taint.empty xs
        in
-       let b = Taint.union_list (List.rev_map Taint.singleton ys) in
+       let b =
+         List.fold_left (fun t x -> Taint.union (Taint.singleton x) t) Taint.empty ys
+       in
        let u = Taint.union a b in
        let reuses x y =
          let r = Taint.union x y in
@@ -339,6 +340,40 @@ let test_ctx_ptr_guards () =
   ignore (Ctx.read_ptr quiet ~sid:"p.other" 8);
   tids "a taintless context records no guards" [] (last_store_cd quiet);
   tids "nor value taints" [] (Taint.elements (Tv.taint v))
+
+(* Leaving a guard scope restores the set in force when it opened: a
+   scope that took no new pointer guard hands back the enclosing set
+   itself and allocates nothing, while a pointer guard taken inside an
+   inner scope outlives it, since it guards the rest of the op. *)
+let test_ctx_guard_scopes () =
+  let tid v = List.hd (Taint.elements (Tv.taint v)) in
+  let tids = Alcotest.(check (list int)) in
+  let ctx = Ctx.create ~mode:Record (Pmem.create 1024) in
+  Ctx.op_begin ctx ~index:0 ~desc:"t";
+  let root = tid (Ctx.read_ptr ctx ~sid:"p.root" 0) in
+  let outer = Ctx.read_u64 ctx ~sid:"g.outer" 8 in
+  let inner = Ctx.read_u64 ctx ~sid:"g.inner" 16 in
+  Ctx.push_guard ctx (Tv.taint outer);
+  let enclosing = ctx.Ctx.cd in
+  Ctx.push_guard ctx (Tv.taint inner);
+  ignore (Ctx.read_u64 ctx ~sid:"plain" 24);
+  let before = Gc.minor_words () in
+  Ctx.pop_guard ctx;
+  let words = Gc.minor_words () -. before in
+  checkb "a scope without a new pointer restores the enclosing set" true
+    (ctx.Ctx.cd == enclosing);
+  Alcotest.(check (float 0.)) "and allocates nothing on exit" 0. words;
+  Ctx.push_guard ctx (Tv.taint inner);
+  let ptr = tid (Ctx.read_ptr ctx ~sid:"p.inner" 32) in
+  Ctx.pop_guard ctx;
+  tids "a pointer guard taken inside survives the pop"
+    [ root; tid outer; ptr ] (Taint.elements ctx.Ctx.cd);
+  Ctx.pop_guard ctx;
+  tids "leaving every scope keeps the op's pointer guards" [ root; ptr ]
+    (Taint.elements ctx.Ctx.cd);
+  Ctx.op_end ctx ~index:0;
+  Ctx.op_begin ctx ~index:1 ~desc:"t";
+  tids "the next op starts from no guards" [] (Taint.elements ctx.Ctx.cd)
 
 (* Complexity guard: buggy level-hash's rehash re-reads its two table
    pointers hundreds of times in one op. With one guard per address per
@@ -632,6 +667,8 @@ let suite =
     Alcotest.test_case "pmem cow view" `Quick test_pmem_cow;
     Alcotest.test_case "ctx records dd/cd" `Quick test_ctx_trace;
     Alcotest.test_case "ctx guards each pointer once per op" `Quick test_ctx_ptr_guards;
+    Alcotest.test_case "guard scope exit restores the enclosing set" `Quick
+      test_ctx_guard_scopes;
     Alcotest.test_case "level-hash guard sets stay small" `Quick test_ptr_guards_bounded;
     Alcotest.test_case "ctx splits at line boundary" `Quick test_ctx_line_split;
     Alcotest.test_case "ctx fuel" `Quick test_ctx_fuel;

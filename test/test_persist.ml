@@ -1,13 +1,139 @@
 (* Crash-image feasibility against the independent persistency model
-   (Persist_model): Crash_sim's closure slices on random store/flush/fence
-   sequences, every image Crash_gen hands out on every registry store,
-   and a guard that generation builds extras lists only for the images it
-   hands out. *)
+   (Persist_model): hand-written litmus traces pinning the model and
+   Yat's exhaustive enumeration to crash states read off the Intel SDM,
+   Crash_sim's closure slices on random store/flush/fence sequences,
+   every image Crash_gen hands out on every registry store, and a guard
+   that generation builds extras lists only for the images it hands
+   out. *)
 
 open Nvm
 module W = Witcher
 module R = Stores.Registry
 module M = Persist_model
+
+(* --- Litmus traces: the model against the SDM --- *)
+
+(* Persist_model and Crash_sim agree by property, but both encode one
+   reading of §4.3.1; these traces pin that reading to the Intel SDM.
+   Each has at most 4 stores on at most 2 lines (word w is at byte 8w,
+   so words 0-7 are line 0 and 8-15 line 1). The allowed crash states
+   at each fence, before it takes effect, are written by hand from the
+   SDM's text:
+
+   - CLWB writes back the line holding its address, so it covers the
+     stores made to that line before it and none made after;
+   - the write-back is ordered only by a later SFENCE (or other store
+     fence), so a line is durable only once a fence follows its CLWB;
+   - until then the line may be evicted at any moment with whatever it
+     holds, and x86 stores reach the cache in program order, so the
+     stores of one line that survive are a prefix of them, independent
+     of any other line.
+
+   A row lists the stores that persisted, in program order. *)
+
+type lit = Store of string * int | Clwb of int | Sfence
+
+let litmus =
+  [ ( "one line persists as a prefix",
+      [ Store ("a", 0); Store ("b", 1); Store ("c", 2); Sfence ],
+      [ [ []; [ "a" ]; [ "a"; "b" ]; [ "a"; "b"; "c" ] ] ] );
+    ( "two lines persist independently",
+      [ Store ("a", 0); Store ("b", 8); Store ("c", 1); Sfence ],
+      [ [ []; [ "a" ]; [ "a"; "c" ]; [ "b" ]; [ "a"; "b" ];
+          [ "a"; "b"; "c" ] ] ] );
+    ( "a flush with no later fence guarantees nothing",
+      [ Store ("a", 0); Clwb 0; Store ("b", 8); Clwb 1; Sfence ],
+      [ [ []; [ "a" ]; [ "b" ]; [ "a"; "b" ] ] ] );
+    ( "a store after the flush is not covered by it",
+      [ Store ("a", 0); Clwb 0; Store ("b", 1); Sfence; Sfence ],
+      [ [ []; [ "a" ]; [ "a"; "b" ] ];
+        [ [ "a" ]; [ "a"; "b" ] ] ] );
+    ( "a fence after a flush makes it durable",
+      [ Store ("a", 0); Store ("b", 8); Clwb 0; Sfence; Store ("c", 9);
+        Store ("d", 1); Clwb 0; Clwb 1; Sfence; Sfence ],
+      [ [ []; [ "a" ]; [ "b" ]; [ "a"; "b" ] ];
+        [ [ "a" ]; [ "a"; "b" ]; [ "a"; "b"; "c" ]; [ "a"; "d" ];
+          [ "a"; "b"; "d" ]; [ "a"; "b"; "c"; "d" ] ];
+        [ [ "a"; "b"; "c"; "d" ] ] ] ) ]
+
+(* States compare as sorted lists of sorted label lists; duplicates are
+   kept, so an enumeration that yields one state twice fails. *)
+let canon rows = List.sort compare (List.map (List.sort compare) rows)
+
+let subsets l =
+  List.fold_right (fun x acc -> acc @ List.map (fun s -> x :: s) acc) l [ [] ]
+
+let check_litmus (steps, rows) () =
+  let tr = Trace.create () in
+  let m = M.create () in
+  let stores = ref [] in  (* (label, tid, addr, value), newest first *)
+  let fences = ref [] and model_rows = ref [] in
+  let feed tid = M.feed m (Trace.get tr tid) in
+  List.iter
+    (function
+      | Store (l, w) ->
+        let v = List.length !stores + 1 in
+        let tid =
+          Trace.add_store_u64 tr ~sid:(Sid.intern ("lit." ^ l)) ~addr:(w * 8)
+            ~v ~dd:Taint.empty ~cd:Taint.empty ~op:0
+        in
+        feed tid;
+        stores := (l, tid, w * 8, v) :: !stores
+      | Clwb line ->
+        feed (Trace.add_flush tr ~sid:(Sid.intern "lit.clwb") ~line ~op:0)
+      | Sfence ->
+        (* the model's states: guaranteed ∪ prefix-closed extras *)
+        let states =
+          List.filter_map
+            (fun set ->
+               let tids = List.map (fun (_, t, _, _) -> t) set in
+               let extras =
+                 List.filter (fun t -> not (M.guaranteed m t)) tids
+               in
+               let kept (_, t, _, _) =
+                 (not (M.guaranteed m t)) || List.mem t tids
+               in
+               if List.for_all kept !stores && M.prefix_closed m extras then
+                 Some (List.map (fun (l, _, _, _) -> l) set)
+               else None)
+            (subsets (List.rev !stores))
+        in
+        model_rows := states :: !model_rows;
+        let tid = Trace.add_fence tr ~sid:(Sid.intern "lit.sfence") ~op:0 in
+        fences := tid :: !fences;
+        feed tid)
+    steps;
+  let fences = List.rev !fences and stores = List.rev !stores in
+  Alcotest.(check int) "one row per fence" (List.length fences)
+    (List.length rows);
+  let states = Alcotest.(list (list string)) in
+  List.iteri
+    (fun i (want, got) ->
+       Alcotest.check states (Printf.sprintf "model at fence %d" (i + 1))
+         (canon want) (canon got))
+    (List.combine rows (List.rev !model_rows));
+  (* Yat's images at each fence, read back as the stores they hold *)
+  let yat = Hashtbl.create 8 in
+  ignore
+    (W.Yat.exhaustive ~trace:tr ~pool_size:4096
+       ~on_image:(fun im ->
+           let held =
+             List.filter_map
+               (fun (l, tid, addr, v) ->
+                  match Pmem.read_u64 im.img addr with
+                  | 0 -> None
+                  | x when x = v && tid < im.crash_tid -> Some l
+                  | x -> Alcotest.failf "store %s reads %d in a Yat image" l x)
+               stores
+           in
+           Hashtbl.add yat im.crash_tid held;
+           `Continue)
+       ());
+  List.iteri
+    (fun i (want, fence) ->
+       Alcotest.check states (Printf.sprintf "Yat at fence %d" (i + 1))
+         (canon want) (canon (Hashtbl.find_all yat fence)))
+    (List.combine rows fences)
 
 (* --- Property A: closure slices = the model's closures --- *)
 
@@ -178,7 +304,12 @@ let test_extras_built_guard () =
   Alcotest.(check int) "extras built = extras handed out" !handed built
 
 let suite =
-  [ QCheck_alcotest.to_alcotest prop_closure_vs_model;
-    QCheck_alcotest.to_alcotest prop_images_vs_model;
-    Alcotest.test_case "extras lists built only for tested images" `Quick
-      test_extras_built_guard ]
+  List.map
+    (fun (name, steps, rows) ->
+       Alcotest.test_case ("litmus: " ^ name) `Quick
+         (check_litmus (steps, rows)))
+    litmus
+  @ [ QCheck_alcotest.to_alcotest prop_closure_vs_model;
+      QCheck_alcotest.to_alcotest prop_images_vs_model;
+      Alcotest.test_case "extras lists built only for tested images" `Quick
+        test_extras_built_guard ]

@@ -162,36 +162,6 @@ let test_registry_promotion () =
   (* a promoted class is no longer a tail-spot candidate *)
   Alcotest.(check bool) "no tail spots" true (P.Equiv_class.tail_spots t = [])
 
-let test_registry_memo () =
-  let t =
-    P.Equiv_class.create
-      ~memo:(fun k -> if k = P.Path_sig.stable_key (sig_of 3) then Some true else None)
-      ()
-  in
-  (* a class a prior seed proved consistent defers even its first member *)
-  Alcotest.(check bool) "memoized class defers rep" true
-    (P.Equiv_class.decide t ~sig_:(sig_of 3) ~member:0 = `Defer);
-  Alcotest.(check int) "memo hit counted" 1 (P.Equiv_class.n_memo_hits t);
-  (* unknown classes are unaffected *)
-  Alcotest.(check bool) "other class tests rep" true
-    (P.Equiv_class.decide t ~sig_:(sig_of 4) ~member:0 = `Test);
-  (* outcomes exports the memo prediction for the deferred class *)
-  let outs = P.Equiv_class.outcomes t in
-  Alcotest.(check bool) "memoized class exported consistent" true
-    (List.mem (P.Path_sig.stable_key (sig_of 3), true) outs)
-
-let test_registry_outcomes_exclude_promoted () =
-  let t = P.Equiv_class.create () in
-  let s = sig_of 5 in
-  ignore (P.Equiv_class.decide t ~sig_:s ~member:0);
-  P.Equiv_class.observe t ~sig_:s ~consistent:true;
-  ignore (P.Equiv_class.decide t ~sig_:s ~member:1);
-  P.Equiv_class.observe t ~sig_:s ~consistent:false;
-  Alcotest.(check bool) "promoted class never exported consistent" true
-    (List.for_all
-       (fun (k, ok) -> k <> P.Path_sig.stable_key s || not ok)
-       (P.Equiv_class.outcomes t))
-
 (* --- Engine integration --- *)
 
 let cluster_key (r : W.Cluster.report) =
@@ -368,24 +338,6 @@ let test_sample_policy () =
        (fun k -> List.mem k (cluster_keys ex))
        (cluster_keys sp))
 
-(* Cross-seed memo: feeding seed A's class outcomes into seed A again
-   must elide every consistent class (identical classes recur), while
-   keeping every inconsistent class's cluster. *)
-let test_class_memo_same_seed () =
-  let cfg = engine_cfg ~prune:P.Policy.Representative () in
-  let r1 = W.Engine.run ~cfg (Stores.Level_hash.buggy ()) in
-  let memo = Hashtbl.create 64 in
-  List.iter (fun (k, ok) -> Hashtbl.replace memo k ok) r1.class_outcomes;
-  let r2 =
-    W.Engine.run ~cfg ~class_memo:(Hashtbl.find_opt memo)
-      (Stores.Level_hash.buggy ())
-  in
-  Alcotest.(check bool) "memo hits recorded" true (r2.seed_memo_hits > 0);
-  Alcotest.(check bool) "fewer validations with memo" true
-    (r2.images_tested < r1.images_tested);
-  Alcotest.(check bool) "same clusters with memo" true
-    (cluster_keys r1 = cluster_keys r2)
-
 let suite =
   [ Alcotest.test_case "policy parse/print" `Quick test_policy_parse;
     Alcotest.test_case "path_sig equality" `Quick test_path_sig_basics;
@@ -395,9 +347,6 @@ let suite =
     Alcotest.test_case "expand verdict policy" `Quick test_expand_on_verdict;
     Alcotest.test_case "registry rep/spot/defer" `Quick test_registry_rep_and_defer;
     Alcotest.test_case "registry promotion" `Quick test_registry_promotion;
-    Alcotest.test_case "registry cross-seed memo" `Quick test_registry_memo;
-    Alcotest.test_case "registry outcomes exclude promoted" `Quick
-      test_registry_outcomes_exclude_promoted;
     Alcotest.test_case "representative parity (level-hash)" `Slow
       test_representative_parity_level_hash;
     Alcotest.test_case "representative parity at open caps" `Slow
@@ -405,5 +354,4 @@ let suite =
     Alcotest.test_case "sig-depth truncates path_sig only" `Slow
       test_sig_depth;
     Alcotest.test_case "sample policy" `Slow test_sample_policy;
-    Alcotest.test_case "cross-seed memo elides" `Slow test_class_memo_same_seed;
     QCheck_alcotest.to_alcotest prop_representative_parity ]
