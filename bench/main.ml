@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§7) against the simulated-NVM reproduction, plus Bechamel
-   micro-benchmarks for the pipeline stages.
+   evaluation (§7) against the simulated-NVM reproduction. Per-layer
+   timings come from perfbench (`perfbench/run.py --trace 1`).
 
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- table5 fig4  # selected sections
@@ -259,67 +259,10 @@ let nonkv () =
     "(The paper found one known bug in the persistent array and none in\n\
      the queue; the array's realloc-ordering defect is the seeded one.)"
 
-(* --- Bechamel micro-benchmarks: pipeline stage costs --- *)
-
-let micro () =
-  section "Pipeline stage micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let e = Option.get (R.find "level-hash") in
-  let small_ops =
-    W.Workload.generate (W.Workload.no_scan { W.Workload.default with n_ops = 50 })
-  in
-  let rec_ = W.Driver.record (e.buggy ()) small_ops in
-  let conds = W.Infer.infer rec_.trace in
-  let t_record =
-    Test.make ~name:"record-trace"
-      (Staged.stage (fun () -> ignore (W.Driver.record (e.buggy ()) small_ops)))
-  in
-  let t_infer =
-    Test.make ~name:"infer-conditions"
-      (Staged.stage (fun () -> ignore (W.Infer.infer rec_.trace)))
-  in
-  let t_perf =
-    Test.make ~name:"perf-detect"
-      (Staged.stage (fun () -> ignore (W.Perf.detect rec_.trace)))
-  in
-  let t_gen =
-    Test.make ~name:"crash-gen+equiv"
-      (Staged.stage (fun () ->
-           let store = e.buggy () in
-           let checker =
-             W.Equiv.create store ~ops:rec_.ops ~committed:rec_.outputs
-           in
-           ignore
-             (W.Crash_gen.generate
-                ~cfg:{ W.Crash_gen.default_cfg with max_images = 50 }
-                ~trace:rec_.trace ~conds ~pool_size:rec_.pool_size
-                ~on_image:(fun img ->
-                    ignore (W.Equiv.check checker ~img:img.img ~crash_op:img.crash_op);
-                    `Continue)
-                ())))
-  in
-  let grouped =
-    Test.make_grouped ~name:"witcher" [ t_record; t_infer; t_perf; t_gen ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0
-      ~predictors:[| Measure.run |]
-  in
-  let res = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name v ->
-       match Analyze.OLS.estimates v with
-       | Some (est :: _) ->
-         Printf.printf "  %-28s %12.0f ns/run (%.3f ms)\n" name est (est /. 1e6)
-       | _ -> Printf.printf "  %-28s (no estimate)\n" name)
-    res
-
 let sections =
   [ "table1", table1; "table2", table2; "table3", table3; "table4", table4;
     "table5", table5; "fig4", fig4; "random", random_baseline;
-    "compare", compare_tools; "nonkv", nonkv; "micro", micro ]
+    "compare", compare_tools; "nonkv", nonkv ]
 
 let () =
   let args =

@@ -143,45 +143,9 @@ let of_records (records : Journal.record list) =
        Hashtbl.replace tbl k (add_record row r))
     records;
   let rows = List.rev_map (fun k -> Hashtbl.find tbl k) !order in
-  let total =
-    List.fold_left
-      (fun acc (row : row) ->
-         { acc with
-           jobs = acc.jobs + row.jobs;
-           ok = acc.ok + row.ok;
-           failed = acc.failed + row.failed;
-           timeout = acc.timeout + row.timeout;
-           c_o = acc.c_o + row.c_o;
-           c_a = acc.c_a + row.c_a;
-           p_u = acc.p_u + row.p_u;
-           p_efl = acc.p_efl + row.p_efl;
-           p_efe = acc.p_efe + row.p_efe;
-           p_el = acc.p_el + row.p_el;
-           images_tested = acc.images_tested + row.images_tested;
-           n_mismatch = acc.n_mismatch + row.n_mismatch;
-           replay_ops = acc.replay_ops + row.replay_ops;
-           bytes_materialized = acc.bytes_materialized + row.bytes_materialized;
-           oracle_runs = acc.oracle_runs + row.oracle_runs;
-           oracle_ops_saved = acc.oracle_ops_saved + row.oracle_ops_saved;
-           memo_hits = acc.memo_hits + row.memo_hits;
-           ckpt_bytes = acc.ckpt_bytes + row.ckpt_bytes;
-           batch_fences = acc.batch_fences + row.batch_fences;
-           inherit_hits = acc.inherit_hits + row.inherit_hits;
-           batch_saved = acc.batch_saved + row.batch_saved;
-           prune_classes = acc.prune_classes + row.prune_classes;
-           prune_reps = acc.prune_reps + row.prune_reps;
-           images_elided = acc.images_elided + row.images_elided;
-           prune_expansions = acc.prune_expansions + row.prune_expansions;
-           stream_jobs = acc.stream_jobs + row.stream_jobs;
-           window_retirements =
-             acc.window_retirements + row.window_retirements;
-           ckpt_ring_evictions =
-             acc.ckpt_ring_evictions + row.ckpt_ring_evictions;
-           peak_live_words = max acc.peak_live_words row.peak_live_words;
-           t_equiv = acc.t_equiv +. row.t_equiv;
-           wall = acc.wall +. row.wall })
-      (empty_row "TOTAL" Job.Buggy) rows
-  in
+  (* every column is a sum or a max over jobs, so the total is one more
+     row that every record is added to *)
+  let total = List.fold_left add_record (empty_row "TOTAL" Job.Buggy) records in
   let metrics =
     Obs.Metrics.merge_all (List.filter_map Journal.obs_metrics records)
   in

@@ -507,10 +507,7 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
           in
           validate ~decide ~pass:0 ~on_image:check_image
         | Prune.Policy.Representative ->
-          let r =
-            Prune.Equiv_class.create
-              ~expand:(Prune.Expand.create ~budget:cfg.expand_budget) ()
-          in
+          let r = Prune.Equiv_class.create ~budget:cfg.expand_budget in
           reg := Some r;
           (* Pass 1: one representative (plus spot-checks) per class;
              deferred members are remembered by their stable

@@ -8,22 +8,6 @@ type t =
   | Query of int
   | Scan of int * int  (* start key, count *)
 
-type kind = K_insert | K_update | K_delete | K_query | K_scan
-
-let kind = function
-  | Insert _ -> K_insert
-  | Update _ -> K_update
-  | Delete _ -> K_delete
-  | Query _ -> K_query
-  | Scan _ -> K_scan
-
-let kind_name = function
-  | K_insert -> "insert"
-  | K_update -> "update"
-  | K_delete -> "delete"
-  | K_query -> "query"
-  | K_scan -> "scan"
-
 let desc t =
   match t with
   | Insert (k, v) -> Printf.sprintf "insert(%d,%s)" k v
@@ -31,5 +15,3 @@ let desc t =
   | Delete k -> Printf.sprintf "delete(%d)" k
   | Query k -> Printf.sprintf "query(%d)" k
   | Scan (k, n) -> Printf.sprintf "scan(%d,%d)" k n
-
-let pp ppf t = Fmt.string ppf (desc t)

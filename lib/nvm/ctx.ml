@@ -70,7 +70,6 @@ let[@inline] track t addr len =
 let pmem t = t.pmem
 let trace t = t.trace
 let mode t = t.mode
-let current_op t = t.op
 let max_op_cost t = t.max_op_cost
 let refuel t fuel = t.fuel <- fuel
 

@@ -52,7 +52,5 @@ let to_string i = Vec.get names i
 let count () = Vec.length names
 
 let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = Stdlib.compare a b
-let hash (i : t) = i
 
 let pp ppf i = Fmt.string ppf (to_string i)

@@ -74,6 +74,3 @@ let fold f (t : t) init =
   !acc
 
 let elements (t : t) = Array.to_list t
-
-let pp ppf t =
-  Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any ",") int) (elements t)

@@ -26,15 +26,6 @@ let retaint t taint = { t with taint = Taint.union t.taint taint }
 let lift2 op a b = { v = op a.v b.v; taint = Taint.union a.taint b.taint }
 
 let add = lift2 ( + )
-let sub = lift2 ( - )
-let mul = lift2 ( * )
-let div = lift2 ( / )
-let rem = lift2 (fun a b -> a mod b)
-let logand = lift2 ( land )
-let logor = lift2 ( lor )
-let logxor = lift2 ( lxor )
-let shift_left a n = { a with v = a.v lsl n }
-let shift_right a n = { a with v = a.v lsr n }
 
 (* Comparisons yield tainted booleans (0/1) so they can guard Ctx.if_. *)
 let bool_ taint b = { v = (if b then 1 else 0); taint }
@@ -42,12 +33,6 @@ let bool_ taint b = { v = (if b then 1 else 0); taint }
 let eq a b = bool_ (Taint.union a.taint b.taint) (a.v = b.v)
 let ne a b = bool_ (Taint.union a.taint b.taint) (a.v <> b.v)
 let lt a b = bool_ (Taint.union a.taint b.taint) (a.v < b.v)
-let le a b = bool_ (Taint.union a.taint b.taint) (a.v <= b.v)
-let gt a b = bool_ (Taint.union a.taint b.taint) (a.v > b.v)
-let ge a b = bool_ (Taint.union a.taint b.taint) (a.v >= b.v)
-let not_ a = { a with v = (if a.v = 0 then 1 else 0) }
-let and_ = lift2 (fun a b -> if a <> 0 && b <> 0 then 1 else 0)
-let or_ = lift2 (fun a b -> if a <> 0 || b <> 0 then 1 else 0)
 
 (* Blobs: strings with a single taint for the whole buffer. Key/value
    payloads in the stores are blobs; per-byte taint would buy nothing for
@@ -56,7 +41,3 @@ let or_ = lift2 (fun a b -> if a <> 0 || b <> 0 then 1 else 0)
 let blob ?(taint = Taint.empty) data = { data; btaint = taint }
 let blob_value b = b.data
 let blob_taint b = b.btaint
-let blob_equal a b =
-  bool_ (Taint.union a.btaint b.btaint) (String.equal a.data b.data)
-
-let pp ppf t = Fmt.pf ppf "%d%a" t.v Taint.pp t.taint

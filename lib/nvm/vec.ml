@@ -47,6 +47,4 @@ let fold_left f init t =
   done;
   !acc
 
-let to_list t = List.init t.len (fun i -> t.data.(i))
-
 let clear t = t.len <- 0

@@ -60,7 +60,3 @@ let mem_range t addr len =
       else probe (w + 1)
   in
   probe w0
-
-let is_empty t =
-  let rec all_zero i = i >= t.hi || (t.bits.(i) = 0 && all_zero (i + 1)) in
-  all_zero 0

@@ -1,8 +1,23 @@
 (* The equivalence-class registry (DESIGN §7): groups eligible crash-image
-   candidates by [Path_sig], validates one representative per class (plus
-   [Expand]'s spot-checks), and defers the rest. [decide] is called once
-   per eligible candidate in generation order; [observe] feeds each
+   candidates by [Path_sig], validates one representative per class plus
+   a few spot-checks, and defers the rest. [decide] is called once per
+   eligible candidate in generation order; [observe] feeds each
    validated member's verdict back so divergence promotes the class.
+
+   Spot-checks go to the members at power-of-two arrival indices, at most
+   [budget] per class beyond the representative: a class of n members
+   gets ~log2 n checks, so a heterogeneous class is caught with high
+   probability without re-testing everything.
+
+   Expansion is divergence-driven. The representative's verdict becomes
+   the class's prediction; spot-checked members that agree keep the
+   class collapsed, and any member disagreeing with the prediction
+   promotes the whole class back into the validation queue, so pruning
+   degrades to exhaustive validation on divergence instead of silently
+   dropping members. An inconsistent *first* verdict is not divergence:
+   the class's cluster is already reported through the representative
+   (class signature = cluster key), so its deferred members could only
+   re-count the same bug, never find a new one.
 
    Members are opaque ['a] descriptors, not images: a materialized image
    aliases the live simulator pool and dies at the next trace event, so
@@ -22,7 +37,7 @@ type 'a cls = {
 
 type 'a t = {
   classes : (Path_sig.t, 'a cls) Hashtbl.t;
-  expand : Expand.t;
+  budget : int;                     (* spot-checks per class *)
   mutable n_reps : int;             (* representative + spot validations *)
   mutable n_inline_expanded : int;  (* validated because class already promoted *)
   mutable n_deferred : int;
@@ -34,8 +49,8 @@ type 'a t = {
      verdict's provenance tag for the event log. *)
 }
 
-let create ?(expand = Expand.default) () =
-  { classes = Hashtbl.create 256; expand; n_reps = 0;
+let create ~budget =
+  { classes = Hashtbl.create 256; budget = max 0 budget; n_reps = 0;
     n_inline_expanded = 0; n_deferred = 0; n_promoted = 0;
     last_reason = "" }
 
@@ -58,8 +73,8 @@ let decide t ~sig_ ~member =
       t.last_reason <- "inline-expand";
       `Test
     end
-    else if Expand.want_spot t.expand ~member_index:m ~spots_used:c.spots_used
-    then begin
+    (* m >= 1 here, so the test below picks power-of-two arrival indices *)
+    else if m land (m - 1) = 0 && c.spots_used < t.budget then begin
       c.spots_used <- c.spots_used + 1;
       t.n_reps <- t.n_reps + 1;
       t.last_reason <- "spot";
@@ -89,10 +104,10 @@ let observe t ~sig_ ~consistent =
   | None -> ()
   | Some c ->
     if not c.promoted then
-      match Expand.on_verdict t.expand ~prediction:c.prediction ~consistent with
-      | Expand.Set_prediction -> c.prediction <- Some consistent
-      | Expand.Keep -> ()
-      | Expand.Promote ->
+      match c.prediction with
+      | None -> c.prediction <- Some consistent
+      | Some p when p = consistent -> ()
+      | Some _ ->
         c.prediction <- Some consistent;
         promote t c
 

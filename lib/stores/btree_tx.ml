@@ -40,14 +40,6 @@ let n_entries = 32
 let entry_len = 16
 let node_len = n_entries + ((cap + 1) * entry_len)
 
-let pad_value v =
-  if String.length v >= val_len then String.sub v 0 val_len
-  else v ^ String.make (val_len - String.length v) '\000'
-
-let strip_value v =
-  let rec len i = if i > 0 && v.[i - 1] = '\000' then len (i - 1) else i in
-  String.sub v 0 (len (String.length v))
-
 module Make (C : sig val cfg : cfg val name : string end) = struct
   let name = C.name
   let pool_size = 8 * 1024 * 1024
@@ -181,7 +173,7 @@ module Make (C : sig val cfg : cfg val name : string end) = struct
     Ctx.write_u64 t.ctx ~sid:(sid_prefix ^ ".key") (entry_addr node pos)
       (Tv.const k);
     Ctx.write_bytes t.ctx ~sid:(sid_prefix ^ ".val") (entry_addr node pos + 8)
-      (Tv.blob (pad_value v));
+      (Tv.blob (Value.pad val_len v));
     Ctx.write_u64 t.ctx ~sid:(sid_prefix ^ ".count") (node + n_count)
       (Tv.const (cnt + 1))
 
@@ -276,7 +268,7 @@ module Make (C : sig val cfg : cfg val name : string end) = struct
             (* BUG (P-EL): same range logged twice back to back. *)
             Pmdk.Tx.add_range tx (entry_addr leaf0 i + 8) 8;
           Ctx.write_bytes t.ctx ~sid:"bt:insert.upsert" (entry_addr leaf0 i + 8)
-            (Tv.blob (pad_value v)));
+            (Tv.blob (Value.pad val_len v)));
       Output.Ok
     | None ->
       Pmdk.Tx.run t.pool (fun tx ->
@@ -299,7 +291,7 @@ module Make (C : sig val cfg : cfg val name : string end) = struct
             (* BUG (P-EL): redundant re-log of the value word. *)
             Pmdk.Tx.add_range tx (entry_addr leaf i + 8) 8;
           Ctx.write_bytes t.ctx ~sid:"bt:update.val" (entry_addr leaf i + 8)
-            (Tv.blob (pad_value v)));
+            (Tv.blob (Value.pad val_len v)));
       Output.Ok
     | None -> Output.Not_found
 
@@ -334,7 +326,7 @@ module Make (C : sig val cfg : cfg val name : string end) = struct
     match leaf_find t leaf k with
     | Some i ->
       Output.Found
-        (strip_value
+        (Value.strip
            (Tv.blob_value
               (Ctx.read_bytes t.ctx ~sid:"bt:read.val" (entry_addr leaf i + 8) 8)))
     | None -> Output.Not_found
@@ -352,7 +344,7 @@ module Make (C : sig val cfg : cfg val name : string end) = struct
               if key >= start then begin
                 incr seen;
                 out :=
-                  strip_value
+                  Value.strip
                     (Tv.blob_value
                        (Ctx.read_bytes t.ctx ~sid:"bt:scan.val"
                           (entry_addr n i + 8) 8))

@@ -46,14 +46,6 @@ let val_len = 8
 
 let hash k = (k * 0x9E3779B1) land ((1 lsl hash_bits) - 1)
 
-let pad_value v =
-  if String.length v >= val_len then String.sub v 0 val_len
-  else v ^ String.make (val_len - String.length v) '\000'
-
-let strip_value v =
-  let rec len i = if i > 0 && v.[i - 1] = '\000' then len (i - 1) else i in
-  String.sub v 0 (len (String.length v))
-
 module Make (C : sig val cfg : cfg end) = struct
   let name = "cceh"
   let pool_size = 8 * 1024 * 1024
@@ -200,13 +192,13 @@ module Make (C : sig val cfg : cfg end) = struct
     go 0
 
   let read_value t a =
-    strip_value
+    Value.strip
       (Tv.blob_value (Ctx.read_bytes t.ctx ~sid:"cceh:read.value" (a + 8) 8))
 
   (* Claim an empty slot: value first, then the guardian key. *)
   let write_slot t a k v =
     Ctx.write_bytes t.ctx ~sid:"cceh:insert.value" (a + 8)
-      (Tv.blob (pad_value v));
+      (Tv.blob (Value.pad val_len v));
     Ctx.persist t.ctx ~sid:"cceh:insert.value_persist" (a + 8) 8;
     Ctx.write_u64 t.ctx ~sid:"cceh:insert.key" a (Tv.const k);
     Ctx.persist t.ctx ~sid:"cceh:insert.key_persist" a 8
@@ -327,7 +319,7 @@ module Make (C : sig val cfg : cfg end) = struct
     match
       probe_find t seg0 k ~found:(fun a ->
           Ctx.write_bytes t.ctx ~sid:"cceh:insert.upsert" (a + 8)
-            (Tv.blob (pad_value v));
+            (Tv.blob (Value.pad val_len v));
           Ctx.persist t.ctx ~sid:"cceh:insert.upsert_persist" (a + 8) 8)
     with
     | Some () -> Output.Ok
@@ -350,7 +342,7 @@ module Make (C : sig val cfg : cfg end) = struct
     match
       probe_find t seg k ~found:(fun a ->
           Ctx.write_bytes t.ctx ~sid:"cceh:update.value" (a + 8)
-            (Tv.blob (pad_value v));
+            (Tv.blob (Value.pad val_len v));
           Ctx.persist t.ctx ~sid:"cceh:update.persist" (a + 8) 8)
     with
     | Some () -> Output.Ok

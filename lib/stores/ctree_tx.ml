@@ -17,14 +17,6 @@ let val_len = 8
 let node_len = 32
 let leaf_len = 24
 
-let pad_value v =
-  if String.length v >= val_len then String.sub v 0 val_len
-  else v ^ String.make (val_len - String.length v) '\000'
-
-let strip_value v =
-  let rec len i = if i > 0 && v.[i - 1] = '\000' then len (i - 1) else i in
-  String.sub v 0 (len (String.length v))
-
 module M = struct
   let name = "c-tree"
   let pool_size = 8 * 1024 * 1024
@@ -69,7 +61,7 @@ module M = struct
     Ctx.write_u64 t.ctx ~sid:"ct:mkleaf.tag" leaf (Tv.const 2);
     Ctx.write_u64 t.ctx ~sid:"ct:mkleaf.key" (leaf + 8) (Tv.const k);
     Ctx.write_bytes t.ctx ~sid:"ct:mkleaf.value" (leaf + 16)
-      (Tv.blob (pad_value v));
+      (Tv.blob (Value.pad val_len v));
     Ctx.persist t.ctx ~sid:"ct:mkleaf.persist" leaf leaf_len;
     leaf
 
@@ -97,7 +89,7 @@ module M = struct
             Pmdk.Tx.run t.pool (fun tx ->
                 Pmdk.Tx.add_range tx (leaf + 16) 8;
                 Ctx.write_bytes t.ctx ~sid:"ct:insert.upsert" (leaf + 16)
-                  (Tv.blob (pad_value v)));
+                  (Tv.blob (Value.pad val_len v)));
             Output.Ok)
         ~else_:(fun () ->
             (* create an interior node over old and new leaf, publish it
@@ -135,7 +127,7 @@ module M = struct
           Pmdk.Tx.run t.pool (fun tx ->
               Pmdk.Tx.add_range tx (leaf + 16) 8;
               Ctx.write_bytes t.ctx ~sid:"ct:update.value" (leaf + 16)
-                (Tv.blob (pad_value v))))
+                (Tv.blob (Value.pad val_len v))))
     with
     | Some () -> Output.Ok
     | None -> Output.Not_found
@@ -153,7 +145,7 @@ module M = struct
   let query t k =
     match
       with_exact t k ~found:(fun _slot leaf ->
-          strip_value
+          Value.strip
             (Tv.blob_value
                (Ctx.read_bytes t.ctx ~sid:"ct:read.value" (leaf + 16) 8)))
     with

@@ -197,15 +197,12 @@ module Make (C : sig val cfg : cfg end) = struct
 
   (* --- value blobs --- *)
 
-  let pad v =
-    if String.length v >= val_max then String.sub v 0 val_max
-    else v ^ String.make (val_max - String.length v) '\000'
-
   let write_blob t v =
     let blob = Pmdk.Alloc.alloc t.pool blob_len in
     Ctx.write_u64 t.ctx ~sid:"ff:blob.len" blob
       (Tv.const (min (String.length v) val_max));
-    Ctx.write_bytes t.ctx ~sid:"ff:blob.bytes" (blob + 8) (Tv.blob (pad v));
+    Ctx.write_bytes t.ctx ~sid:"ff:blob.bytes" (blob + 8)
+      (Tv.blob (Value.pad val_max v));
     Ctx.persist t.ctx ~sid:"ff:blob.persist" blob blob_len;
     blob
 

@@ -44,14 +44,6 @@ let entry_len = 32
 
 let hash k = (k * 0x85EBCA77) land 0x3FFFFFFF
 
-let pad_value v =
-  if String.length v >= val_len then String.sub v 0 val_len
-  else v ^ String.make (val_len - String.length v) '\000'
-
-let strip_value v =
-  let rec len i = if i > 0 && v.[i - 1] = '\000' then len (i - 1) else i in
-  String.sub v 0 (len (String.length v))
-
 module Make (C : sig val cfg : cfg end) = struct
   let name = "hashmap-atomic"
   let pool_size = 4 * 1024 * 1024
@@ -175,7 +167,7 @@ module Make (C : sig val cfg : cfg end) = struct
     match find t k with
     | Some (_, e) ->
       Ctx.write_bytes t.ctx ~sid:"ha:insert.upsert" (e + e_val)
-        (Tv.blob (pad_value v));
+        (Tv.blob (Value.pad val_len v));
       Ctx.persist t.ctx ~sid:"ha:insert.upsert_persist" (e + e_val) 8;
       Output.Ok
     | None ->
@@ -186,7 +178,7 @@ module Make (C : sig val cfg : cfg end) = struct
          let e = Pmdk.Alloc.zalloc t.pool entry_len in
          Ctx.write_u64 t.ctx ~sid:"ha:insert.key" (e + e_key) (Tv.const k);
          Ctx.write_bytes t.ctx ~sid:"ha:insert.value" (e + e_val)
-           (Tv.blob (pad_value v));
+           (Tv.blob (Value.pad val_len v));
          if head <> 0 then begin
            let b = Bytes.create 16 in
            Bytes.set_int64_le b 0 (Int64.of_int oid_tag);
@@ -202,7 +194,7 @@ module Make (C : sig val cfg : cfg end) = struct
     match find t k with
     | Some (_, e) ->
       Ctx.write_bytes t.ctx ~sid:"ha:update.value" (e + e_val)
-        (Tv.blob (pad_value v));
+        (Tv.blob (Value.pad val_len v));
       Ctx.persist t.ctx ~sid:"ha:update.persist" (e + e_val) 8;
       Output.Ok
     | None -> Output.Not_found
@@ -219,7 +211,7 @@ module Make (C : sig val cfg : cfg end) = struct
     match find t k with
     | Some (_, e) ->
       Output.Found
-        (strip_value
+        (Value.strip
            (Tv.blob_value (Ctx.read_bytes t.ctx ~sid:"ha:read.value" (e + e_val) 8)))
     | None -> Output.Not_found
 

@@ -65,14 +65,6 @@ let table_len = 32
 let hash1 k = (k * 0x9E3779B1) land 0x3FFFFFFF
 let hash2 k = ((k * 0x85EBCA77) lxor 0x165667B1) land 0x3FFFFFFF
 
-let pad_value v =
-  if String.length v >= val_len then String.sub v 0 val_len
-  else v ^ String.make (val_len - String.length v) '\000'
-
-let strip_value v =
-  let rec len i = if i > 0 && v.[i - 1] = '\000' then len (i - 1) else i in
-  String.sub v 0 (len (String.length v))
-
 module Make (C : sig val cfg : cfg end) = struct
   let name = "level-hash"
   let pool_size = 4 * 1024 * 1024
@@ -183,7 +175,7 @@ module Make (C : sig val cfg : cfg end) = struct
 
   let read_value t b j =
     let v = Ctx.read_bytes t.ctx ~sid:"lh:read.value" (val_addr b j) val_len in
-    strip_value (Tv.blob_value v)
+    Value.strip (Tv.blob_value v)
 
   (* Write a key/value pair and raise the token.
 
@@ -194,7 +186,7 @@ module Make (C : sig val cfg : cfg end) = struct
     let sid s = sid_prefix ^ s in
     Ctx.write_u64 t.ctx ~sid:(sid ".key") (key_addr b j) (Tv.const k);
     Ctx.write_bytes t.ctx ~sid:(sid ".value") (val_addr b j)
-      (Tv.blob (pad_value v));
+      (Tv.blob (Value.pad val_len v));
     if cfg.insert_order then begin
       Ctx.write_u8 t.ctx ~sid:(sid ".token") (token_addr b j) Tv.one;
       Ctx.flush_range t.ctx ~sid:(sid ".flush_slot") (slot_addr b j) slot_len;
@@ -322,7 +314,7 @@ module Make (C : sig val cfg : cfg end) = struct
     | Some (b, j) ->
       (* Upsert: the key exists, overwrite in place. *)
       Ctx.write_bytes t.ctx ~sid:"lh:insert.upsert" (val_addr b j)
-        (Tv.blob (pad_value v));
+        (Tv.blob (Value.pad val_len v));
       Ctx.persist t.ctx ~sid:"lh:insert.upsert_persist" (val_addr b j) val_len;
       Output.Ok
     | None ->
@@ -361,7 +353,7 @@ module Make (C : sig val cfg : cfg end) = struct
         | Some jj ->
           Ctx.write_u64 t.ctx ~sid:"lh:update.key" (key_addr b jj) (Tv.const k);
           Ctx.write_bytes t.ctx ~sid:"lh:update.value" (val_addr b jj)
-            (Tv.blob (pad_value v));
+            (Tv.blob (Value.pad val_len v));
           Ctx.write_u8 t.ctx ~sid:"lh:update.clear_old" (token_addr b j) Tv.zero;
           Ctx.write_u8 t.ctx ~sid:"lh:update.set_new" (token_addr b jj) Tv.one;
           Ctx.flush_range t.ctx ~sid:"lh:update.flush_slot" (slot_addr b jj) slot_len;
@@ -372,13 +364,13 @@ module Make (C : sig val cfg : cfg end) = struct
         | None ->
           (* In-place overwrite without ordering care. *)
           Ctx.write_bytes t.ctx ~sid:"lh:update.inplace" (val_addr b j)
-            (Tv.blob (pad_value v));
+            (Tv.blob (Value.pad val_len v));
           Ctx.persist t.ctx ~sid:"lh:update.inplace_persist" (val_addr b j) val_len;
           Output.Ok
       end
       else begin
         Ctx.write_bytes t.ctx ~sid:"lh:update.inplace" (val_addr b j)
-          (Tv.blob (pad_value v));
+          (Tv.blob (Value.pad val_len v));
         Ctx.persist t.ctx ~sid:"lh:update.inplace_persist" (val_addr b j) val_len;
         Output.Ok
       end

@@ -40,14 +40,6 @@ let stat_names =
 
 let hash k = (k * 0x9E3779B1) land 0x3FFFFFFF
 
-let pad_value v =
-  if String.length v >= val_len then String.sub v 0 val_len
-  else v ^ String.make (val_len - String.length v) '\000'
-
-let strip_value v =
-  let rec len i = if i > 0 && v.[i - 1] = '\000' then len (i - 1) else i in
-  String.sub v 0 (len (String.length v))
-
 module Make (C : sig val cfg : cfg end) = struct
   let name = "memcached"
   let pool_size = 4 * 1024 * 1024
@@ -126,7 +118,7 @@ module Make (C : sig val cfg : cfg end) = struct
     | Some (_, e) ->
       bump t "set_hits";
       Ctx.write_bytes t.ctx ~sid:"mc:insert.upsert" (e + i_val)
-        (Tv.blob (pad_value v));
+        (Tv.blob (Value.pad val_len v));
       Ctx.persist t.ctx ~sid:"mc:insert.upsert_persist" (e + i_val) 8;
       Output.Ok
     | None ->
@@ -138,7 +130,7 @@ module Make (C : sig val cfg : cfg end) = struct
       let e = Pmdk.Alloc.zalloc t.pool item_len in
       Ctx.write_u64 t.ctx ~sid:"mc:insert.key" (e + i_key) (Tv.const k);
       Ctx.write_bytes t.ctx ~sid:"mc:insert.value" (e + i_val)
-        (Tv.blob (pad_value v));
+        (Tv.blob (Value.pad val_len v));
       Ctx.write_u64 t.ctx ~sid:"mc:insert.next" (e + i_next) head;
       if not cfg.link_noflush then
         Ctx.persist t.ctx ~sid:"mc:insert.item_persist" e item_len;
@@ -155,7 +147,7 @@ module Make (C : sig val cfg : cfg end) = struct
       bump t "update_hits";
       bump t "bytes_written";
       Ctx.write_bytes t.ctx ~sid:"mc:update.value" (e + i_val)
-        (Tv.blob (pad_value v));
+        (Tv.blob (Value.pad val_len v));
       Ctx.persist t.ctx ~sid:"mc:update.persist" (e + i_val) 8;
       Output.Ok
     | None ->
@@ -184,7 +176,7 @@ module Make (C : sig val cfg : cfg end) = struct
       bump t "get_hits";
       bump t "bytes_written";
       Output.Found
-        (strip_value
+        (Value.strip
            (Tv.blob_value (Ctx.read_bytes t.ctx ~sid:"mc:read.value" (e + i_val) 8)))
     | None ->
       bump t "get_misses";

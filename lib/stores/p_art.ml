@@ -39,14 +39,6 @@ let node_cap_big = 16
 let node_len = n_children + (16 * 8)
 let leaf_len = 16
 
-let pad_value v =
-  if String.length v >= val_len then String.sub v 0 val_len
-  else v ^ String.make (val_len - String.length v) '\000'
-
-let strip_value v =
-  let rec len i = if i > 0 && v.[i - 1] = '\000' then len (i - 1) else i in
-  String.sub v 0 (len (String.length v))
-
 module Make (C : sig val cfg : cfg end) = struct
   let name = "p-art"
   let pool_size = 8 * 1024 * 1024
@@ -246,7 +238,7 @@ module Make (C : sig val cfg : cfg end) = struct
     let leaf = Pmdk.Alloc.alloc t.pool leaf_len in
     Ctx.write_u64 t.ctx ~sid:"part:leaf.key" leaf (Tv.const (k land key_mask));
     Ctx.write_bytes t.ctx ~sid:"part:leaf.value" (leaf + 8)
-      (Tv.blob (pad_value v));
+      (Tv.blob (Value.pad val_len v));
     Ctx.persist t.ctx ~sid:"part:leaf.persist" leaf leaf_len;
     leaf
 
@@ -254,7 +246,7 @@ module Make (C : sig val cfg : cfg end) = struct
     match
       with_leaf t k ~found:(fun _slot leaf ->
           Ctx.write_bytes t.ctx ~sid:"part:insert.upsert" (leaf + 8)
-            (Tv.blob (pad_value v));
+            (Tv.blob (Value.pad val_len v));
           Ctx.persist t.ctx ~sid:"part:insert.upsert_persist" (leaf + 8) 8)
     with
     | Some () -> Output.Ok
@@ -277,7 +269,7 @@ module Make (C : sig val cfg : cfg end) = struct
     match
       with_leaf t k ~found:(fun _slot leaf ->
           Ctx.write_bytes t.ctx ~sid:"part:update.value" (leaf + 8)
-            (Tv.blob (pad_value v));
+            (Tv.blob (Value.pad val_len v));
           Ctx.persist t.ctx ~sid:"part:update.persist" (leaf + 8) 8)
     with
     | Some () -> Output.Ok
@@ -295,7 +287,7 @@ module Make (C : sig val cfg : cfg end) = struct
   let query t k =
     match
       with_leaf t k ~found:(fun _slot leaf ->
-          strip_value
+          Value.strip
             (Tv.blob_value
                (Ctx.read_bytes t.ctx ~sid:"part:read.value" (leaf + 8) 8)))
     with

@@ -38,14 +38,6 @@ let delta_len = 32
 
 let hash k = (k * 0x9E3779B1) land 0x3FFFFFFF
 
-let pad_value v =
-  if String.length v >= val_len then String.sub v 0 val_len
-  else v ^ String.make (val_len - String.length v) '\000'
-
-let strip_value v =
-  let rec len i = if i > 0 && v.[i - 1] = '\000' then len (i - 1) else i in
-  String.sub v 0 (len (String.length v))
-
 module Make (C : sig val cfg : cfg end) = struct
   let name = "p-bwtree"
   let pool_size = 8 * 1024 * 1024
@@ -90,7 +82,7 @@ module Make (C : sig val cfg : cfg end) = struct
     Ctx.write_u64 t.ctx ~sid:(sid_prefix ^ ".kind") (d + d_kind) (Tv.const kind);
     Ctx.write_u64 t.ctx ~sid:(sid_prefix ^ ".key") (d + d_key) (Tv.const k);
     Ctx.write_bytes t.ctx ~sid:(sid_prefix ^ ".value") (d + d_val)
-      (Tv.blob (pad_value v));
+      (Tv.blob (Value.pad val_len v));
     Ctx.write_u64 t.ctx ~sid:(sid_prefix ^ ".next") (d + d_next) head;
     if not noflush then
       Ctx.persist t.ctx ~sid:(sid_prefix ^ ".persist") d delta_len;
@@ -122,7 +114,7 @@ module Make (C : sig val cfg : cfg end) = struct
     walk (Tv.value (Ctx.read_ptr t.ctx ~sid:"bw:find.head" ha))
 
   let read_value t d =
-    strip_value
+    Value.strip
       (Tv.blob_value (Ctx.read_bytes t.ctx ~sid:"bw:read.value" (d + d_val) 8))
 
   let present t k =

@@ -32,14 +32,6 @@ let val_len = 8
 
 let hash k = (k * 0x85EBCA77) land 0x3FFFFFFF
 
-let pad_value v =
-  if String.length v >= val_len then String.sub v 0 val_len
-  else v ^ String.make (val_len - String.length v) '\000'
-
-let strip_value v =
-  let rec len i = if i > 0 && v.[i - 1] = '\000' then len (i - 1) else i in
-  String.sub v 0 (len (String.length v))
-
 module Make (C : sig val variant : variant end) = struct
   let name =
     match C.variant with
@@ -130,14 +122,14 @@ module Make (C : sig val variant : variant end) = struct
     chain (bucket_addr t tbl k)
 
   let read_value t a =
-    strip_value
+    Value.strip
       (Tv.blob_value (Ctx.read_bytes t.ctx ~sid:"clht:read.value" (a + 8) 8))
 
   (* Claim slot [a]: value first, then the guardian key. Bug 30's shape:
      the value flush is missing, only the key is persisted. *)
   let claim_slot t a k v =
     Ctx.write_bytes t.ctx ~sid:"clht:insert.value" (a + 8)
-      (Tv.blob (pad_value v));
+      (Tv.blob (Value.pad val_len v));
     if variant <> Base then
       Ctx.persist t.ctx ~sid:"clht:insert.value_persist" (a + 8) 8;
     Ctx.write_u64 t.ctx ~sid:"clht:insert.key" a (Tv.const k);
@@ -148,7 +140,7 @@ module Make (C : sig val variant : variant end) = struct
   let append_bucket t b k v =
     let nb = Pmdk.Alloc.zalloc t.pool bucket_len in
     Ctx.write_bytes t.ctx ~sid:"clht:append.value" (slot_addr nb 0 + 8)
-      (Tv.blob (pad_value v));
+      (Tv.blob (Value.pad val_len v));
     Ctx.write_u64 t.ctx ~sid:"clht:append.key" (slot_addr nb 0) (Tv.const k);
     if variant <> Base then
       Ctx.persist t.ctx ~sid:"clht:append.persist" nb bucket_len;
@@ -260,7 +252,7 @@ module Make (C : sig val variant : variant end) = struct
     match
       find_slot t k ~found:(fun a ->
           Ctx.write_bytes t.ctx ~sid:"clht:insert.upsert" (a + 8)
-            (Tv.blob (pad_value v));
+            (Tv.blob (Value.pad val_len v));
           Ctx.persist t.ctx ~sid:"clht:insert.upsert_persist" (a + 8) 8)
     with
     | Some () -> Output.Ok
@@ -277,7 +269,7 @@ module Make (C : sig val variant : variant end) = struct
       find_slot t k ~found:(fun a ->
           let doit () =
             Ctx.write_bytes t.ctx ~sid:"clht:update.value" (a + 8)
-              (Tv.blob (pad_value v));
+              (Tv.blob (Value.pad val_len v));
             Ctx.persist t.ctx ~sid:"clht:update.persist" (a + 8) 8
           in
           if variant = Aga_tx then

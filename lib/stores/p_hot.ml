@@ -34,14 +34,6 @@ let val_len = 8
 let node_len = 32
 let leaf_len = 24
 
-let pad_value v =
-  if String.length v >= val_len then String.sub v 0 val_len
-  else v ^ String.make (val_len - String.length v) '\000'
-
-let strip_value v =
-  let rec len i = if i > 0 && v.[i - 1] = '\000' then len (i - 1) else i in
-  String.sub v 0 (len (String.length v))
-
 module Make (C : sig val cfg : cfg end) = struct
   let name = "p-hot"
   let pool_size = 8 * 1024 * 1024
@@ -77,7 +69,7 @@ module Make (C : sig val cfg : cfg end) = struct
     Ctx.write_u64 t.ctx ~sid:"hot:mkleaf.tag" leaf (Tv.const 2);
     Ctx.write_u64 t.ctx ~sid:"hot:mkleaf.key" (leaf + 8) (Tv.const k);
     Ctx.write_bytes t.ctx ~sid:"hot:mkleaf.value" (leaf + 16)
-      (Tv.blob (pad_value v));
+      (Tv.blob (Value.pad val_len v));
     Ctx.persist t.ctx ~sid:"hot:mkleaf.persist" leaf leaf_len;
     leaf
 
@@ -141,7 +133,7 @@ module Make (C : sig val cfg : cfg end) = struct
       Ctx.if_ t.ctx (Tv.eq key (Tv.const k))
         ~then_:(fun () ->
             Ctx.write_bytes t.ctx ~sid:"hot:insert.upsert" (leaf + 16)
-              (Tv.blob (pad_value v));
+              (Tv.blob (Value.pad val_len v));
             Ctx.persist t.ctx ~sid:"hot:insert.upsert_persist" (leaf + 16) 8;
             Output.Ok)
         ~else_:(fun () ->
@@ -161,7 +153,7 @@ module Make (C : sig val cfg : cfg end) = struct
     match
       with_exact t k ~found:(fun _slot leaf ->
           Ctx.write_bytes t.ctx ~sid:"hot:update.value" (leaf + 16)
-            (Tv.blob (pad_value v));
+            (Tv.blob (Value.pad val_len v));
           if cfg.update_noflush then
             (* BUG (bug 37, C-O): fence without flush *)
             Ctx.fence t.ctx ~sid:"hot:update.fence_only"
@@ -185,7 +177,7 @@ module Make (C : sig val cfg : cfg end) = struct
   let query t k =
     match
       with_exact t k ~found:(fun _slot leaf ->
-          strip_value
+          Value.strip
             (Tv.blob_value
                (Ctx.read_bytes t.ctx ~sid:"hot:read.value" (leaf + 16) 8)))
     with

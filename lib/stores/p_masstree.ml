@@ -37,14 +37,6 @@ let n_entries = 32
 let entry_len = 16
 let node_len = n_entries + (cap * entry_len)
 
-let pad_value v =
-  if String.length v >= val_len then String.sub v 0 val_len
-  else v ^ String.make (val_len - String.length v) '\000'
-
-let strip_value v =
-  let rec len i = if i > 0 && v.[i - 1] = '\000' then len (i - 1) else i in
-  String.sub v 0 (len (String.length v))
-
 module Make (C : sig val cfg : cfg end) = struct
   let name = "p-masstree"
   let pool_size = 16 * 1024 * 1024
@@ -161,13 +153,14 @@ module Make (C : sig val cfg : cfg end) = struct
     if p = 0 then None
     else
       Some
-        (strip_value
+        (Value.strip
            (Tv.blob_value (Ctx.read_bytes t.ctx ~sid:"mt:read.value" (p + 8) 8)))
 
   let write_blob t v =
     let b = Pmdk.Alloc.alloc t.pool 16 in
     Ctx.write_u64 t.ctx ~sid:"mt:blob.len" b (Tv.const (String.length v));
-    Ctx.write_bytes t.ctx ~sid:"mt:blob.bytes" (b + 8) (Tv.blob (pad_value v));
+    Ctx.write_bytes t.ctx ~sid:"mt:blob.bytes" (b + 8)
+      (Tv.blob (Value.pad val_len v));
     Ctx.persist t.ctx ~sid:"mt:blob.persist" b 16;
     b
 

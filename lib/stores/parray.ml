@@ -26,14 +26,6 @@ let range = 256
 let initial_cap = 16
 let val_len = 8
 
-let pad_value v =
-  if String.length v >= val_len then String.sub v 0 val_len
-  else v ^ String.make (val_len - String.length v) '\000'
-
-let strip_value v =
-  let rec len i = if i > 0 && v.[i - 1] = '\000' then len (i - 1) else i in
-  String.sub v 0 (len (String.length v))
-
 module Make (C : sig val cfg : cfg end) = struct
   let name = "p-array"
   let pool_size = 2 * 1024 * 1024
@@ -115,12 +107,12 @@ module Make (C : sig val cfg : cfg end) = struct
           grow t (i + 1);
           let _, cells', _ = geometry t in
           Ctx.write_bytes t.ctx ~sid (cell_addr cells' i)
-            (Tv.blob (pad_value v));
+            (Tv.blob (Value.pad val_len v));
           Ctx.persist t.ctx ~sid:(sid ^ "_persist") (cell_addr cells' i) val_len
         end
         else begin
           Ctx.write_bytes t.ctx ~sid (cell_addr cells i)
-            (Tv.blob (pad_value v));
+            (Tv.blob (Value.pad val_len v));
           Ctx.persist t.ctx ~sid:(sid ^ "_persist") (cell_addr cells i) val_len
         end);
     Output.Ok
@@ -132,7 +124,7 @@ module Make (C : sig val cfg : cfg end) = struct
         if i >= cap then Output.Not_found
         else begin
           let v =
-            strip_value
+            Value.strip
               (Tv.blob_value
                  (Ctx.read_bytes t.ctx ~sid:"pa:get.cell" (cell_addr cells i)
                     val_len))
@@ -147,7 +139,7 @@ module Make (C : sig val cfg : cfg end) = struct
         if i >= cap then Output.Not_found
         else begin
           let old =
-            strip_value
+            Value.strip
               (Tv.blob_value
                  (Ctx.read_bytes t.ctx ~sid:"pa:clear.read" (cell_addr cells i)
                     val_len))
@@ -169,7 +161,7 @@ module Make (C : sig val cfg : cfg end) = struct
         let out = ref [] in
         for i = cap - 1 downto 0 do
           let v =
-            strip_value
+            Value.strip
               (Tv.blob_value
                  (Ctx.read_bytes t.ctx ~sid:"pa:print.cell" (cell_addr cells i)
                     val_len))

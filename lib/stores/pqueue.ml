@@ -18,14 +18,6 @@ module Output = Witcher.Output
 let capacity = 1024
 let val_len = 8
 
-let pad_value v =
-  if String.length v >= val_len then String.sub v 0 val_len
-  else v ^ String.make (val_len - String.length v) '\000'
-
-let strip_value v =
-  let rec len i = if i > 0 && v.[i - 1] = '\000' then len (i - 1) else i in
-  String.sub v 0 (len (String.length v))
-
 module M = struct
   let name = "p-queue"
   let pool_size = 2 * 1024 * 1024
@@ -69,7 +61,8 @@ module M = struct
     if Tv.value tl - Tv.value h >= capacity then Output.Fail "full"
     else begin
       let a = slot_addr t (Tv.value tl) in
-      Ctx.write_bytes t.ctx ~sid:"pq:enqueue.slot" a (Tv.blob (pad_value v));
+      Ctx.write_bytes t.ctx ~sid:"pq:enqueue.slot" a
+        (Tv.blob (Value.pad val_len v));
       Ctx.persist t.ctx ~sid:"pq:enqueue.slot_persist" a val_len;
       Ctx.write_u64 t.ctx ~sid:"pq:enqueue.tail" (Pmdk.Pool.root t.pool + 8)
         (Tv.add tl Tv.one);
@@ -84,7 +77,7 @@ module M = struct
       ~then_:(fun () ->
           let a = slot_addr t (Tv.value h) in
           let v =
-            strip_value
+            Value.strip
               (Tv.blob_value
                  (Ctx.read_bytes t.ctx ~sid:"pq:front.slot" a val_len))
           in
@@ -114,7 +107,7 @@ module M = struct
         for pos = Tv.value tl - 1 downto Tv.value h do
           let a = slot_addr t pos in
           out :=
-            strip_value
+            Value.strip
               (Tv.blob_value
                  (Ctx.read_bytes t.ctx ~sid:"pq:print.slot" a val_len))
             :: !out

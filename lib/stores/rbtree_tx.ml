@@ -39,14 +39,6 @@ let f_key = 32
 let f_val = 40
 let node_len = 48
 
-let pad_value v =
-  if String.length v >= val_len then String.sub v 0 val_len
-  else v ^ String.make (val_len - String.length v) '\000'
-
-let strip_value v =
-  let rec len i = if i > 0 && v.[i - 1] = '\000' then len (i - 1) else i in
-  String.sub v 0 (len (String.length v))
-
 module Make (C : sig val cfg : cfg val name : string end) = struct
   let name = C.name
   let pool_size = 8 * 1024 * 1024
@@ -201,7 +193,7 @@ module Make (C : sig val cfg : cfg val name : string end) = struct
 
   let value_of t n =
     let v = Ctx.read_bytes t.ctx ~sid:"rb:read.value" (n + f_val) 8 in
-    let s = strip_value (Tv.blob_value v) in
+    let s = Value.strip (Tv.blob_value v) in
     if s = "" then None else Some s
 
   let insert t k v =
@@ -210,7 +202,7 @@ module Make (C : sig val cfg : cfg val name : string end) = struct
       Pmdk.Tx.run t.pool (fun tx ->
           Pmdk.Tx.add_range tx (n + f_val) 8;
           Ctx.write_bytes t.ctx ~sid:"rb:insert.upsert" (n + f_val)
-            (Tv.blob (pad_value v)));
+            (Tv.blob (Value.pad val_len v)));
       Output.Ok
     | None ->
       Pmdk.Tx.run t.pool (fun tx ->
@@ -219,7 +211,7 @@ module Make (C : sig val cfg : cfg val name : string end) = struct
           set t ~sid:"rb:insert.red" z f_red 1;
           set t ~sid:"rb:insert.key" z f_key k;
           Ctx.write_bytes t.ctx ~sid:"rb:insert.value" (z + f_val)
-            (Tv.blob (pad_value v));
+            (Tv.blob (Value.pad val_len v));
           Ctx.persist t.ctx ~sid:"rb:insert.node_persist" z node_len;
           (* BST attach *)
           let rec place n =
@@ -267,7 +259,7 @@ module Make (C : sig val cfg : cfg val name : string end) = struct
       Pmdk.Tx.run t.pool (fun tx ->
           Pmdk.Tx.add_range tx (n + f_val) 8;
           Ctx.write_bytes t.ctx ~sid:"rb:update.value" (n + f_val)
-            (Tv.blob (pad_value v)));
+            (Tv.blob (Value.pad val_len v)));
       Output.Ok
     | Some _ | None -> Output.Not_found
 

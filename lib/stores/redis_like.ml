@@ -25,14 +25,6 @@ let entry_len = 24
 
 let hash k = (k * 0x85EBCA77) land 0x3FFFFFFF
 
-let pad_value v =
-  if String.length v >= val_len then String.sub v 0 val_len
-  else v ^ String.make (val_len - String.length v) '\000'
-
-let strip_value v =
-  let rec len i = if i > 0 && v.[i - 1] = '\000' then len (i - 1) else i in
-  String.sub v 0 (len (String.length v))
-
 module M = struct
   let name = "redis"
   let pool_size = 4 * 1024 * 1024
@@ -98,7 +90,7 @@ module M = struct
       Pmdk.Tx.run t.pool (fun tx ->
           Pmdk.Tx.add_range tx (e + e_val) 8;
           Ctx.write_bytes t.ctx ~sid:"redis:insert.upsert" (e + e_val)
-            (Tv.blob (pad_value v)));
+            (Tv.blob (Value.pad val_len v)));
       Output.Ok
     | None ->
       Pmdk.Tx.run t.pool (fun tx ->
@@ -107,7 +99,7 @@ module M = struct
           let e = Pmdk.Alloc.zalloc t.pool entry_len in
           Ctx.write_u64 t.ctx ~sid:"redis:insert.key" (e + e_key) (Tv.const k);
           Ctx.write_bytes t.ctx ~sid:"redis:insert.value" (e + e_val)
-            (Tv.blob (pad_value v));
+            (Tv.blob (Value.pad val_len v));
           Ctx.write_u64 t.ctx ~sid:"redis:insert.next" (e + e_next) head;
           Ctx.persist t.ctx ~sid:"redis:insert.persist" e entry_len;
           Pmdk.Tx.add_range tx slot 8;
@@ -120,7 +112,7 @@ module M = struct
       Pmdk.Tx.run t.pool (fun tx ->
           Pmdk.Tx.add_range tx (e + e_val) 8;
           Ctx.write_bytes t.ctx ~sid:"redis:update.value" (e + e_val)
-            (Tv.blob (pad_value v)));
+            (Tv.blob (Value.pad val_len v)));
       Output.Ok
     | None -> Output.Not_found
 
@@ -140,7 +132,7 @@ module M = struct
     match find t k with
     | Some (_, e) ->
       Output.Found
-        (strip_value
+        (Value.strip
            (Tv.blob_value
               (Ctx.read_bytes t.ctx ~sid:"redis:read.value" (e + e_val) 8)))
     | None -> Output.Not_found

@@ -86,5 +86,3 @@ let all : entry list =
   ]
 
 let find name = List.find_opt (fun e -> String.equal e.name name) all
-
-let kv_entries = List.filter (fun e -> e.group <> Non_kv) all

@@ -39,14 +39,6 @@ let leaf_len = 16
 let type_n4 = 4
 let type_n16 = 16
 
-let pad_value v =
-  if String.length v >= val_len then String.sub v 0 val_len
-  else v ^ String.make (val_len - String.length v) '\000'
-
-let strip_value v =
-  let rec len i = if i > 0 && v.[i - 1] = '\000' then len (i - 1) else i in
-  String.sub v 0 (len (String.length v))
-
 module Make (C : sig val cfg : cfg end) = struct
   let name = "woart"
   let pool_size = 8 * 1024 * 1024
@@ -221,7 +213,7 @@ module Make (C : sig val cfg : cfg end) = struct
     match
       with_leaf t k ~found:(fun _slot leaf ->
           Ctx.write_bytes t.ctx ~sid:"woart:insert.upsert" (leaf + 8)
-            (Tv.blob (pad_value v));
+            (Tv.blob (Value.pad val_len v));
           Ctx.persist t.ctx ~sid:"woart:insert.upsert_persist" (leaf + 8) 8)
     with
     | Some () -> Output.Ok
@@ -233,7 +225,7 @@ module Make (C : sig val cfg : cfg end) = struct
          Ctx.write_u64 t.ctx ~sid:"woart:leaf.key" leaf
            (Tv.const (k land key_mask));
          Ctx.write_bytes t.ctx ~sid:"woart:leaf.value" (leaf + 8)
-           (Tv.blob (pad_value v));
+           (Tv.blob (Value.pad val_len v));
          Ctx.persist t.ctx ~sid:"woart:leaf.persist" leaf leaf_len;
          Ctx.write_u64 t.ctx ~sid:"woart:insert.link" slot (Tv.const leaf);
          Ctx.persist t.ctx ~sid:"woart:insert.link_persist" slot 8;
@@ -243,7 +235,7 @@ module Make (C : sig val cfg : cfg end) = struct
     match
       with_leaf t k ~found:(fun _slot leaf ->
           Ctx.write_bytes t.ctx ~sid:"woart:update.value" (leaf + 8)
-            (Tv.blob (pad_value v));
+            (Tv.blob (Value.pad val_len v));
           Ctx.persist t.ctx ~sid:"woart:update.persist" (leaf + 8) 8)
     with
     | Some () -> Output.Ok
@@ -261,7 +253,7 @@ module Make (C : sig val cfg : cfg end) = struct
   let query t k =
     match
       with_leaf t k ~found:(fun _slot leaf ->
-          strip_value
+          Value.strip
             (Tv.blob_value
                (Ctx.read_bytes t.ctx ~sid:"woart:read.value" (leaf + 8) 8)))
     with

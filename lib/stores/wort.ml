@@ -19,14 +19,6 @@ let leaf_len = 16  (* key 8 | value 8 *)
 let val_len = 8
 let key_mask = (1 lsl (bits * levels)) - 1
 
-let pad_value v =
-  if String.length v >= val_len then String.sub v 0 val_len
-  else v ^ String.make (val_len - String.length v) '\000'
-
-let strip_value v =
-  let rec len i = if i > 0 && v.[i - 1] = '\000' then len (i - 1) else i in
-  String.sub v 0 (len (String.length v))
-
 module M = struct
   let name = "wort"
   let pool_size = 8 * 1024 * 1024
@@ -106,7 +98,7 @@ module M = struct
     let leaf = Pmdk.Alloc.alloc t.pool leaf_len in
     Ctx.write_u64 t.ctx ~sid:"wort:leaf.key" leaf (Tv.const (k land key_mask));
     Ctx.write_bytes t.ctx ~sid:"wort:leaf.value" (leaf + 8)
-      (Tv.blob (pad_value v));
+      (Tv.blob (Value.pad val_len v));
     Ctx.persist t.ctx ~sid:"wort:leaf.persist" leaf leaf_len;
     leaf
 
@@ -117,7 +109,7 @@ module M = struct
       (match leaf_of t slot with
        | Some leaf ->
          Ctx.write_bytes t.ctx ~sid:"wort:insert.overwrite" (leaf + 8)
-           (Tv.blob (pad_value v));
+           (Tv.blob (Value.pad val_len v));
          Ctx.persist t.ctx ~sid:"wort:insert.overwrite_persist" (leaf + 8) 8
        | None ->
          let leaf = write_leaf t k v in
@@ -144,7 +136,7 @@ module M = struct
     match
       with_leaf t k ~found:(fun _slot leaf ->
           Ctx.write_bytes t.ctx ~sid:"wort:update.value" (leaf + 8)
-            (Tv.blob (pad_value v));
+            (Tv.blob (Value.pad val_len v));
           Ctx.persist t.ctx ~sid:"wort:update.persist" (leaf + 8) 8)
     with
     | Some () -> Output.Ok
@@ -162,7 +154,7 @@ module M = struct
   let query t k =
     match
       with_leaf t k ~found:(fun _slot leaf ->
-          strip_value
+          Value.strip
             (Tv.blob_value
                (Ctx.read_bytes t.ctx ~sid:"wort:read.value" (leaf + 8) 8)))
     with

@@ -85,41 +85,66 @@ let test_path_step_label_stable () =
   Alcotest.(check bool) "different labels differ" true
     (P.Path_sig.step 0 (sid "step.x") <> P.Path_sig.step 0 (sid "step.y"))
 
-(* --- Expand --- *)
-
-let test_expand_spots () =
-  let e = P.Expand.create ~budget:3 in
-  let spot m used = P.Expand.want_spot e ~member_index:m ~spots_used:used in
-  Alcotest.(check bool) "member 1" true (spot 1 0);
-  Alcotest.(check bool) "member 2" true (spot 2 1);
-  Alcotest.(check bool) "member 3 skipped" false (spot 3 2);
-  Alcotest.(check bool) "member 4" true (spot 4 2);
-  Alcotest.(check bool) "budget exhausted" false (spot 8 3)
-
-let test_expand_on_verdict () =
-  let e = P.Expand.default in
-  let v prediction consistent = P.Expand.on_verdict e ~prediction ~consistent in
-  (* the first verdict is the prediction, consistent or not: an
-     inconsistent representative already reports its cluster, so its
-     siblings could only re-count the same bug *)
-  Alcotest.(check bool) "first consistent sets" true
-    (v None true = P.Expand.Set_prediction);
-  Alcotest.(check bool) "first inconsistent sets" true
-    (v None false = P.Expand.Set_prediction);
-  Alcotest.(check bool) "agreeing keeps" true
-    (v (Some true) true = P.Expand.Keep);
-  Alcotest.(check bool) "divergence promotes" true
-    (v (Some true) false = P.Expand.Promote);
-  Alcotest.(check bool) "divergence promotes (either way)" true
-    (v (Some false) true = P.Expand.Promote)
-
-(* --- Equiv_class registry --- *)
+(* --- Spot schedule and expansion --- *)
 
 let sig_of i =
   P.Path_sig.make ~op_kind:(sid "op") ~path:i ~watch:(sid "w") ~req:(sid "r")
 
+(* Power-of-two arrival indices are spot-checked, at most [budget] per
+   class beyond the representative. Every verdict agrees, so the class
+   stays collapsed and only the schedule decides. *)
+let test_expand_spots () =
+  let t = P.Equiv_class.create ~budget:3 in
+  let s = sig_of 100 in
+  let decisions =
+    List.init 9 (fun m ->
+        let d = P.Equiv_class.decide t ~sig_:s ~member:m in
+        if d = `Test then P.Equiv_class.observe t ~sig_:s ~consistent:true;
+        d = `Test)
+  in
+  Alcotest.(check (list bool)) "members 0, 1, 2 and 4 tested"
+    [ true; true; true; false; true; false; false; false; false ] decisions;
+  Alcotest.(check int) "rep + 3 spots" 4 (P.Equiv_class.n_reps t);
+  Alcotest.(check int) "3 and 5-8 deferred" 5 (P.Equiv_class.n_deferred t);
+  Alcotest.(check int) "no promotion" 0 (P.Equiv_class.n_promoted t)
+
+let test_expand_on_verdict () =
+  let t = P.Equiv_class.create ~budget:3 in
+  let test s m consistent =
+    Alcotest.(check bool) "tested" true
+      (P.Equiv_class.decide t ~sig_:s ~member:m = `Test);
+    P.Equiv_class.observe t ~sig_:s ~consistent
+  in
+  let prediction s =
+    (List.find
+       (fun (ci : P.Equiv_class.info) -> P.Path_sig.equal ci.i_sig s)
+       (P.Equiv_class.classes_info t)).i_prediction
+  in
+  (* the first verdict is the prediction, consistent or not: an
+     inconsistent representative already reports its cluster, so its
+     siblings could only re-count the same bug *)
+  let a = sig_of 101 and b = sig_of 102 in
+  test a 0 false;
+  Alcotest.(check (option bool)) "first inconsistent sets" (Some false)
+    (prediction a);
+  test b 0 true;
+  Alcotest.(check (option bool)) "first consistent sets" (Some true)
+    (prediction b);
+  Alcotest.(check int) "first verdicts promote nothing" 0
+    (P.Equiv_class.n_promoted t);
+  test a 1 false;
+  test b 1 true;
+  Alcotest.(check int) "agreeing keeps" 0 (P.Equiv_class.n_promoted t);
+  test b 2 false;
+  Alcotest.(check int) "divergence promotes" 1 (P.Equiv_class.n_promoted t);
+  test a 2 true;
+  Alcotest.(check int) "divergence promotes (either way)" 2
+    (P.Equiv_class.n_promoted t)
+
+(* --- Equiv_class registry --- *)
+
 let test_registry_rep_and_defer () =
-  let t = P.Equiv_class.create () in
+  let t = P.Equiv_class.create ~budget:3 in
   let s = sig_of 1 in
   Alcotest.(check bool) "first member tested" true
     (P.Equiv_class.decide t ~sig_:s ~member:0 = `Test);
@@ -147,7 +172,7 @@ let test_registry_rep_and_defer () =
    | l -> Alcotest.failf "expected one tail spot, got %d" (List.length l))
 
 let test_registry_promotion () =
-  let t = P.Equiv_class.create () in
+  let t = P.Equiv_class.create ~budget:3 in
   let s = sig_of 2 in
   Alcotest.(check bool) "rep" true (P.Equiv_class.decide t ~sig_:s ~member:10 = `Test);
   P.Equiv_class.observe t ~sig_:s ~consistent:true;
