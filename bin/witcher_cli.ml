@@ -60,11 +60,13 @@ let store_arg =
 
 let ops_arg =
   let open Cmdliner in
-  Arg.(value & opt count_conv 200 & info [ "n"; "ops" ] ~docv:"N" ~doc:"Operations in the test case.")
+  Arg.(value & opt count_conv W.Workload.default.n_ops
+       & info [ "n"; "ops" ] ~docv:"N" ~doc:"Operations in the test case.")
 
 let seed_arg =
   let open Cmdliner in
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed.")
+  Arg.(value & opt int W.Workload.default.seed
+       & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed.")
 
 let fixed_arg =
   let open Cmdliner in
@@ -76,7 +78,8 @@ let verbose_arg =
 
 let max_images_arg =
   let open Cmdliner in
-  Arg.(value & opt count_conv 4000 & info [ "max-images" ] ~docv:"N" ~doc:"Crash-image test budget.")
+  Arg.(value & opt count_conv W.Crash_gen.default_cfg.max_images
+       & info [ "max-images" ] ~docv:"N" ~doc:"Crash-image test budget.")
 
 let json_arg =
   let open Cmdliner in
@@ -321,7 +324,7 @@ let run_cmd store fixed ops seed max_images prune expand_budget sig_depth
          List.iter (fun l -> Printf.printf "  %s\n" l) lines)
     end;
     print_newline ();
-    print_string (W.Report.bug_list r)
+    print_string (W.Report.perf_list r)
   end;
   (* exit-code contract: campaigns and CI gate on this *)
   if r.bug_reports = [] then 0 else 1
@@ -458,7 +461,7 @@ let run_t =
 
 let campaign_t =
   let j =
-    Arg.(value & opt (int_at_least 1) 1
+    Arg.(value & opt (int_at_least 1) C.Orchestrator.default_cfg.j
          & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker processes to fork.")
   in
   let stores =
@@ -467,7 +470,7 @@ let campaign_t =
              ~doc:"Comma-separated store subset (default: whole registry).")
   in
   let seeds =
-    Arg.(value & opt (list int) [ 42 ]
+    Arg.(value & opt (list int) C.Planner.default.seeds
          & info [ "seeds" ] ~docv:"S1,S2,..." ~doc:"Workload seeds to sweep.")
   in
   let fixed_too =
@@ -476,13 +479,13 @@ let campaign_t =
              ~doc:"Also run every store's repaired variant (Table 5 style).")
   in
   let timeout =
-    Arg.(value & opt seconds_conv 300.
+    Arg.(value & opt seconds_conv C.Orchestrator.default_cfg.timeout
          & info [ "timeout" ] ~docv:"SECS"
              ~doc:"Per-job wall-clock budget; over-budget workers are killed \
                    and journaled as timeouts.")
   in
   let out =
-    Arg.(value & opt string "campaign-out"
+    Arg.(value & opt string C.Orchestrator.default_cfg.out_dir
          & info [ "out" ] ~docv:"DIR"
              ~doc:"Output directory: journal.jsonl, report.txt, report.json.")
   in

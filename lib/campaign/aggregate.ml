@@ -4,7 +4,7 @@
 
 type row = {
   store : string;
-  variant : Job.variant;
+  variant : Job.variant option;  (* None in the total, over both variants *)
   jobs : int;
   ok : int;
   failed : int;
@@ -138,14 +138,14 @@ let of_records (records : Journal.record list) =
          | Some row -> row
          | None ->
            order := k :: !order;
-           empty_row r.spec.Job.store r.spec.Job.variant
+           empty_row r.spec.Job.store (Some r.spec.Job.variant)
        in
        Hashtbl.replace tbl k (add_record row r))
     records;
   let rows = List.rev_map (fun k -> Hashtbl.find tbl k) !order in
   (* every column is a sum or a max over jobs, so the total is one more
      row that every record is added to *)
-  let total = List.fold_left add_record (empty_row "TOTAL" Job.Buggy) records in
+  let total = List.fold_left add_record (empty_row "TOTAL" None) records in
   let metrics =
     Obs.Metrics.merge_all (List.filter_map Journal.obs_metrics records)
   in
@@ -158,7 +158,7 @@ let status_cell row =
 let row_line row =
   Printf.sprintf "%-16s %-6s | %4d %4d %6s | %4d %4d | %4d %5d %5d %4d | %8d %8d | %8d %7.2f | %7d %8d %6d | %5d %8d | %5d %5d %7d %6d | %8.1f | %8.1f"
     row.store
-    (if row.store = "TOTAL" then "" else Job.variant_name row.variant)
+    (Option.fold ~none:"" ~some:Job.variant_name row.variant)
     row.jobs row.ok (status_cell row) row.c_o row.c_a row.p_u row.p_efl
     row.p_efe row.p_el row.images_tested row.n_mismatch row.replay_ops
     (float_of_int row.bytes_materialized /. 1024. /. 1024.)
@@ -214,39 +214,41 @@ let to_text ?elapsed ?j t =
 
 let row_json row =
   Jsonx.Obj
-    [ ("store", Jsonx.Str row.store);
-      ("variant", Jsonx.Str (Job.variant_name row.variant));
-      ("jobs", Jsonx.Int row.jobs);
-      ("ok", Jsonx.Int row.ok);
-      ("failed", Jsonx.Int row.failed);
-      ("timeout", Jsonx.Int row.timeout);
-      ("c_o", Jsonx.Int row.c_o);
-      ("c_a", Jsonx.Int row.c_a);
-      ("p_u", Jsonx.Int row.p_u);
-      ("p_efl", Jsonx.Int row.p_efl);
-      ("p_efe", Jsonx.Int row.p_efe);
-      ("p_el", Jsonx.Int row.p_el);
-      ("images_tested", Jsonx.Int row.images_tested);
-      ("n_mismatch", Jsonx.Int row.n_mismatch);
-      ("replay_ops", Jsonx.Int row.replay_ops);
-      ("bytes_materialized", Jsonx.Int row.bytes_materialized);
-      ("oracle_runs", Jsonx.Int row.oracle_runs);
-      ("oracle_ops_saved", Jsonx.Int row.oracle_ops_saved);
-      ("memo_hits", Jsonx.Int row.memo_hits);
-      ("ckpt_bytes", Jsonx.Int row.ckpt_bytes);
-      ("batch_fences", Jsonx.Int row.batch_fences);
-      ("inherit_hits", Jsonx.Int row.inherit_hits);
-      ("batch_saved", Jsonx.Int row.batch_saved);
-      ("prune_classes", Jsonx.Int row.prune_classes);
-      ("prune_reps", Jsonx.Int row.prune_reps);
-      ("images_elided", Jsonx.Int row.images_elided);
-      ("prune_expansions", Jsonx.Int row.prune_expansions);
-      ("stream_jobs", Jsonx.Int row.stream_jobs);
-      ("window_retirements", Jsonx.Int row.window_retirements);
-      ("ckpt_ring_evictions", Jsonx.Int row.ckpt_ring_evictions);
-      ("peak_live_words", Jsonx.Int row.peak_live_words);
-      ("t_equiv", Jsonx.Float row.t_equiv);
-      ("wall", Jsonx.Float row.wall) ]
+    ([ ("store", Jsonx.Str row.store) ]
+     @ (match row.variant with
+        | Some v -> [ ("variant", Jsonx.Str (Job.variant_name v)) ]
+        | None -> [])
+     @ [ ("jobs", Jsonx.Int row.jobs);
+         ("ok", Jsonx.Int row.ok);
+         ("failed", Jsonx.Int row.failed);
+         ("timeout", Jsonx.Int row.timeout);
+         ("c_o", Jsonx.Int row.c_o);
+         ("c_a", Jsonx.Int row.c_a);
+         ("p_u", Jsonx.Int row.p_u);
+         ("p_efl", Jsonx.Int row.p_efl);
+         ("p_efe", Jsonx.Int row.p_efe);
+         ("p_el", Jsonx.Int row.p_el);
+         ("images_tested", Jsonx.Int row.images_tested);
+         ("n_mismatch", Jsonx.Int row.n_mismatch);
+         ("replay_ops", Jsonx.Int row.replay_ops);
+         ("bytes_materialized", Jsonx.Int row.bytes_materialized);
+         ("oracle_runs", Jsonx.Int row.oracle_runs);
+         ("oracle_ops_saved", Jsonx.Int row.oracle_ops_saved);
+         ("memo_hits", Jsonx.Int row.memo_hits);
+         ("ckpt_bytes", Jsonx.Int row.ckpt_bytes);
+         ("batch_fences", Jsonx.Int row.batch_fences);
+         ("inherit_hits", Jsonx.Int row.inherit_hits);
+         ("batch_saved", Jsonx.Int row.batch_saved);
+         ("prune_classes", Jsonx.Int row.prune_classes);
+         ("prune_reps", Jsonx.Int row.prune_reps);
+         ("images_elided", Jsonx.Int row.images_elided);
+         ("prune_expansions", Jsonx.Int row.prune_expansions);
+         ("stream_jobs", Jsonx.Int row.stream_jobs);
+         ("window_retirements", Jsonx.Int row.window_retirements);
+         ("ckpt_ring_evictions", Jsonx.Int row.ckpt_ring_evictions);
+         ("peak_live_words", Jsonx.Int row.peak_live_words);
+         ("t_equiv", Jsonx.Float row.t_equiv);
+         ("wall", Jsonx.Float row.wall) ])
 
 let to_json ?elapsed ?j t =
   let extra =

@@ -15,8 +15,6 @@ type spec = {
   expand_budget : int;
 }
 
-let default_expand_budget = 3
-
 let variant_name = function Buggy -> "buggy" | Fixed -> "fixed"
 
 let variant_of_string = function
@@ -96,6 +94,6 @@ let of_json j =
               max_images = Jsonx.int_field j "max_images";
               prune;
               expand_budget =
-                Jsonx.int_field ~default:default_expand_budget j
-                  "expand_budget" }))
+                Jsonx.int_field j "expand_budget"
+                  ~default:Witcher.Engine.default_cfg.expand_budget }))
   | _ -> Error "job spec missing store/variant"

@@ -28,10 +28,7 @@ let status_name = function
 
 let report_json (r : W.Cluster.report) =
   Jsonx.Obj
-    [ ("kind",
-       Jsonx.Str (match r.kind with
-           | W.Cluster.C_ordering -> "C-O"
-           | W.Cluster.C_atomicity -> "C-A"));
+    [ ("kind", Jsonx.Str (W.Cluster.kind_name r.kind));
       ("rule", Jsonx.Str r.rule);
       ("op", Jsonx.Str r.op_desc);
       ("watch_sid", Jsonx.Str r.watch_sid);

@@ -13,10 +13,15 @@ type cfg = {
   expand_budget : int;
 }
 
+(* A single run's defaults (workload size and seed, image budget,
+   expansion budget), so `witcher run` and a campaign cell agree. *)
 let default =
-  { stores = None; seeds = [ 42 ]; fixed_too = false; n_ops = 200;
-    max_images = 4000; prune = Prune.Policy.Exhaustive;
-    expand_budget = Job.default_expand_budget }
+  let module W = Witcher in
+  { stores = None; seeds = [ W.Workload.default.seed ]; fixed_too = false;
+    n_ops = W.Workload.default.n_ops;
+    max_images = W.Crash_gen.default_cfg.max_images;
+    prune = Prune.Policy.Exhaustive;
+    expand_budget = W.Engine.default_cfg.expand_budget }
 
 let registry_names () =
   List.map (fun (e : Stores.Registry.entry) -> e.name) Stores.Registry.all

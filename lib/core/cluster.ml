@@ -6,6 +6,10 @@
 
 type kind = C_ordering | C_atomicity
 
+(* The paper's names for the two kinds (Table 4/5 columns), in every
+   report, journal and event that names one. *)
+let kind_name = function C_ordering -> "C-O" | C_atomicity -> "C-A"
+
 type report = {
   store_name : string;
   kind : kind;
@@ -75,36 +79,34 @@ let reports t =
   |> List.sort (fun a b ->
       compare (a.watch_sid, a.req_sid, a.op_desc) (b.watch_sid, b.req_sid, b.op_desc))
 
-(* Reports with their path-signature keys: [reports] order, but with the
-   stable class key breaking (watch, req, op) ties — [reports]' order of
-   tied clusters leaks Hashtbl iteration over process-local sid ints,
-   and the event log must be a pure function of (store, seed, config). *)
+(* Reports with their path-signature keys, in [reports] order but with
+   the stable class key breaking (watch, req, op) ties: [reports]' order
+   of tied clusters leaks Hashtbl iteration over process-local sid ints,
+   which unbounded and windowed runs intern on different schedules, and
+   the event log must be a pure function of (store, seed, config).
+
+   Each report is flagged when it is the first of its (kind, watch site)
+   in this order: the root-cause election that [root_causes] and the
+   event log's `cluster` events both read. A root cause is the static
+   site that persisted too early (or whose epoch vanished), per kind;
+   multiple clusters and site pairs share one (§7.4), and their count is
+   the one comparable to the paper's Table 4/5 bug numbers. *)
 let reports_keyed t =
+  let seen = Hashtbl.create 16 in
   Hashtbl.fold (fun k r acc -> (Prune.Path_sig.stable_key k, r) :: acc)
     t.clusters []
   |> List.sort (fun (ka, a) (kb, b) ->
       compare (a.watch_sid, a.req_sid, a.op_desc, ka)
         (b.watch_sid, b.req_sid, b.op_desc, kb))
+  |> List.map (fun (k, r) ->
+      let root = not (Hashtbl.mem seen (r.kind, r.watch_sid)) in
+      if root then Hashtbl.add seen (r.kind, r.watch_sid) ();
+      (k, root, r))
 
 let n_clusters t = Hashtbl.length t.clusters
 
-(* Distinct root causes: the static site that persisted too early (or
-   whose epoch vanished). Multiple clusters and site pairs share one root
-   cause (§7.4); this is the count comparable to the paper's Table 4/5
-   bug numbers. *)
 let root_causes t =
-  (* representative per root cause chosen in [reports_keyed] order: a
-     raw [Hashtbl.iter] would elect whichever tied cluster the
-     process-local sid ints happened to bucket first, and unbounded and
-     windowed runs intern sids on different schedules *)
-  let seen = Hashtbl.create 16 in
-  List.filter_map
-    (fun (_, r) ->
-       if Hashtbl.mem seen (r.kind, r.watch_sid) then None
-       else begin
-         Hashtbl.add seen (r.kind, r.watch_sid) ();
-         Some r
-       end)
+  List.filter_map (fun (_, root, r) -> if root then Some r else None)
     (reports_keyed t)
   |> List.sort (fun a b -> compare (a.watch_sid, a.req_sid) (b.watch_sid, b.req_sid))
 
@@ -115,7 +117,7 @@ let root_causes t =
 let site_pairs t =
   let seen = Hashtbl.create 16 in
   List.filter_map
-    (fun (_, r) ->
+    (fun (_, _, r) ->
        if Hashtbl.mem seen (r.kind, r.watch_sid, r.req_sid) then None
        else begin
          Hashtbl.add seen (r.kind, r.watch_sid, r.req_sid) ();
@@ -126,9 +128,7 @@ let site_pairs t =
 
 let pp_report ppf (r : report) =
   Fmt.pf ppf "[%s] %s %s op=%s crash@%d first_diff=op%d got=%a expected=%a%s@,   persisted-early: %s@,   unpersisted:     %s"
-    r.store_name
-    (match r.kind with C_ordering -> "C-O" | C_atomicity -> "C-A")
-    r.rule r.op_desc r.example_crash_tid r.example_first_diff
-    Output.pp r.example_got Output.pp r.example_expected
+    r.store_name (kind_name r.kind) r.rule r.op_desc r.example_crash_tid
+    r.example_first_diff Output.pp r.example_got Output.pp r.example_expected
     (if r.crashed then " [visible crash]" else "")
     r.watch_sid r.req_sid

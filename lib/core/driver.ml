@@ -43,8 +43,8 @@ let ckpts ?(cap = max_int) stride =
   { stride; cap; held = []; n_held = 0; evicted = 0 }
 
 (* Snapshot [pmem] into [c] if op [index] of [n] is on the stride; returns
-   whether it did. [log] emits the `ckpt` event. *)
-let checkpoint ?(log = true) c ~n ~index pmem =
+   whether it did. *)
+let checkpoint c ~n ~index pmem =
   c.stride > 0 && index > 0 && index mod c.stride = 0 && index < n
   && begin
     let snap = Pmem.copy pmem in
@@ -56,8 +56,6 @@ let checkpoint ?(log = true) c ~n ~index pmem =
     end;
     Obs.Metrics.incr ~n:(Pmem.size pmem) "driver.ckpt_bytes";
     Obs.Metrics.observe "driver.ckpt_lines" (Pmem.lines snap);
-    if log && Obs.Event.enabled () then
-      ignore (Obs.Event.emit "ckpt" ~fields:[ ("op", Obs.Jsonx.Int index) ]);
     true
   end
 

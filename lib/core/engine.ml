@@ -376,7 +376,6 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
   let check_image ?observe (image : Crash_gen.image) =
     let t0 = Unix.gettimeofday () in
     let memo_before = (Equiv.stats checker).Equiv.n_memo_hits in
-    let inherit_before = (Equiv.stats checker).Equiv.n_inherit_hits in
     let verdict =
       Equiv.check ~digest:image.digest ~fence:image.crash_tid
         ~extras:image.extras checker ~img:image.img ~crash_op:image.crash_op
@@ -391,15 +390,11 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
       in
       let skey = Prune.Path_sig.stable_key sig_ in
       let memoized = (Equiv.stats checker).Equiv.n_memo_hits > memo_before in
-      let inherit_hit =
-        (Equiv.stats checker).Equiv.n_inherit_hits > inherit_before
-      in
       let fields =
         [ ("image", Obs.Jsonx.Int !Obs.Event.last_image_id);
           ("class", Obs.Jsonx.Str skey);
           ("consistent", Obs.Jsonx.Bool (verdict = Equiv.Consistent));
           ("memo", Obs.Jsonx.Bool memoized);
-          ("inherit", Obs.Jsonx.Bool inherit_hit);
           ("prov", Obs.Jsonx.Str !prov) ]
         @ (match verdict with
            | Equiv.Consistent -> []
@@ -471,7 +466,7 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
               for i = !fed to len - 1 do gen.Crash_gen.g_feed i done;
               fed := len;
               retire tr ~pass ~target:(len - w);
-              if Driver.checkpoint ~log:false ring ~n ~index pmem then
+              if Driver.checkpoint ring ~n ~index pmem then
                 Equiv.set_checkpoints checker ring.held;
               if pass = 0 && index > 0 then begin
                 sample_mem index;
@@ -645,9 +640,9 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
     Obs.Metrics.incr ~n:images_elided "prune.images_elided";
     Obs.Metrics.incr ~n:prune_expansions "prune.expansions"
   end;
-  (* End-of-run forensics: one `class` event per pruning class, one
+  (* End-of-run forensics: one `class` event per pruning class and one
      `cluster` event per failing cluster (flagged when it is a root
-     cause), and a `summary` of the headline counters. *)
+     cause). *)
   if Obs.Event.enabled () then begin
     (match !reg with
      | Some r ->
@@ -677,29 +672,13 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
                       | Some b -> Obs.Jsonx.Bool b) ]))
          (Prune.Equiv_class.classes_info r)
      | None -> ());
-    (* one root marker per (kind, watch) — the same notion as
-       [Cluster.root_causes] but picked in the deterministic keyed
-       order, so the event stream never leaks Hashtbl iteration *)
-    let root_seen = Hashtbl.create 8 in
     List.iter
-      (fun (skey, (rep : Cluster.report)) ->
-         let root =
-           let k = (rep.Cluster.kind, rep.Cluster.watch_sid) in
-           if Hashtbl.mem root_seen k then false
-           else begin
-             Hashtbl.add root_seen k ();
-             true
-           end
-         in
+      (fun (skey, root, (rep : Cluster.report)) ->
          ignore
            (Obs.Event.emit "cluster"
               ~fields:
                 [ ("class", Obs.Jsonx.Str skey);
-                  ("kind",
-                   Obs.Jsonx.Str
-                     (match rep.kind with
-                      | Cluster.C_ordering -> "C-O"
-                      | Cluster.C_atomicity -> "C-A"));
+                  ("kind", Obs.Jsonx.Str (Cluster.kind_name rep.kind));
                   ("rule", Obs.Jsonx.Str rep.rule);
                   ("op", Obs.Jsonx.Str rep.op_desc);
                   ("watch", Obs.Jsonx.Str rep.watch_sid);
@@ -712,25 +691,7 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
                    Obs.Jsonx.Str (Fmt.str "%a" Output.pp rep.example_expected));
                   ("crashed", Obs.Jsonx.Bool rep.crashed);
                   ("root", Obs.Jsonx.Bool root) ]))
-      (Cluster.reports_keyed clusters);
-    ignore
-      (Obs.Event.emit "summary"
-         ~fields:
-           ([ ("images_generated", Obs.Jsonx.Int stats.generated);
-              ("images_tested", Obs.Jsonx.Int stats.tested);
-              ("images_deferred", Obs.Jsonx.Int images_deferred);
-              ("images_elided", Obs.Jsonx.Int images_elided);
-              ("n_mismatch", Obs.Jsonx.Int !n_mismatch);
-              ("n_clusters", Obs.Jsonx.Int (Cluster.n_clusters clusters));
-              ("memo_hits", Obs.Jsonx.Int estats.Equiv.n_memo_hits);
-              ("oracle_runs", Obs.Jsonx.Int estats.Equiv.n_oracle_runs);
-              ("prune_classes", Obs.Jsonx.Int prune_classes);
-              ("prune_expansions", Obs.Jsonx.Int prune_expansions) ]
-            @
-            if bounded then
-              [ ("window_retirements", Obs.Jsonx.Int !retirements);
-                ("ckpt_ring_evictions", Obs.Jsonx.Int !evictions) ]
-            else []))
+      (Cluster.reports_keyed clusters)
   end;
   (* An unbounded run's only heap sample is this closing one: keep what its
      window held reachable until then, so the peak counts it. *)

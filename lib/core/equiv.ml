@@ -57,7 +57,6 @@ type verdict =
    operations the resumed executions actually ran, and how many replays
    the incremental checker cut short. *)
 type stats = {
-  mutable n_checks : int;
   mutable n_replay_ops : int;   (* ops executed across all resumes *)
   mutable n_early_stops : int;  (* replays aborted before the suffix end *)
   mutable n_oracle_runs : int;  (* rolled-back oracles actually built *)
@@ -118,7 +117,7 @@ let create ?(fuel = default_fuel) ?(lazy_oracle = true) ?(memo = true)
   { store; ops; committed; rolled_back = Hashtbl.create 64; fuel;
     lazy_oracle; memo_on = memo; checkpoints;
     memo = Hashtbl.create 256; elided = Hashtbl.create 64; batch = None;
-    stats = { n_checks = 0; n_replay_ops = 0; n_early_stops = 0;
+    stats = { n_replay_ops = 0; n_early_stops = 0;
               n_oracle_runs = 0; n_oracle_ops_saved = 0; n_memo_hits = 0;
               n_batch_fences = 0; n_batch_images = 0; n_inherit_hits = 0;
               n_inherit_ops_saved = 0 } }
@@ -463,7 +462,6 @@ let check_grouped t bs ~img ~crash_op ~fence ~extras =
 let check ?digest ?fence ?extras t ~img ~crash_op =
   let n = Array.length t.ops in
   let suffix_len = n - crash_op in
-  t.stats.n_checks <- t.stats.n_checks + 1;
   if suffix_len <= 0 then Consistent  (* crash after the last op *)
   else begin
     let memo_key =

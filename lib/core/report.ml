@@ -114,26 +114,19 @@ let stream_line (r : Engine.result) =
     r.name r.window_retirements r.ckpt_ring_evictions
     (float_of_int (r.peak_live_words * 8) /. 1024. /. 1024.)
 
-(* Table 4-style detailed bug list for one store. *)
-let bug_list (r : Engine.result) =
-  let buf = Buffer.create 256 in
-  List.iteri
-    (fun i (rep : Cluster.report) ->
-       Buffer.add_string buf
-         (Fmt.str "  %2d. %a\n" (i + 1) Cluster.pp_report rep))
-    r.bug_reports;
-  List.iter
-    (fun (kind, counts) ->
-       List.iter
-         (fun (sid, n) ->
-            Buffer.add_string buf
-              (Printf.sprintf "  perf %-5s %-48s x%d\n" kind sid n))
-         counts)
-    [ "P-U", Perf.bug_sites r.perf.p_u;
-      "P-EFL", Perf.bug_sites r.perf.p_efl;
-      "P-EFE", Perf.bug_sites r.perf.p_efe;
-      "P-EL", Perf.bug_sites r.perf.p_el ];
-  Buffer.contents buf
+(* Table 4-style performance-bug sites of one store, one line each (the
+   correctness root causes are listed from [r.bug_reports]). *)
+let perf_list (r : Engine.result) =
+  String.concat ""
+    (List.concat_map
+       (fun (kind, counts) ->
+          List.map
+            (fun (sid, n) -> Printf.sprintf "  perf %-5s %-48s x%d\n" kind sid n)
+            (Perf.bug_sites counts))
+       [ "P-U", r.perf.p_u;
+         "P-EFL", r.perf.p_efl;
+         "P-EFE", r.perf.p_efe;
+         "P-EL", r.perf.p_el ])
 
 (* Figure 4: ASCII series of cumulative test-space sizes per operation. *)
 let figure4 ~name (s : Yat.series) ~step =

@@ -1,7 +1,7 @@
 (* Structured event log (DESIGN §8): the forensics backbone. One record
    per semantically meaningful occurrence in a pipeline run — op
    recorded, condition inferred, crash image generated/deferred, oracle
-   built, verdict reached, class promoted, cluster emitted — each with a
+   built, verdict reached, cluster emitted — each with a
    sequential id so later events can reference earlier ones and a
    post-hoc reader (`witcher explain`) can reconstruct the provenance
    chain image -> fence/op -> violated condition -> path-signature class

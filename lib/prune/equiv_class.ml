@@ -86,18 +86,6 @@ let decide t ~sig_ ~member =
       `Defer
     end
 
-let promote t c =
-  if not c.promoted then begin
-    c.promoted <- true;
-    t.n_promoted <- t.n_promoted + 1;
-    if Obs.Event.enabled () then
-      ignore
-        (Obs.Event.emit "promote"
-           ~fields:
-             [ ("class", Obs.Jsonx.Str c.skey);
-               ("members", Obs.Jsonx.Int c.n_members) ])
-  end
-
 (* Feed back the verdict of a member [decide] said to test. *)
 let observe t ~sig_ ~consistent =
   match Hashtbl.find_opt t.classes sig_ with
@@ -109,7 +97,8 @@ let observe t ~sig_ ~consistent =
       | Some p when p = consistent -> ()
       | Some _ ->
         c.prediction <- Some consistent;
-        promote t c
+        c.promoted <- true;
+        t.n_promoted <- t.n_promoted + 1
 
 (* Deferred members of every promoted class, for the expansion pass. *)
 let promoted_deferred t =

@@ -79,7 +79,3 @@ let stable_key (s : t) =
        (Printf.sprintf "witcher-psig-v1|%s|%d|%s|%s"
           (Sid.to_string s.op_kind) s.path (Sid.to_string s.watch)
           (Sid.to_string s.req)))
-
-let pp ppf (s : t) =
-  Fmt.pf ppf "%a@%x[%a,%a]" Sid.pp s.op_kind (s.path land 0xffffff) Sid.pp
-    s.watch Sid.pp s.req

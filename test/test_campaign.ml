@@ -25,7 +25,7 @@ let orch_cfg ?(j = 2) ?(timeout = 120.) ?(resume = false) out_dir =
 
 let spec ?(variant = C.Job.Buggy) ?(seed = 1) ?(n_ops = 40)
     ?(max_images = 200) ?(prune = Prune.Policy.Exhaustive)
-    ?(expand_budget = C.Job.default_expand_budget) store =
+    ?(expand_budget = W.Engine.default_cfg.expand_budget) store =
   { C.Job.store; variant; seed; n_ops; max_images; prune; expand_budget }
 
 (* ---------- planner ---------- *)
@@ -244,8 +244,8 @@ let test_preprune_journal_compat () =
   let r = List.hd records in
   Alcotest.(check bool) "absent prune fields mean exhaustive" true
     (r.spec.C.Job.prune = Prune.Policy.Exhaustive);
-  Alcotest.(check int) "expand budget defaults" C.Job.default_expand_budget
-    r.spec.C.Job.expand_budget;
+  Alcotest.(check int) "expand budget defaults"
+    W.Engine.default_cfg.expand_budget r.spec.C.Job.expand_budget;
   Alcotest.(check bool) "old key matches today's exhaustive key" true
     (r.key = C.Job.key r.spec);
   let agg = C.Aggregate.of_records records in
@@ -324,6 +324,32 @@ let test_prestream_journal_compat () =
   let done_ = C.Journal.completed_keys records in
   Alcotest.(check bool) "old key counts as completed for --resume" true
     (Hashtbl.mem done_ (C.Job.key s))
+
+(* A --fixed-too sweep: report.json's rows keep their variants, and the
+   total, summed over both, names none. *)
+let test_total_has_no_variant () =
+  let records =
+    List.map
+      (fun (variant, c_o) ->
+         C.Journal.record ~spec:(spec ~variant "level-hash") ~t_wall:1.
+           (C.Pool.Ok (C.Jsonx.Obj [ ("c_o", C.Jsonx.Int c_o) ])))
+      [ (C.Job.Buggy, 3); (C.Job.Fixed, 0) ]
+  in
+  let report = C.Aggregate.to_json (C.Aggregate.of_records records) in
+  let variant row =
+    Option.bind (C.Jsonx.member "variant" row) C.Jsonx.to_str_opt
+  in
+  let rows =
+    match C.Jsonx.member "rows" report with
+    | Some (C.Jsonx.List rows) -> rows
+    | _ -> []
+  in
+  Alcotest.(check (list (option string))) "rows keep their variants"
+    [ Some "buggy"; Some "fixed" ] (List.map variant rows);
+  let total = Option.get (C.Jsonx.member "total" report) in
+  Alcotest.(check (option string)) "total names no variant" None
+    (variant total);
+  Alcotest.(check int) "total sums both" 3 (C.Jsonx.int_field total "c_o")
 
 (* Journals written before the forensics event log (no --events, no
    events.jsonl next to them) must still parse, aggregate, and explain:
@@ -598,6 +624,8 @@ let suite =
       test_prestream_journal_compat;
     Alcotest.test_case "pre-event journal still explains" `Quick
       test_preevent_journal_compat;
+    Alcotest.test_case "fixed-too total names no variant" `Quick
+      test_total_has_no_variant;
     Alcotest.test_case "failing job isolated from siblings" `Quick
       test_failing_job_isolated;
     Alcotest.test_case "livelocked job killed at deadline" `Quick

@@ -481,7 +481,7 @@ let test_report_smoke () =
   let t1 = W.Report.table1 () and t2 = W.Report.table2 () in
   Alcotest.(check bool) "tables render" true
     (String.length t1 > 100 && String.length t2 > 100);
-  ignore (W.Report.bug_list r)
+  ignore (W.Report.perf_list r)
 
 (* The final committed image resumed from scratch equals the committed
    outputs: equivalence checking of a "crash after the last op" state. *)
