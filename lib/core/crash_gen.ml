@@ -30,7 +30,17 @@
    reconstruction), the per-word latest-store map is a flat array indexed
    by 8-byte word (pool sizes are a few MB), and sids are interned ints
    throughout — [violation] carries [Sid.t]; report layers convert back
-   to strings. *)
+   to strings.
+
+   The walk pays per condition visit only array reads, and allocates
+   only for a feasible candidate. A store visits every condition that
+   watches its words; the epoch keeps each condition once, at the first
+   store that watched it, by stamping the condition's dense [Infer.po]
+   id with the fence count (ids are unique per condition, so this is the
+   structural dedup). At the fence, an ordering entry reads the latest
+   store to its req cell as a bare tid and asks the simulator for a
+   feasible closure before it builds a violation, a site key or a sid;
+   most entries end there, their req store already guaranteed. *)
 
 open Nvm
 
@@ -139,18 +149,17 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
     { candidates = 0; generated = 0; eligible = 0; deferred = 0; tested = 0;
       bytes_materialized = 0; per_op_images = Hashtbl.create 64 }
   in
-  (* 8-byte word -> tid/addr/len/sid of the latest store touching it,
-     tid -1 = none. Grown on demand: pools are up to 16MB but stores touch
-     a small dense prefix, and eagerly clearing pool-sized arrays would
-     dominate small runs. The addr/len/sid columns shadow the store's
-     trace fields so [latest_store_to] never reads the trace — over a
-     windowed ring the latest store to a word may be long retired, and
-     still unguaranteed (the simulator holds it), and these probes must
-     not fault on it. *)
+  (* 8-byte word -> tid/addr/len of the latest store touching it, tid
+     -1 = none. Grown on demand: pools are up to 16MB but stores touch a
+     small dense prefix, and eagerly clearing pool-sized arrays would
+     dominate small runs. The addr/len columns shadow the store's trace
+     fields so [latest_store_to] never reads the trace — over a windowed
+     ring the latest store to a word may be long retired, and still
+     unguaranteed (the simulator holds it), and these probes must not
+     fault on it. *)
   let last_store_word = ref (Array.make 4096 (-1)) in
   let last_store_addr = ref (Array.make 4096 0) in
   let last_store_len = ref (Array.make 4096 0) in
-  let last_store_sid = ref (Array.make 4096 0) in
   let last_store_cap = (pool_size + 7) lsr 3 in
   let ensure_word w =
     if w >= Array.length !last_store_word then begin
@@ -163,15 +172,16 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
       in
       grow last_store_word (-1);
       grow last_store_addr 0;
-      grow last_store_len 0;
-      grow last_store_sid 0
+      grow last_store_len 0
     end
   in
   let epoch : epoch_cand list ref = ref [] in
-  (* Keyed on the condition itself (structural equality), so two distinct
-     conditions can never alias an entry the way the old
-     [Hashtbl.hash (watch, req, rule)] key could on a hash collision. *)
-  let epoch_seen : (Infer.po, unit) Hashtbl.t = Hashtbl.create 64 in
+  (* Condition id -> the number of the fence whose epoch holds the
+     condition. Fences count from 1, so a stale stamp never matches.
+     Inference is complete before generation starts (in both window
+     settings), so every id is below [n_ordering conds]. *)
+  let stamps = Array.make (Infer.n_ordering conds) 0 in
+  let n_fence = ref 1 in
   let site_count : (int * int * int, int) Hashtbl.t = Hashtbl.create 256 in
   let img_seen : (int * int, unit) Hashtbl.t = Hashtbl.create 1024 in
   let path_hash = ref 0 in
@@ -207,30 +217,22 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
     Hashtbl.replace stats.per_op_images op
       (1 + Option.value ~default:0 (Hashtbl.find_opt stats.per_op_images op))
   in
-  (* Latest store whose range overlaps the cell, if any, with its sid:
-     O(words of cell) array reads against the shadow columns — identical
-     values to the store's trace fields, valid even if the store's trace
-     segment has been retired. *)
+  (* Tid of the latest store whose range overlaps the cell, -1 if none:
+     O(words of cell) array reads against the shadow columns, identical
+     values to the store's trace fields and valid even if the store's
+     trace segment has been retired. Allocation-free. *)
   let latest_store_to (cell : Infer.cell) =
+    let arr = !last_store_word
+    and addrs = !last_store_addr
+    and lens = !last_store_len in
     let best = ref (-1) in
-    let best_sid = ref 0 in
-    let arr = !last_store_word in
-    let addrs = !last_store_addr
-    and lens = !last_store_len
-    and sids = !last_store_sid in
-    let n = Array.length arr in
-    Infer.iter_words cell.c_addr cell.c_len
-      (fun w ->
-         if w < n then begin
-           let tid = arr.(w) in
-           if tid > !best
-           && Infer.overlap addrs.(w) lens.(w) cell.c_addr cell.c_len
-           then begin
-             best := tid;
-             best_sid := sids.(w)
-           end
-         end);
-    if !best < 0 then None else Some (!best, !best_sid)
+    for w = cell.c_addr lsr 3
+        to min (Array.length arr - 1) ((cell.c_addr + cell.c_len - 1) lsr 3) do
+      let tid = arr.(w) in
+      if tid > !best && Infer.overlap addrs.(w) lens.(w) cell.c_addr cell.c_len
+      then best := tid
+    done;
+    !best
   in
   (* Every store a fence's candidates name (this epoch's stores, closure
      members) is unguaranteed while the fence is processed, so its sid
@@ -353,11 +355,11 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
       end
     end
   in
-  let emit ~fence_tid ~op ~persist_tid ~avoid_tid ~viol ~site_key =
-    if not !stop then
-      match Crash_sim.feasible_closure sim ~avoid:avoid_tid persist_tid with
-      | None -> ()
-      | clo -> admit ~fence_tid ~op ~clo ~viol ~site_key
+  (* The closure of [persist] if it can persist while [avoid] stays
+     non-durable. Asked before a violation is built: an infeasible pair
+     (most of them) allocates nothing. *)
+  let feasible ~persist ~avoid =
+    if !stop then None else Crash_sim.feasible_closure sim ~avoid persist
   in
   let process_fence fence_tid fence_sid op =
     refresh_sig ();
@@ -387,19 +389,19 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
     List.iter
       (function
         | C_po (po, sy_tid) ->
-          (match latest_store_to po.Infer.req with
-           | Some (sx_tid, sx_sid) when sx_tid <> sy_tid ->
-             let viol =
-               Ordering
-                 { rule = po.rule;
-                   watch_sid = sid_of_store sy_tid;
-                   req_sid = sx_sid;
-                   watch_tid = sy_tid; req_tid = sx_tid }
-             in
-             let site_key = (sid_of_store sy_tid, sx_sid, 0) in
-             emit ~fence_tid ~op ~persist_tid:sy_tid ~avoid_tid:sx_tid
-               ~viol ~site_key
-           | _ -> ())
+          let sx_tid = latest_store_to po.Infer.req in
+          if sx_tid >= 0 && sx_tid <> sy_tid then begin
+            match feasible ~persist:sy_tid ~avoid:sx_tid with
+            | None -> ()
+            | clo ->
+              let sy_sid = sid_of_store sy_tid and sx_sid = sid_of_store sx_tid in
+              admit ~fence_tid ~op ~clo
+                ~viol:
+                  (Ordering
+                     { rule = po.rule; watch_sid = sy_sid; req_sid = sx_sid;
+                       watch_tid = sy_tid; req_tid = sx_tid })
+                ~site_key:(sy_sid, sx_sid, 0)
+          end
         | C_guardian _ -> ())
       !epoch;
     (* Atomicity violations between guardian stores of this epoch. *)
@@ -418,18 +420,20 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
         && not (Infer.overlap c1.Infer.c_addr c1.c_len c2.Infer.c_addr c2.c_len)
         then begin
           incr pairs;
-          let mk persisted lost =
-            Atomicity
-              { persisted_sid = sid_of_store persisted;
-                lost_sid = sid_of_store lost;
-                persisted_tid = persisted; lost_tid = lost }
+          let atomicity persisted lost =
+            match feasible ~persist:persisted ~avoid:lost with
+            | None -> ()
+            | clo ->
+              let p_sid = sid_of_store persisted and l_sid = sid_of_store lost in
+              admit ~fence_tid ~op ~clo
+                ~viol:
+                  (Atomicity
+                     { persisted_sid = p_sid; lost_sid = l_sid;
+                       persisted_tid = persisted; lost_tid = lost })
+                ~site_key:(p_sid, l_sid, 1)
           in
-          emit ~fence_tid ~op ~persist_tid:t1 ~avoid_tid:t2
-            ~viol:(mk t1 t2)
-            ~site_key:(sid_of_store t1, sid_of_store t2, 1);
-          emit ~fence_tid ~op ~persist_tid:t2 ~avoid_tid:t1
-            ~viol:(mk t2 t1)
-            ~site_key:(sid_of_store t2, sid_of_store t1, 1)
+          atomicity t1 t2;
+          atomicity t2 t1
         end;
         pair_with c1 t1 rest
       | _ -> ()
@@ -444,7 +448,7 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
     Obs.Metrics.observe "crash_gen.images_per_fence"
       (stats.generated - generated_before);
     epoch := [];
-    Hashtbl.reset epoch_seen
+    incr n_fence
   in
   let feed tid =
     if not !stop then begin
@@ -460,19 +464,17 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
       end;
       if k = Trace.k_store then begin
         let addr = Trace.addr_at trace tid and len = Trace.len_at trace tid in
-        let sid = Trace.sid_at trace tid in
         ensure_word ((addr + len - 1) lsr 3);
         Infer.iter_words addr len
           (fun w ->
              !last_store_word.(w) <- tid;
              !last_store_addr.(w) <- addr;
-             !last_store_len.(w) <- len;
-             !last_store_sid.(w) <- sid);
+             !last_store_len.(w) <- len);
         (* Register condition candidates watching this store. *)
         Infer.iter_conds_for conds addr len
-          (fun po ->
-             if not (Hashtbl.mem epoch_seen po) then begin
-               Hashtbl.add epoch_seen po ();
+          (fun (po : Infer.po) ->
+             if stamps.(po.id) <> !n_fence then begin
+               stamps.(po.id) <- !n_fence;
                epoch := C_po (po, tid) :: !epoch
              end);
         Infer.iter_guardians_for conds addr len

@@ -10,14 +10,21 @@
    PO3  R(Y) -cd-> R(X)   ==>  P(Y) -hb-> W(X)   (X is a guardian)
    PA1  two guardians X, Y ==>  AP(X, Y)
 
-   A condition is stored as {watch; req}: when a store to [watch] is
-   observed, the latest store to [req] must already be persisted —
+   A condition is a (watch, req) pair of cells: when a store to [watch]
+   is observed, the latest store to [req] must already be persisted —
    otherwise an NVM state where the watch-store persisted and the
    req-store did not violates the condition. For PO1/PO2, watch = Y and
    req = X; for PO3 the guardian is the watched side (watch = X, req = Y).
 
    Conditions are keyed by dynamic NVM address ranges (cells), like the
-   paper, so counts in Table 5 grow with the trace.
+   paper, so counts in Table 5 grow with the trace. A condition record
+   holds only what generation reads: its req cell, its rule and a dense
+   [id] (0, 1, ... in insertion order). The watch range is where the
+   record is filed — [Windex]'s address and length columns, one entry
+   per watched word — and the sites of both sides are the stores'
+   sites, which generation reads from the simulator. [add_po] dedups on
+   (watch range, req range, rule), so two records with distinct ids are
+   distinct conditions: generation dedups an epoch by id.
 
    Cost model: the inference walk reads events by index (kind tag + int
    fields + taint arrays) instead of reconstructing them, and the two
@@ -34,13 +41,12 @@ let rule_name = function PO1 -> "PO1" | PO2 -> "PO2" | PO3 -> "PO3"
 type cell = {
   c_addr : int;
   c_len : int;
-  c_sid : Nvm.Sid.t;
 }
 
 type po = {
-  watch : cell;
   req : cell;
   rule : rule;
+  id : int;  (* dense: the [n_ordering] count when first inserted *)
 }
 
 let overlap a1 l1 a2 l2 = a1 < a2 + l2 && a2 < a1 + l1
@@ -246,37 +252,31 @@ let seen_add seen ~wa ~wl ~ra ~rl rid =
     && (Hashtbl.add seen.wide key (); true)
   end
 
-let add_po t seen ~wa ~wl ~wsid ~ra ~rl ~rsid rule =
+let add_po t seen ~wa ~wl ~ra ~rl rule =
   if not (overlap wa wl ra rl) then begin
     let rid = match rule with PO1 -> 0 | PO2 -> 1 | PO3 -> 2 in
     if seen_add seen ~wa ~wl ~ra ~rl rid then begin
+      let cond = { req = { c_addr = ra; c_len = rl }; rule; id = n_ordering t } in
       (match rule with
        | PO1 -> t.n_po1 <- t.n_po1 + 1
        | PO2 -> t.n_po2 <- t.n_po2 + 1
        | PO3 -> t.n_po3 <- t.n_po3 + 1);
-      let cond =
-        { watch = { c_addr = wa; c_len = wl; c_sid = wsid };
-          req = { c_addr = ra; c_len = rl; c_sid = rsid };
-          rule }
-      in
       iter_words wa wl
         (fun w -> Windex.add t.po_index w ~addr:wa ~len:wl cond)
     end
   end
 
-let add_guardian t seen_g ~addr ~len ~sid =
+let add_guardian t seen_g ~addr ~len =
   if Pair_set.add_new seen_g addr len then begin
     t.n_guardians <- t.n_guardians + 1;
-    let cell = { c_addr = addr; c_len = len; c_sid = sid } in
+    let cell = { c_addr = addr; c_len = len } in
     iter_words addr len
       (fun w -> Windex.add t.guardian_index w ~addr ~len cell)
   end
 
 let create () =
-  let dummy_cell = { c_addr = 0; c_len = 0; c_sid = Nvm.Sid.intern "?" } in
-  { po_index =
-      Windex.create 4096
-        ~dummy:{ watch = dummy_cell; req = dummy_cell; rule = PO1 };
+  let dummy_cell = { c_addr = 0; c_len = 0 } in
+  { po_index = Windex.create 4096 ~dummy:{ req = dummy_cell; rule = PO1; id = -1 };
     guardian_index = Windex.create 4096 ~dummy:dummy_cell;
     n_guardians = 0; n_po1 = 0; n_po2 = 0; n_po3 = 0;
     seen = { pairs = Pair_set.create 8192; wide = Hashtbl.create 16 };
@@ -293,15 +293,11 @@ let feed t (trace : Nvm.Trace.t) i =
   let k_load = Nvm.Trace.k_load in
   let k = Nvm.Trace.kind_at trace i in
   if k = Nvm.Trace.k_store then begin
-    let wa = Nvm.Trace.addr_at trace i
-    and wl = Nvm.Trace.len_at trace i
-    and wsid = Nvm.Trace.sid_at trace i in
+    let wa = Nvm.Trace.addr_at trace i and wl = Nvm.Trace.len_at trace i in
     let member rule tid =
       if Nvm.Trace.kind_at trace tid = k_load then
-        add_po t t.seen ~wa ~wl ~wsid
-          ~ra:(Nvm.Trace.addr_at trace tid)
-          ~rl:(Nvm.Trace.len_at trace tid)
-          ~rsid:(Nvm.Trace.sid_at trace tid) rule
+        add_po t t.seen ~wa ~wl ~ra:(Nvm.Trace.addr_at trace tid)
+          ~rl:(Nvm.Trace.len_at trace tid) rule
     in
     Nvm.Taint.iter (member PO1) (Nvm.Trace.dd_at trace i);
     Nvm.Taint.iter (member PO2) (Nvm.Trace.cd_at trace i)
@@ -309,18 +305,15 @@ let feed t (trace : Nvm.Trace.t) i =
   else if k = k_load then begin
     let cd = Nvm.Trace.cd_at trace i in
     if not (Nvm.Taint.is_empty cd) then begin
-      let ra = Nvm.Trace.addr_at trace i
-      and rl = Nvm.Trace.len_at trace i
-      and rsid = Nvm.Trace.sid_at trace i in
+      let ra = Nvm.Trace.addr_at trace i and rl = Nvm.Trace.len_at trace i in
       Nvm.Taint.iter
         (fun tid ->
            if Nvm.Trace.kind_at trace tid = k_load then begin
              let xa = Nvm.Trace.addr_at trace tid
              and xl = Nvm.Trace.len_at trace tid in
              if not (overlap xa xl ra rl) then begin
-               let xsid = Nvm.Trace.sid_at trace tid in
-               add_po t t.seen ~wa:xa ~wl:xl ~wsid:xsid ~ra ~rl ~rsid PO3;
-               add_guardian t t.seen_g ~addr:xa ~len:xl ~sid:xsid
+               add_po t t.seen ~wa:xa ~wl:xl ~ra ~rl PO3;
+               add_guardian t t.seen_g ~addr:xa ~len:xl
              end
            end)
         cd

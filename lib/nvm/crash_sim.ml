@@ -215,10 +215,12 @@ let closure t tid =
 
 (* The closure of [persist] if it can persist while [avoid] stays
    non-durable; [None] if [avoid] is already guaranteed or sits in the
-   closure (same line, index in [guaranteed_upto, persist's index]). *)
+   closure (same line, index in [guaranteed_upto, persist's index]). A
+   guaranteed [avoid], the common case, costs one table probe and no
+   allocation: a fed store absent from the table is guaranteed. *)
 let feasible_closure t ~avoid persist =
   match Tid_tbl.find_opt t.unguaranteed avoid with
-  | None when is_guaranteed t avoid -> None
+  | None when avoid >= 0 && avoid < t.fed -> None
   | a ->
     let c = closure t persist in
     match a with

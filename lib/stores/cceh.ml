@@ -105,10 +105,14 @@ module Make (C : sig val cfg : cfg end) = struct
 
   (* Directory recovery (fixed variant only — its absence in the original
      is part of bug 25): a crash mid-split can leave a chunk of directory
-     entries partly rewritten. Every chunk is forced back to the segment
-     its first entry names, at that segment's own local depth; a partial
-     split is thereby rolled back (the old segment still holds every
-     entry, since fixed splits are copy-on-write). *)
+     entries partly rewritten. The coarsest (minimum-depth) segment of a
+     chunk is its pre-split owner, and the whole chunk rolls back to it;
+     the old segment still holds every entry, since fixed splits are
+     copy-on-write. A chunk is sized from its entries' coarsest depth,
+     not its first entry's: a crash that persists [s0, s0, s1] of a
+     4-entry rewrite leaves [s0, s0, s1, old], and a chunk sized from
+     [s0]'s deeper depth would roll back only [s1, old]. So the aligned
+     block widens to its coarsest depth until that depth is stable. *)
   let recover_directory t =
     let dir, gd = root_dir t in
     let n = 1 lsl gd in
@@ -116,25 +120,27 @@ module Make (C : sig val cfg : cfg end) = struct
       Tv.value
         (Ctx.read_u64 t.ctx ~sid:"cceh:recover.ent" (dir_entry_addr dir j))
     in
+    let chunk_of ld = max 1 (1 lsl (gd - max 0 (min gd ld))) in
     let rec fix idx =
       if idx < n then begin
         let seg = entry idx in
-        let ld = local_depth t seg in
-        let chunk = max 1 (1 lsl (gd - max 0 (min gd ld))) in
-        let first = idx land lnot (chunk - 1) in
-        (* The coarsest (minimum-depth) segment in the chunk is the
-           pre-split owner; a mixed chunk rolls back to it. *)
-        let coarsest = ref seg and coarsest_ld = ref ld in
-        for j = first to first + chunk - 1 do
-          let s = entry j in
-          if s <> !coarsest then begin
-            let l = local_depth t s in
-            if l < !coarsest_ld then begin
-              coarsest := s;
-              coarsest_ld := l
+        let coarsest = ref seg and coarsest_ld = ref (local_depth t seg) in
+        let rec settle chunk =
+          let first = idx land lnot (chunk - 1) in
+          for j = first to first + chunk - 1 do
+            let s = entry j in
+            if s <> !coarsest then begin
+              let l = local_depth t s in
+              if l < !coarsest_ld then begin
+                coarsest := s;
+                coarsest_ld := l
+              end
             end
-          end
-        done;
+          done;
+          let wider = chunk_of !coarsest_ld in
+          if wider > chunk then settle wider else (first, chunk)
+        in
+        let first, chunk = settle (chunk_of !coarsest_ld) in
         let dirty = ref false in
         for j = first to first + chunk - 1 do
           if entry j <> !coarsest then begin

@@ -7,57 +7,58 @@
    stats and images from both front ends license the fast path's
    indexes, closure slices and copy-on-write images.
 
-   One deliberate choice keeps the two comparable: the epoch dedup table
-   is keyed on the condition tuple itself rather than a hash of it, as in
-   the fast path (a hash key can conflate distinct conditions). *)
+   A condition here is its own (watch, req, rule) record, with no id,
+   and the epoch dedup table is keyed on that record itself (a hash of
+   it could conflate distinct conditions). The fast path instead stamps
+   each condition's dense [Infer.po] id, so the parity property compares
+   id-stamped dedup against structural dedup. *)
 
 open Nvm
 module Infer = Witcher.Infer
 module M = Persist_model
 
+type cell = { addr : int; len : int }
+type cond = { watch : cell; req : cell; rule : Infer.rule }
+
 type t = {
-  po_index : (int, Infer.po list ref) Hashtbl.t;  (* watch word -> conds *)
-  guardian_index : (int, Infer.cell list ref) Hashtbl.t;
+  po_index : (int, cond list ref) Hashtbl.t;  (* watch word -> conds *)
+  guardian_index : (int, cell list ref) Hashtbl.t;
   mutable n_guardians : int;
   mutable n_po1 : int;
   mutable n_po2 : int;
   mutable n_po3 : int;
 }
 
-let cell_of_load (l : Trace.load_ev) : Infer.cell =
-  { c_addr = l.l_addr; c_len = l.l_len; c_sid = l.l_sid }
+let cell_of_load (l : Trace.load_ev) = { addr = l.l_addr; len = l.l_len }
 
-let add_po (t : t) seen ~(watch : Infer.cell) ~(req : Infer.cell) rule =
-  if not (Infer.overlap watch.c_addr watch.c_len req.c_addr req.c_len)
-  then begin
-    let key = (watch.c_addr, watch.c_len, req.c_addr, req.c_len, rule) in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
+let add_po (t : t) seen ~watch ~req rule =
+  if not (Infer.overlap watch.addr watch.len req.addr req.len) then begin
+    let cond = { watch; req; rule } in
+    if not (Hashtbl.mem seen cond) then begin
+      Hashtbl.add seen cond ();
       (match rule with
        | Infer.PO1 -> t.n_po1 <- t.n_po1 + 1
        | Infer.PO2 -> t.n_po2 <- t.n_po2 + 1
        | Infer.PO3 -> t.n_po3 <- t.n_po3 + 1);
-      let cond : Infer.po = { watch; req; rule } in
       List.iter
         (fun w ->
            match Hashtbl.find_opt t.po_index w with
            | Some l -> l := cond :: !l
            | None -> Hashtbl.add t.po_index w (ref [ cond ]))
-        (Infer.words watch.c_addr watch.c_len)
+        (Infer.words watch.addr watch.len)
     end
   end
 
-let add_guardian t seen_g (cell : Infer.cell) =
-  let key = (cell.c_addr, cell.c_len) in
-  if not (Hashtbl.mem seen_g key) then begin
-    Hashtbl.add seen_g key ();
+let add_guardian t seen_g cell =
+  if not (Hashtbl.mem seen_g cell) then begin
+    Hashtbl.add seen_g cell ();
     t.n_guardians <- t.n_guardians + 1;
     List.iter
       (fun w ->
          match Hashtbl.find_opt t.guardian_index w with
          | Some l -> l := cell :: !l
          | None -> Hashtbl.add t.guardian_index w (ref [ cell ]))
-      (Infer.words cell.c_addr cell.c_len)
+      (Infer.words cell.addr cell.len)
   end
 
 let infer (trace : Trace.t) =
@@ -77,9 +78,7 @@ let infer (trace : Trace.t) =
     (fun ev ->
        match ev with
        | Trace.Store s ->
-         let y : Infer.cell =
-           { c_addr = s.s_addr; c_len = s.s_len; c_sid = s.s_sid }
-         in
+         let y = { addr = s.s_addr; len = s.s_len } in
          Taint.fold
            (fun tid () ->
               match load_of tid with
@@ -99,7 +98,7 @@ let infer (trace : Trace.t) =
               match load_of tid with
               | Some g ->
                 let x = cell_of_load g in
-                if not (Infer.overlap x.c_addr x.c_len y.c_addr y.c_len) then begin
+                if not (Infer.overlap x.addr x.len y.addr y.len) then begin
                   add_po t seen ~watch:x ~req:y Infer.PO3;
                   add_guardian t seen_g x
                 end
@@ -119,16 +118,16 @@ let overlapping index overlaps addr len =
     (Infer.words addr len)
 
 let conds_for t =
-  overlapping t.po_index (fun (c : Infer.po) ->
-      Infer.overlap c.watch.c_addr c.watch.c_len)
+  overlapping t.po_index (fun c -> Infer.overlap c.watch.addr c.watch.len)
 
 let guardians_for t =
-  overlapping t.guardian_index (fun (c : Infer.cell) ->
-      Infer.overlap c.c_addr c.c_len)
+  overlapping t.guardian_index (fun c -> Infer.overlap c.addr c.len)
 
-type epoch_cand =
-  | C_po of Infer.po * int
-  | C_guardian of Infer.cell * int
+(* Named apart from [Crash_gen.epoch_cand]'s constructors, which the
+   [open] in [generate] brings into scope. *)
+type epoch_entry =
+  | E_cond of cond * int         (* condition, watch store tid *)
+  | E_guardian of cell * int     (* guardian cell, store tid *)
 
 let generate ?(cfg = Witcher.Crash_gen.default_cfg) ~trace ~(conds : t)
     ~pool_size ~on_image () =
@@ -140,25 +139,23 @@ let generate ?(cfg = Witcher.Crash_gen.default_cfg) ~trace ~(conds : t)
   in
   let store_evs : (int, Trace.store_ev) Hashtbl.t = Hashtbl.create 4096 in
   let last_store_word : (int, int) Hashtbl.t = Hashtbl.create 4096 in
-  let epoch : epoch_cand list ref = ref [] in
-  let epoch_seen : (Infer.cell * Infer.cell * Infer.rule, unit) Hashtbl.t =
-    Hashtbl.create 64
-  in
+  let epoch : epoch_entry list ref = ref [] in
+  let epoch_seen : (cond, unit) Hashtbl.t = Hashtbl.create 64 in
   let site_count : (int * int * int, int) Hashtbl.t = Hashtbl.create 256 in
   let img_seen : (int * int, unit) Hashtbl.t = Hashtbl.create 1024 in
   let path_hash = ref 0 in
   let stop = ref false in
-  let latest_store_to (cell : Infer.cell) =
+  let latest_store_to cell =
     List.fold_left
       (fun acc w ->
          match Hashtbl.find_opt last_store_word w with
          | Some tid ->
            let s = Hashtbl.find store_evs tid in
-           if not (Infer.overlap s.s_addr s.s_len cell.c_addr cell.c_len) then acc
+           if not (Infer.overlap s.s_addr s.s_len cell.addr cell.len) then acc
            else (match acc with Some best when best >= tid -> acc | _ -> Some tid)
          | None -> acc)
       None
-      (Infer.words cell.c_addr cell.c_len)
+      (Infer.words cell.addr cell.len)
   in
   let sid_of_store tid = (Hashtbl.find store_evs tid).s_sid in
   let site_ok key =
@@ -173,7 +170,7 @@ let generate ?(cfg = Witcher.Crash_gen.default_cfg) ~trace ~(conds : t)
      violation images alike: dedup on (fence, key), then the image budget
      and the site cap. The key is [Hashtbl.hash] of the full extras list,
      the identity [Crash_sim.closure_key] reproduces from a closure's
-     first 10 tids; ROADMAP item 1(a) replaces both keys together. *)
+     first 10 tids; an exact key has to replace both together. *)
   let admit ~fence_tid ~op ~extras ~viol ~site_key =
     stats.candidates <- stats.candidates + 1;
     let key = match extras with None -> 0 | Some l -> Hashtbl.hash l in
@@ -211,10 +208,10 @@ let generate ?(cfg = Witcher.Crash_gen.default_cfg) ~trace ~(conds : t)
   let process_fence fence_tid fence_sid op =
     (match
        List.find_opt
-         (function C_po (_, tid) | C_guardian (_, tid) -> not (M.guaranteed m tid))
+         (function E_cond (_, tid) | E_guardian (_, tid) -> not (M.guaranteed m tid))
          !epoch
      with
-     | Some (C_po (_, first_lost) | C_guardian (_, first_lost)) when not !stop ->
+     | Some (E_cond (_, first_lost) | E_guardian (_, first_lost)) when not !stop ->
        admit ~fence_tid ~op ~extras:None
          ~viol:
            (Unpersisted_epoch
@@ -223,22 +220,22 @@ let generate ?(cfg = Witcher.Crash_gen.default_cfg) ~trace ~(conds : t)
      | _ -> ());
     List.iter
       (function
-        | C_po (po, sy_tid) ->
-          (match latest_store_to po.Infer.req with
+        | E_cond (c, sy_tid) ->
+          (match latest_store_to c.req with
            | Some sx_tid when sx_tid <> sy_tid ->
              emit ~fence_tid ~op ~persist_tid:sy_tid ~avoid_tid:sx_tid
                ~viol:
                  (Ordering
-                    { rule = po.rule; watch_sid = sid_of_store sy_tid;
+                    { rule = c.rule; watch_sid = sid_of_store sy_tid;
                       req_sid = sid_of_store sx_tid; watch_tid = sy_tid;
                       req_tid = sx_tid })
                ~site_key:(sid_of_store sy_tid, sid_of_store sx_tid, 0)
            | _ -> ())
-        | C_guardian _ -> ())
+        | E_guardian _ -> ())
       !epoch;
     let guardian_stores =
       List.filter_map
-        (function C_guardian (c, tid) -> Some (c, tid) | C_po _ -> None)
+        (function E_guardian (c, tid) -> Some (c, tid) | E_cond _ -> None)
         !epoch
     in
     let pairs = ref 0 in
@@ -248,7 +245,7 @@ let generate ?(cfg = Witcher.Crash_gen.default_cfg) ~trace ~(conds : t)
         List.iter
           (fun (c2, t2) ->
              if t1 <> t2
-             && not (Infer.overlap c1.Infer.c_addr c1.c_len c2.Infer.c_addr c2.c_len)
+             && not (Infer.overlap c1.addr c1.len c2.addr c2.len)
              && !pairs < cfg.max_pa_pairs_per_fence then begin
                incr pairs;
                let atomicity persisted lost =
@@ -285,15 +282,14 @@ let generate ?(cfg = Witcher.Crash_gen.default_cfg) ~trace ~(conds : t)
            (fun w -> Hashtbl.replace last_store_word w tid)
            (Infer.words s.s_addr s.s_len);
          List.iter
-           (fun (po : Infer.po) ->
-              let key = (po.watch, po.req, po.rule) in
-              if not (Hashtbl.mem epoch_seen key) then begin
-                Hashtbl.add epoch_seen key ();
-                epoch := C_po (po, tid) :: !epoch
+           (fun c ->
+              if not (Hashtbl.mem epoch_seen c) then begin
+                Hashtbl.add epoch_seen c ();
+                epoch := E_cond (c, tid) :: !epoch
               end)
            (conds_for conds s.s_addr s.s_len);
          List.iter
-           (fun g -> epoch := C_guardian (g, tid) :: !epoch)
+           (fun g -> epoch := E_guardian (g, tid) :: !epoch)
            (guardians_for conds s.s_addr s.s_len)
        | Trace.Fence f -> process_fence tid f.n_sid f.n_op
        | _ -> ());

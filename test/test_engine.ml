@@ -603,6 +603,25 @@ let test_cceh_recovery_via_pipeline () =
   in
   Alcotest.(check int) "dense cceh fixed clean" 0 (r.c_o + r.c_a)
 
+(* A crash that persists three of a 4-entry split rewrite leaves the
+   chunk [s0, s0, s1, old]. Recovery sized from the first entry's depth
+   rolled back only [s1, old], and a later split of [old] lost the keys
+   inserted into [s0]: a C-A report at these two (ops, seed) points. *)
+let test_cceh_recovery_torn_split () =
+  List.iter
+    (fun (n_ops, seed) ->
+       let r =
+         W.Engine.run
+           ~cfg:
+             { W.Engine.default_cfg with
+               workload = { W.Workload.default with n_ops; seed } }
+           (Stores.Cceh.fixed ())
+       in
+       let what = Printf.sprintf "%d ops, seed %d" n_ops seed in
+       Alcotest.(check int) ("root causes, " ^ what) 0 (r.c_o + r.c_a);
+       Alcotest.(check int) ("mismatches, " ^ what) 0 r.n_mismatch)
+    [ (500, 3); (700, 7) ]
+
 (* Replay budget. A synthetic store whose accesses per call are set by
    the test: creation, recovery and op [k] each read [cost] words
    ([max_int] loops until the fuel runs dry), and [fail k] may raise
@@ -785,6 +804,8 @@ let suite =
       Alcotest.test_case "yat estimate monotone" `Quick test_yat_estimate_monotone;
       Alcotest.test_case "cceh fixed dense workload" `Slow
         test_cceh_recovery_via_pipeline;
+      Alcotest.test_case "cceh fixed recovers a torn split" `Slow
+        test_cceh_recovery_torn_split;
       QCheck_alcotest.to_alcotest prop_fixed_durable;
       QCheck_alcotest.to_alcotest prop_buggy_found;
       QCheck_alcotest.to_alcotest prop_optimized_checker_parity;
