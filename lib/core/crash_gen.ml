@@ -35,9 +35,13 @@
    The walk pays per condition visit only array reads, and allocates
    only for a feasible candidate. A store visits every condition that
    watches its words; the epoch keeps each condition once, at the first
-   store that watched it, by stamping the condition's dense [Infer.po]
-   id with the fence count (ids are unique per condition, so this is the
-   structural dedup). At the fence, an ordering entry reads the latest
+   store that watched it, by stamping the condition's dense [Infer] id
+   with the fence count (ids are unique per condition, so this is the
+   structural dedup). The epoch itself is three reusable int columns —
+   entry kind, condition or guardian id, store tid — filled in
+   registration order, emptied at each fence and read newest entry
+   first, the order of the list it replaces; registering an entry
+   allocates nothing. At the fence, an ordering entry reads the latest
    store to its req cell as a bare tid and asks the simulator for a
    feasible closure before it builds a violation, a site key or a sid;
    most entries end there, their req store already guaranteed. *)
@@ -116,9 +120,37 @@ type cfg = {
 
 let default_cfg = { max_images = 4000; per_site_cap = 6; max_pa_pairs_per_fence = 16 }
 
-type epoch_cand =
-  | C_po of Infer.po * int            (* condition, sy tid *)
-  | C_guardian of Infer.cell * int    (* guardian cell, store tid *)
+(* The stores' candidates of the current fence epoch, one entry per
+   index [0, ep_n) in registration order: [ep_kinds.(i)] is [k_cond] or
+   [k_guardian], [ep_ids.(i)] the [Infer] condition or guardian id, and
+   [ep_tids.(i)] the store that registered it. The columns grow by
+   doubling and are kept across fences. *)
+type epoch = {
+  mutable ep_kinds : int array;
+  mutable ep_ids : int array;
+  mutable ep_tids : int array;
+  mutable ep_n : int;
+}
+
+let k_cond = 0
+let k_guardian = 1
+
+let epoch_push ep kind id tid =
+  let n = ep.ep_n in
+  if n = Array.length ep.ep_kinds then begin
+    let grow a =
+      let b = Array.make (2 * n) 0 in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    ep.ep_kinds <- grow ep.ep_kinds;
+    ep.ep_ids <- grow ep.ep_ids;
+    ep.ep_tids <- grow ep.ep_tids
+  end;
+  ep.ep_kinds.(n) <- kind;
+  ep.ep_ids.(n) <- id;
+  ep.ep_tids.(n) <- tid;
+  ep.ep_n <- n + 1
 
 (* The execution-path fold is shared with lib/prune so cluster keys and
    pruning classes digest identically (and stably across processes). *)
@@ -175,7 +207,10 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
       grow last_store_len 0
     end
   in
-  let epoch : epoch_cand list ref = ref [] in
+  let epoch =
+    { ep_kinds = Array.make 64 0; ep_ids = Array.make 64 0;
+      ep_tids = Array.make 64 0; ep_n = 0 }
+  in
   (* Condition id -> the number of the fence whose epoch holds the
      condition. Fences count from 1, so a stale stamp never matches.
      Inference is complete before generation starts (in both window
@@ -221,16 +256,15 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
      O(words of cell) array reads against the shadow columns, identical
      values to the store's trace fields and valid even if the store's
      trace segment has been retired. Allocation-free. *)
-  let latest_store_to (cell : Infer.cell) =
+  let latest_store_to addr len =
     let arr = !last_store_word
     and addrs = !last_store_addr
     and lens = !last_store_len in
     let best = ref (-1) in
-    for w = cell.c_addr lsr 3
-        to min (Array.length arr - 1) ((cell.c_addr + cell.c_len - 1) lsr 3) do
+    for w = addr lsr 3 to min (Array.length arr - 1) ((addr + len - 1) lsr 3) do
       let tid = arr.(w) in
-      if tid > !best && Infer.overlap addrs.(w) lens.(w) cell.c_addr cell.c_len
-      then best := tid
+      if tid > !best && Infer.overlap addrs.(w) lens.(w) addr len then
+        best := tid
     done;
     !best
   in
@@ -369,87 +403,97 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
        site. It catches bugs whose inconsistent state is exactly "the
        epoch's work vanished while an earlier side effect (an allocator
        free, an unflushed item) is durable". *)
-    (match
-       List.find_opt
-         (function C_po (_, tid) | C_guardian (_, tid) ->
-            not (Crash_sim.is_guaranteed sim tid))
-         !epoch
-     with
-     | Some (C_po (_, first_lost) | C_guardian (_, first_lost))
-       when not !stop ->
-       (* kind 2 partitions baseline sites from ordering (0) and
-          atomicity (1); -1 stands in for the old "baseline" label *)
-       admit ~fence_tid ~op ~clo:None
-         ~viol:
-           (Unpersisted_epoch
-              { fence_sid; first_lost_sid = sid_of_store first_lost })
-         ~site_key:(fence_sid, -1, 2)
-     | _ -> ());
+    let n = epoch.ep_n and kinds = epoch.ep_kinds and ids = epoch.ep_ids
+    and tids = epoch.ep_tids in
+    let lost = ref (n - 1) in
+    while !lost >= 0 && Crash_sim.is_guaranteed sim tids.(!lost) do
+      decr lost
+    done;
+    if !lost >= 0 && not !stop then
+      (* kind 2 partitions baseline sites from ordering (0) and
+         atomicity (1); -1 stands in for the old "baseline" label *)
+      admit ~fence_tid ~op ~clo:None
+        ~viol:
+          (Unpersisted_epoch
+             { fence_sid; first_lost_sid = sid_of_store tids.(!lost) })
+        ~site_key:(fence_sid, -1, 2);
     (* Ordering violations: one per (condition, sy) candidate. *)
-    List.iter
-      (function
-        | C_po (po, sy_tid) ->
-          let sx_tid = latest_store_to po.Infer.req in
-          if sx_tid >= 0 && sx_tid <> sy_tid then begin
-            match feasible ~persist:sy_tid ~avoid:sx_tid with
-            | None -> ()
-            | clo ->
-              let sy_sid = sid_of_store sy_tid and sx_sid = sid_of_store sx_tid in
-              admit ~fence_tid ~op ~clo
-                ~viol:
-                  (Ordering
-                     { rule = po.rule; watch_sid = sy_sid; req_sid = sx_sid;
-                       watch_tid = sy_tid; req_tid = sx_tid })
-                ~site_key:(sy_sid, sx_sid, 0)
-          end
-        | C_guardian _ -> ())
-      !epoch;
-    (* Atomicity violations between guardian stores of this epoch. *)
-    let guardian_stores =
-      List.filter_map
-        (function C_guardian (c, tid) -> Some (c, tid) | C_po _ -> None)
-        !epoch
-    in
-    (* At most [max_pa_pairs_per_fence] pairs, in list order; the walk
-       stops at the cap rather than scanning the remaining pairs. *)
+    for i = n - 1 downto 0 do
+      if kinds.(i) = k_cond then begin
+        let id = ids.(i) and sy_tid = tids.(i) in
+        let sx_tid =
+          latest_store_to (Infer.req_addr conds id) (Infer.req_len conds id)
+        in
+        if sx_tid >= 0 && sx_tid <> sy_tid then begin
+          match feasible ~persist:sy_tid ~avoid:sx_tid with
+          | None -> ()
+          | clo ->
+            let sy_sid = sid_of_store sy_tid and sx_sid = sid_of_store sx_tid in
+            admit ~fence_tid ~op ~clo
+              ~viol:
+                (Ordering
+                   { rule = Infer.rule conds id; watch_sid = sy_sid;
+                     req_sid = sx_sid; watch_tid = sy_tid; req_tid = sx_tid })
+              ~site_key:(sy_sid, sx_sid, 0)
+        end
+      end
+    done;
+    (* Atomicity violations between guardian stores of this epoch: at
+       most [max_pa_pairs_per_fence] pairs, newest first; the walk stops
+       at the cap rather than scanning the remaining pairs. *)
     let pairs = ref 0 in
     let capped () = !pairs >= cfg.max_pa_pairs_per_fence in
-    let rec pair_with c1 t1 = function
-      | (c2, t2) :: rest when not (capped ()) ->
-        if t1 <> t2
-        && not (Infer.overlap c1.Infer.c_addr c1.c_len c2.Infer.c_addr c2.c_len)
-        then begin
-          incr pairs;
-          let atomicity persisted lost =
-            match feasible ~persist:persisted ~avoid:lost with
-            | None -> ()
-            | clo ->
-              let p_sid = sid_of_store persisted and l_sid = sid_of_store lost in
-              admit ~fence_tid ~op ~clo
-                ~viol:
-                  (Atomicity
-                     { persisted_sid = p_sid; lost_sid = l_sid;
-                       persisted_tid = persisted; lost_tid = lost })
-                ~site_key:(p_sid, l_sid, 1)
-          in
-          atomicity t1 t2;
-          atomicity t2 t1
-        end;
-        pair_with c1 t1 rest
-      | _ -> ()
+    let atomicity persisted lost =
+      match feasible ~persist:persisted ~avoid:lost with
+      | None -> ()
+      | clo ->
+        let p_sid = sid_of_store persisted and l_sid = sid_of_store lost in
+        admit ~fence_tid ~op ~clo
+          ~viol:
+            (Atomicity
+               { persisted_sid = p_sid; lost_sid = l_sid;
+                 persisted_tid = persisted; lost_tid = lost })
+          ~site_key:(p_sid, l_sid, 1)
     in
-    let rec all_pairs = function
-      | (c1, t1) :: rest when not (capped ()) ->
-        pair_with c1 t1 rest;
-        all_pairs rest
-      | _ -> ()
-    in
-    all_pairs guardian_stores;
+    let i = ref (n - 1) in
+    while !i >= 0 && not (capped ()) do
+      if kinds.(!i) = k_guardian then begin
+        let g1 = ids.(!i) and t1 = tids.(!i) in
+        let j = ref (!i - 1) in
+        while !j >= 0 && not (capped ()) do
+          if kinds.(!j) = k_guardian then begin
+            let g2 = ids.(!j) and t2 = tids.(!j) in
+            if t1 <> t2
+            && not
+                 (Infer.overlap (Infer.guardian_addr conds g1)
+                    (Infer.guardian_len conds g1) (Infer.guardian_addr conds g2)
+                    (Infer.guardian_len conds g2))
+            then begin
+              incr pairs;
+              atomicity t1 t2;
+              atomicity t2 t1
+            end
+          end;
+          decr j
+        done
+      end;
+      decr i
+    done;
     Obs.Metrics.observe "crash_gen.images_per_fence"
       (stats.generated - generated_before);
-    epoch := [];
+    epoch.ep_n <- 0;
     incr n_fence
   in
+  (* Epoch registration for the store being fed ([cur_store]); built once,
+     so a store's visits allocate nothing. *)
+  let cur_store = ref (-1) in
+  let register_cond id =
+    if stamps.(id) <> !n_fence then begin
+      stamps.(id) <- !n_fence;
+      epoch_push epoch k_cond id !cur_store
+    end
+  in
+  let register_guardian g = epoch_push epoch k_guardian g !cur_store in
   let feed tid =
     if not !stop then begin
       let k = Trace.kind_at trace tid in
@@ -471,14 +515,9 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
              !last_store_addr.(w) <- addr;
              !last_store_len.(w) <- len);
         (* Register condition candidates watching this store. *)
-        Infer.iter_conds_for conds addr len
-          (fun (po : Infer.po) ->
-             if stamps.(po.id) <> !n_fence then begin
-               stamps.(po.id) <- !n_fence;
-               epoch := C_po (po, tid) :: !epoch
-             end);
-        Infer.iter_guardians_for conds addr len
-          (fun g -> epoch := C_guardian (g, tid) :: !epoch)
+        cur_store := tid;
+        Infer.iter_conds_for conds addr len register_cond;
+        Infer.iter_guardians_for conds addr len register_guardian
       end
       else if k = Trace.k_fence then
         process_fence tid (Trace.sid_at trace tid) (Trace.op_at trace tid);

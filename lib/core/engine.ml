@@ -248,14 +248,17 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
       (("n_ops", string_of_int n)
        :: (if bounded then [ ("stream", "true") ] else []))
     ();
+  (* Every event is fed once pass A ends, so the condition set is sealed
+     there: its dedup sets go before generation starts. *)
   let t_infer =
     if bounded then begin
+      Infer.seal conds;
       Obs.Metrics.sample_mem ~full:true ();
       0.
     end
     else begin
       let inf_t0 = Unix.gettimeofday () in
-      let (), t_infer = timed ingest in
+      let (), t_infer = timed (fun () -> ingest (); Infer.seal conds) in
       Obs.Span.add ~name:"stage.infer" ~ts:inf_t0 ~dur:t_infer ();
       t_infer
     end

@@ -10,7 +10,7 @@
    A condition here is its own (watch, req, rule) record, with no id,
    and the epoch dedup table is keyed on that record itself (a hash of
    it could conflate distinct conditions). The fast path instead stamps
-   each condition's dense [Infer.po] id, so the parity property compares
+   each condition's dense [Infer] id, so the parity property compares
    id-stamped dedup against structural dedup. *)
 
 open Nvm
@@ -123,8 +123,8 @@ let conds_for t =
 let guardians_for t =
   overlapping t.guardian_index (fun c -> Infer.overlap c.addr c.len)
 
-(* Named apart from [Crash_gen.epoch_cand]'s constructors, which the
-   [open] in [generate] brings into scope. *)
+(* An epoch entry. The epoch is a cons list, newest entry first: the
+   order in which the fast path reads its epoch columns. *)
 type epoch_entry =
   | E_cond of cond * int         (* condition, watch store tid *)
   | E_guardian of cell * int     (* guardian cell, store tid *)

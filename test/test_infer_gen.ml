@@ -72,6 +72,51 @@ let test_same_cell_no_condition () =
   Alcotest.(check int) "counter increments infer nothing" 0
     (W.Infer.n_ordering conds)
 
+(* A sealed condition set has dropped its dedup sets, so a late [feed]
+   could only insert duplicates under fresh ids: it must be refused, and
+   leave the set as it was. *)
+let test_feed_after_seal () =
+  let trace = figure1_trace ~writer_ordered:true in
+  let conds = W.Infer.create () in
+  for i = 0 to Trace.length trace - 1 do
+    W.Infer.feed conds trace i
+  done;
+  W.Infer.seal conds;
+  let n = W.Infer.n_ordering conds and g = W.Infer.n_guardians conds in
+  Alcotest.(check bool) "conditions inferred" true (n > 0);
+  for i = 0 to Trace.length trace - 1 do
+    Alcotest.check_raises "feed after seal"
+      (Invalid_argument "Infer.feed: the condition set is sealed") (fun () ->
+          W.Infer.feed conds trace i)
+  done;
+  Alcotest.(check (pair int int)) "set unchanged" (n, g)
+    (W.Infer.n_ordering conds, W.Infer.n_guardians conds)
+
+(* Layout guard: a finished condition set holds an ordering condition in
+   its id-indexed columns and one word-index entry per watched word,
+   with no dedup set. Whole-set words per ordering condition, buggy
+   store at 200 ops and the default seed, measured at 7.63 (fast-fair)
+   and 7.05 (rb-tree); the bounds are those plus 10%. The layout this
+   replaced (a record per condition, the dedup sets kept, head arrays
+   reaching the highest watched word) read 22.85 and 24.82. *)
+let test_condition_layout () =
+  List.iter
+    (fun (name, bound) ->
+       let e = Option.get (Stores.Registry.find name) in
+       let module S = (val e.buggy ()) in
+       let wl = W.Workload.default in
+       let wl = if S.supports_scan then wl else W.Workload.no_scan wl in
+       let r = W.Driver.record (module S) (W.Workload.generate wl) in
+       let conds = W.Infer.infer r.trace in
+       let per_cond =
+         float_of_int (Obj.reachable_words (Obj.repr conds))
+         /. float_of_int (W.Infer.n_ordering conds)
+       in
+       if per_cond > bound then
+         Alcotest.failf "%s: %.2f words per ordering condition, bound %.2f"
+           name per_cond bound)
+    [ ("fast-fair", 8.39); ("rb-tree", 7.76) ]
+
 (* Crash-image generation on the buggy Figure 1 writer: an image must
    exist where the token persisted and the value did not. *)
 let test_violating_image_generated () =
@@ -183,6 +228,9 @@ let suite =
     Alcotest.test_case "PO1 from data dependency" `Quick test_po1_data_dep;
     Alcotest.test_case "PO2 from control dependency" `Quick test_po2_control_dep;
     Alcotest.test_case "same-cell deps are skipped" `Quick test_same_cell_no_condition;
+    Alcotest.test_case "feed after seal is refused" `Quick test_feed_after_seal;
+    Alcotest.test_case "condition layout: words per condition" `Quick
+      test_condition_layout;
     Alcotest.test_case "violating image generated (Fig 1b)" `Quick
       test_violating_image_generated;
     Alcotest.test_case "no violating image when ordered" `Quick
