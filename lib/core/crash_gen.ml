@@ -27,10 +27,12 @@
    the second is dropped as a duplicate.
 
    The walk is index-based (kind tags + int fields, no event
-   reconstruction), the per-word latest-store map is a flat array indexed
-   by 8-byte word (pool sizes are a few MB), and sids are interned ints
-   throughout — [violation] carries [Sid.t]; report layers convert back
-   to strings.
+   reconstruction), the per-word latest-store map is three flat columns
+   indexed by 8-byte word, allocated once per walk up to the highest word
+   a req cell touches, and sids are interned ints throughout —
+   [violation] carries [Sid.t]; report layers convert back to strings.
+   The walk reads the condition set's word indexes, which [Infer.seal]
+   builds, so it refuses a set that is not sealed.
 
    The walk pays per condition visit only array reads, and allocates
    only for a feasible candidate. A store visits every condition that
@@ -176,45 +178,37 @@ type gen = {
 let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
     ?(pass = 0) ?(sig_depth = 0) ~trace ~(conds : Infer.t) ~pool_size
     ~on_image () =
+  if not (Infer.sealed conds) then
+    invalid_arg "Crash_gen.stream_create: the condition set is not sealed";
   let sim = Crash_sim.create ~trace ~pool_size in
   let stats =
     { candidates = 0; generated = 0; eligible = 0; deferred = 0; tested = 0;
       bytes_materialized = 0; per_op_images = Hashtbl.create 64 }
   in
   (* 8-byte word -> tid/addr/len of the latest store touching it, tid
-     -1 = none. Grown on demand: pools are up to 16MB but stores touch a
-     small dense prefix, and eagerly clearing pool-sized arrays would
-     dominate small runs. The addr/len columns shadow the store's trace
-     fields so [latest_store_to] never reads the trace — over a windowed
-     ring the latest store to a word may be long retired, and still
-     unguaranteed (the simulator holds it), and these probes must not
-     fault on it. *)
-  let last_store_word = ref (Array.make 4096 (-1)) in
-  let last_store_addr = ref (Array.make 4096 0) in
-  let last_store_len = ref (Array.make 4096 0) in
-  let last_store_cap = (pool_size + 7) lsr 3 in
-  let ensure_word w =
-    if w >= Array.length !last_store_word then begin
-      let cap = Array.length !last_store_word in
-      let n = min last_store_cap (max (2 * cap) (w + 1)) in
-      let grow r fill =
-        let b = Array.make n fill in
-        Array.blit !r 0 b 0 cap;
-        r := b
-      in
-      grow last_store_word (-1);
-      grow last_store_addr 0;
-      grow last_store_len 0
-    end
-  in
+     -1 = none, for the words up to the highest a req cell touches:
+     [latest_store_to] reads no other word, so a store above it is not
+     recorded. The addr/len columns shadow the store's trace fields so
+     [latest_store_to] never reads the trace — over a windowed ring the
+     latest store to a word may be long retired, and still unguaranteed
+     (the simulator holds it), and these probes must not fault on it. *)
+  let top_word = ref (-1) in
+  for id = 0 to Infer.n_ordering conds - 1 do
+    top_word :=
+      max !top_word
+        ((Infer.req_addr conds id + Infer.req_len conds id - 1) lsr 3)
+  done;
+  let top_word = !top_word in
+  let last_store_word = Array.make (top_word + 1) (-1) in
+  let last_store_addr = Array.make (top_word + 1) 0 in
+  let last_store_len = Array.make (top_word + 1) 0 in
   let epoch =
     { ep_kinds = Array.make 64 0; ep_ids = Array.make 64 0;
       ep_tids = Array.make 64 0; ep_n = 0 }
   in
   (* Condition id -> the number of the fence whose epoch holds the
-     condition. Fences count from 1, so a stale stamp never matches.
-     Inference is complete before generation starts (in both window
-     settings), so every id is below [n_ordering conds]. *)
+     condition. Fences count from 1, so a stale stamp never matches. The
+     set is sealed, so every id is below [n_ordering conds]. *)
   let stamps = Array.make (Infer.n_ordering conds) 0 in
   let n_fence = ref 1 in
   let site_count : (int * int * int, int) Hashtbl.t = Hashtbl.create 256 in
@@ -257,14 +251,12 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
      values to the store's trace fields and valid even if the store's
      trace segment has been retired. Allocation-free. *)
   let latest_store_to addr len =
-    let arr = !last_store_word
-    and addrs = !last_store_addr
-    and lens = !last_store_len in
     let best = ref (-1) in
-    for w = addr lsr 3 to min (Array.length arr - 1) ((addr + len - 1) lsr 3) do
-      let tid = arr.(w) in
-      if tid > !best && Infer.overlap addrs.(w) lens.(w) addr len then
-        best := tid
+    for w = addr lsr 3 to (addr + len - 1) lsr 3 do
+      let tid = last_store_word.(w) in
+      if tid > !best
+      && Infer.overlap last_store_addr.(w) last_store_len.(w) addr len
+      then best := tid
     done;
     !best
   in
@@ -508,12 +500,11 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
       end;
       if k = Trace.k_store then begin
         let addr = Trace.addr_at trace tid and len = Trace.len_at trace tid in
-        ensure_word ((addr + len - 1) lsr 3);
-        Infer.iter_words addr len
-          (fun w ->
-             !last_store_word.(w) <- tid;
-             !last_store_addr.(w) <- addr;
-             !last_store_len.(w) <- len);
+        for w = addr lsr 3 to min top_word ((addr + len - 1) lsr 3) do
+          last_store_word.(w) <- tid;
+          last_store_addr.(w) <- addr;
+          last_store_len.(w) <- len
+        done;
         (* Register condition candidates watching this store. *)
         cur_store := tid;
         Infer.iter_conds_for conds addr len register_cond;

@@ -19,30 +19,30 @@
    Conditions are keyed by dynamic NVM address ranges (cells), like the
    paper, so counts in Table 5 grow with the trace, and the layout is
    what a condition costs. An ordering condition is a dense id (0, 1, ...
-   in insertion order) and one entry in each of three flat columns
-   indexed by it: req address, req length and rule tag. The watch range
-   is where the id is filed — [Windex]'s address and length columns, one
-   entry per watched word — and the sites of both sides are the stores'
-   sites, which generation reads from the simulator. A guardian is
-   likewise an id into an address and a length column. [add_po] dedups
-   on (watch range, req range, rule), so two distinct ids are distinct
-   conditions: generation dedups an epoch by id. The [po] record is not
-   how a condition is kept; it is the view [conds_for] builds for tests.
+   in insertion order) and one entry in each of five flat columns indexed
+   by it: watch address, watch length, req address, req length and rule
+   tag. The sites of both sides are the stores' sites, which generation
+   reads from the simulator. A guardian is likewise an id into an address
+   and a length column. [add_po] dedups on (watch range, req range,
+   rule), so two distinct ids are distinct conditions: generation dedups
+   an epoch by id. The [po] record is not how a condition is kept; it is
+   the view [conds_for] builds for tests.
 
-   The dedup sets matter only while conditions are being discovered.
-   [seal] drops them once the last event is fed ([infer] seals before it
-   returns, the engine after its last [feed]) and cuts every column to
-   its used length; [feed] on a sealed set raises [Invalid_argument]
-   instead of inserting duplicates under fresh ids.
+   The dedup sets matter only while conditions are being discovered, and
+   the word indexes only once they all are. [seal] runs once the last
+   event is fed ([infer] seals before it returns, the engine after its
+   last [feed]): it drops the dedup sets, cuts every column to its used
+   length and builds both word indexes from the range columns. [feed] on
+   a sealed set raises [Invalid_argument] instead of inserting duplicates
+   under fresh ids; an unsealed set has empty indexes, and generation
+   refuses it.
 
    Cost model: the inference walk reads events by index (kind tag + int
-   fields + taint arrays) instead of reconstructing them, and the two
-   word indexes map an 8-byte word number to a chain of int blocks
-   through a directory of fixed-size pages, so an index costs what its
-   watched words hold, not the span up to the highest of them.
-   [iter_words]/[iter_conds_for]/[iter_guardians_for] are
-   allocation-free; [words] and [conds_for] are their list-returning
-   forms. *)
+   fields + taint arrays) instead of reconstructing them, and a word
+   index is three int arrays holding one entry per watched word of each
+   range, so it costs what its watched words hold, not the span up to
+   the highest of them. [iter_conds_for]/[iter_guardians_for] are
+   allocation-free; [conds_for] is the list-returning form. *)
 
 type rule = PO1 | PO2 | PO3
 
@@ -65,13 +65,6 @@ let words addr len =
   let first = addr lsr 3 and last = (addr + len - 1) lsr 3 in
   List.init (last - first + 1) (fun i -> first + i)
 
-(* Allocation-free [words]: call [f] on each 8-byte word the range
-   [addr, addr+len) touches, ascending. *)
-let iter_words addr len f =
-  for w = addr lsr 3 to (addr + len - 1) lsr 3 do
-    f w
-  done
-
 (* [a] grown to at least [n] slots (doubling), new slots set to [fill]. *)
 let grow_to a n fill =
   if n <= Array.length a then a
@@ -81,109 +74,83 @@ let grow_to a n fill =
     b
   end
 
-(* Cache-line-blocked word index (FAST-style hierarchical blocking): each
-   8-byte pool word maps to a chain of 16-entry blocks, newest block at
-   the chain head. An entry's (addr, len, value) lives in flat int arrays
-   indexed by slot = block * 16 + j — the crash-generation walk's hot
-   probe (overlap test against every condition on a word) is a linear
-   scan of one or two 128-byte array stripes instead of a pointer chase
-   through cons cells, and the value column is only read on a hit.
-
-   A word's head block is found through a directory of [page]-word
-   pages, each allocated when a word in it is first filed: watched words
-   are a sparse subset of the pool, and one head array reaching the
-   highest of them is mostly empty.
-
-   Iteration order reproduces the cons-list layout this replaces exactly:
-   newest entry first within a word (blocks newest-first, entries within
-   a block scanned backwards), because candidate ordering feeds the
-   image digest sequences the front-end parity property asserts on. *)
+(* Word index over a set of ranges, built once from its id-indexed
+   range columns: [words] holds every 8-byte word some range touches, in
+   ascending order; the ids of the ranges on [words.(k)] are
+   [ids.(starts.(k))] to [ids.(starts.(k + 1) - 1)], newest (highest)
+   first. A lookup visits a store's words in ascending order and each
+   word's ids newest first, the order the front-end parity property
+   asserts image streams in. *)
 module Windex = struct
-  let block = 16
-  let page_bits = 8
-  let page = 1 lsl page_bits
-
   type t = {
-    mutable pages : int array array;  (* word lsr page_bits -> heads;
-                                         [||] = no word of it filed *)
-    mutable nexts : int array;  (* block id -> older block id, -1 = end *)
-    mutable used : int array;   (* block id -> entries filled *)
-    mutable addrs : int array;  (* slot = block id * 16 + j *)
-    mutable lens : int array;
-    mutable vals : int array;
-    mutable n_blocks : int;
+    words : int array;
+    starts : int array;  (* one more slot than [words] *)
+    ids : int array;
   }
 
-  let create () =
-    { pages = [||]; nexts = [||]; used = [||]; addrs = [||]; lens = [||];
-      vals = [||]; n_blocks = 0 }
+  let empty = { words = [||]; starts = [| 0 |]; ids = [||] }
 
-  (* Newest block of word [w], -1 = none. *)
-  let head t w =
-    let p = w lsr page_bits in
-    if p >= Array.length t.pages then -1
-    else begin
-      let heads = Array.unsafe_get t.pages p in
-      if Array.length heads = 0 then -1
-      else Array.unsafe_get heads (w land (page - 1))
-    end
-
-  (* The page holding word [w]'s head, allocated on first use. *)
-  let heads_of t w =
-    let p = w lsr page_bits in
-    t.pages <- grow_to t.pages (p + 1) [||];
-    if Array.length t.pages.(p) = 0 then t.pages.(p) <- Array.make page (-1);
-    t.pages.(p)
-
-  let add t w ~addr ~len v =
-    let heads = heads_of t w in
-    let i = w land (page - 1) in
-    let head = heads.(i) in
-    let b =
-      if head >= 0 && t.used.(head) < block then head
-      else begin
-        let b = t.n_blocks in
-        t.nexts <- grow_to t.nexts (b + 1) (-1);
-        t.used <- grow_to t.used (b + 1) 0;
-        t.addrs <- grow_to t.addrs ((b + 1) * block) 0;
-        t.lens <- grow_to t.lens ((b + 1) * block) 0;
-        t.vals <- grow_to t.vals ((b + 1) * block) 0;
-        t.n_blocks <- b + 1;
-        t.nexts.(b) <- head;
-        t.used.(b) <- 0;
-        heads.(i) <- b;
-        b
+  (* Index ids [0, n) by the words of [addrs.(id), addrs.(id) + lens.(id))
+     with a counting pass: entries per word, prefix sums into run starts,
+     then ids placed from the highest down. *)
+  let build addrs lens =
+    let n = Array.length addrs in
+    let top = ref (-1) in
+    for id = 0 to n - 1 do
+      top := max !top ((addrs.(id) + lens.(id) - 1) lsr 3)
+    done;
+    (* word -> its entry count, then the next free slot of its run *)
+    let at = Array.make (!top + 1) 0 in
+    let n_words = ref 0 in
+    for id = 0 to n - 1 do
+      for w = addrs.(id) lsr 3 to (addrs.(id) + lens.(id) - 1) lsr 3 do
+        if at.(w) = 0 then incr n_words;
+        at.(w) <- at.(w) + 1
+      done
+    done;
+    let words = Array.make !n_words 0 in
+    let starts = Array.make (!n_words + 1) 0 in
+    let k = ref 0 and s = ref 0 in
+    for w = 0 to !top do
+      if at.(w) > 0 then begin
+        words.(!k) <- w;
+        starts.(!k) <- !s;
+        s := !s + at.(w);
+        at.(w) <- starts.(!k);
+        incr k
       end
-    in
-    let s = (b * block) + t.used.(b) in
-    t.addrs.(s) <- addr;
-    t.lens.(s) <- len;
-    t.vals.(s) <- v;
-    t.used.(b) <- t.used.(b) + 1
+    done;
+    starts.(!k) <- !s;
+    let ids = Array.make !s 0 in
+    for id = n - 1 downto 0 do
+      for w = addrs.(id) lsr 3 to (addrs.(id) + lens.(id) - 1) lsr 3 do
+        ids.(at.(w)) <- id;
+        at.(w) <- at.(w) + 1
+      done
+    done;
+    { words; starts; ids }
 
-  (* Cut the block columns to the blocks in use, once nothing more will
-     be filed: doubling leaves up to half of each unused. *)
-  let trim t =
-    let nb = t.n_blocks in
-    t.nexts <- Array.sub t.nexts 0 nb;
-    t.used <- Array.sub t.used 0 nb;
-    t.addrs <- Array.sub t.addrs 0 (nb * block);
-    t.lens <- Array.sub t.lens 0 (nb * block);
-    t.vals <- Array.sub t.vals 0 (nb * block)
-
-  (* Values on word [w] whose range overlaps [addr, addr+len), newest
-     first. *)
-  let iter_word t w ~addr ~len f =
-    let b = ref (head t w) in
-    while !b >= 0 do
-      let base = !b * block in
-      for j = t.used.(!b) - 1 downto 0 do
-        let s = base + j in
-        if overlap (Array.unsafe_get t.addrs s) (Array.unsafe_get t.lens s)
+  (* Ids whose range, read from [addrs]/[lens], overlaps [addr,
+     addr+len); a range on several of the store's words is visited once
+     per word. *)
+  let iter t addrs lens addr len f =
+    let words = t.words and starts = t.starts and ids = t.ids in
+    let first = addr lsr 3 and last = (addr + len - 1) lsr 3 in
+    (* the first run whose word is at or above [first] *)
+    let lo = ref 0 and hi = ref (Array.length words) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if Array.unsafe_get words mid < first then lo := mid + 1 else hi := mid
+    done;
+    let k = ref !lo in
+    while !k < Array.length words && Array.unsafe_get words !k <= last do
+      for s = starts.(!k) to starts.(!k + 1) - 1 do
+        let id = Array.unsafe_get ids s in
+        if overlap (Array.unsafe_get addrs id) (Array.unsafe_get lens id)
              addr len
-        then f (Array.unsafe_get t.vals s)
+        then f id
       done;
-      b := t.nexts.(!b)
+      incr k
     done
 end
 
@@ -261,9 +228,13 @@ type seen = {
 }
 
 type t = {
-  po_index : Windex.t;        (* 8-byte word of watch -> condition ids *)
-  guardian_index : Windex.t;  (* word -> guardian ids *)
-  (* condition id -> req cell and rule (0 = PO1, 1 = PO2, 2 = PO3) *)
+  (* 8-byte word -> condition / guardian ids; empty until [seal] *)
+  mutable po_index : Windex.t;
+  mutable guardian_index : Windex.t;
+  (* condition id -> watch cell, req cell and rule (0 = PO1, 1 = PO2,
+     2 = PO3) *)
+  mutable watch_addrs : int array;
+  mutable watch_lens : int array;
   mutable req_addrs : int array;
   mutable req_lens : int array;
   mutable rules : Bytes.t;
@@ -281,6 +252,7 @@ type t = {
 let n_ordering t = t.n_po1 + t.n_po2 + t.n_po3
 let n_atomicity t = t.n_guardians * (t.n_guardians - 1) / 2
 let n_guardians t = t.n_guardians
+let sealed t = Option.is_none t.seen
 
 let req_addr t id = t.req_addrs.(id)
 let req_len t id = t.req_lens.(id)
@@ -305,20 +277,21 @@ let add_po t seen ~wa ~wl ~ra ~rl rule =
     let rid = match rule with PO1 -> 0 | PO2 -> 1 | PO3 -> 2 in
     if seen_add seen ~wa ~wl ~ra ~rl rid then begin
       let id = n_ordering t in
+      t.watch_addrs <- grow_to t.watch_addrs (id + 1) 0;
+      t.watch_lens <- grow_to t.watch_lens (id + 1) 0;
       t.req_addrs <- grow_to t.req_addrs (id + 1) 0;
       t.req_lens <- grow_to t.req_lens (id + 1) 0;
       if id >= Bytes.length t.rules then
         t.rules <- Bytes.extend t.rules 0 (max 1 (Bytes.length t.rules));
+      t.watch_addrs.(id) <- wa;
+      t.watch_lens.(id) <- wl;
       t.req_addrs.(id) <- ra;
       t.req_lens.(id) <- rl;
       Bytes.set t.rules id (Char.chr rid);
       (match rule with
        | PO1 -> t.n_po1 <- t.n_po1 + 1
        | PO2 -> t.n_po2 <- t.n_po2 + 1
-       | PO3 -> t.n_po3 <- t.n_po3 + 1);
-      for w = wa lsr 3 to (wa + wl - 1) lsr 3 do
-        Windex.add t.po_index w ~addr:wa ~len:wl id
-      done
+       | PO3 -> t.n_po3 <- t.n_po3 + 1)
     end
   end
 
@@ -329,16 +302,13 @@ let add_guardian t seen ~addr ~len =
     t.g_lens <- grow_to t.g_lens (g + 1) 0;
     t.g_addrs.(g) <- addr;
     t.g_lens.(g) <- len;
-    t.n_guardians <- g + 1;
-    for w = addr lsr 3 to (addr + len - 1) lsr 3 do
-      Windex.add t.guardian_index w ~addr ~len g
-    done
+    t.n_guardians <- g + 1
   end
 
 let create () =
-  { po_index = Windex.create (); guardian_index = Windex.create ();
-    req_addrs = [||]; req_lens = [||]; rules = Bytes.empty;
-    g_addrs = [||]; g_lens = [||];
+  { po_index = Windex.empty; guardian_index = Windex.empty;
+    watch_addrs = [||]; watch_lens = [||]; req_addrs = [||];
+    req_lens = [||]; rules = Bytes.empty; g_addrs = [||]; g_lens = [||];
     n_guardians = 0; n_po1 = 0; n_po2 = 0; n_po3 = 0;
     seen =
       Some
@@ -346,17 +316,20 @@ let create () =
           guardians = Pair_set.create 256 } }
 
 (* The condition set is complete: drop the dedup sets, which nothing
-   reads after inference, and the growth slack of every column. *)
+   reads after inference, and the growth slack of every column, and
+   build the word indexes generation reads. *)
 let seal t =
   t.seen <- None;
   let n = n_ordering t and g = t.n_guardians in
+  t.watch_addrs <- Array.sub t.watch_addrs 0 n;
+  t.watch_lens <- Array.sub t.watch_lens 0 n;
   t.req_addrs <- Array.sub t.req_addrs 0 n;
   t.req_lens <- Array.sub t.req_lens 0 n;
   t.rules <- Bytes.sub t.rules 0 n;
   t.g_addrs <- Array.sub t.g_addrs 0 g;
   t.g_lens <- Array.sub t.g_lens 0 g;
-  Windex.trim t.po_index;
-  Windex.trim t.guardian_index
+  t.po_index <- Windex.build t.watch_addrs t.watch_lens;
+  t.guardian_index <- Windex.build t.g_addrs t.g_lens
 
 (* Process the event at trace index [i]. The only trace reads are of [i]
    itself and of the loads in its taints. A windowed run feeds each op's
@@ -414,9 +387,7 @@ let infer (trace : Nvm.Trace.t) =
    within a word, newest condition first; a condition spanning several
    of the range's words is visited once per word). *)
 let iter_conds_for t addr len f =
-  for w = addr lsr 3 to (addr + len - 1) lsr 3 do
-    Windex.iter_word t.po_index w ~addr ~len f
-  done
+  Windex.iter t.po_index t.watch_addrs t.watch_lens addr len f
 
 let conds_for t addr len =
   let acc = ref [] in
@@ -429,6 +400,4 @@ let conds_for t addr len =
 
 (* Ids of the guardian cells overlapping a store to [addr,len). *)
 let iter_guardians_for t addr len f =
-  for w = addr lsr 3 to (addr + len - 1) lsr 3 do
-    Windex.iter_word t.guardian_index w ~addr ~len f
-  done
+  Windex.iter t.guardian_index t.g_addrs t.g_lens addr len f

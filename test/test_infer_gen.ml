@@ -92,13 +92,29 @@ let test_feed_after_seal () =
   Alcotest.(check (pair int int)) "set unchanged" (n, g)
     (W.Infer.n_ordering conds, W.Infer.n_guardians conds)
 
+(* The word indexes are built when the set is sealed, so an unsealed
+   set's are empty: generation over it would silently find nothing, and
+   must refuse it instead. *)
+let test_generate_unsealed () =
+  let trace = figure1_trace ~writer_ordered:false in
+  let conds = W.Infer.create () in
+  for i = 0 to Trace.length trace - 1 do
+    W.Infer.feed conds trace i
+  done;
+  Alcotest.check_raises "generation over an unsealed set"
+    (Invalid_argument
+       "Crash_gen.stream_create: the condition set is not sealed") (fun () ->
+      ignore
+        (W.Crash_gen.generate ~trace ~conds ~pool_size:4096
+           ~on_image:(fun _ -> `Continue) ()))
+
 (* Layout guard: a finished condition set holds an ordering condition in
-   its id-indexed columns and one word-index entry per watched word,
-   with no dedup set. Whole-set words per ordering condition, buggy
-   store at 200 ops and the default seed, measured at 7.63 (fast-fair)
-   and 7.05 (rb-tree); the bounds are those plus 10%. The layout this
-   replaced (a record per condition, the dedup sets kept, head arrays
-   reaching the highest watched word) read 22.85 and 24.82. *)
+   its id-indexed columns (watch and req cells, rule) and one word-index
+   entry per watched word, with no dedup set. Whole-set words per
+   ordering condition, buggy store at 200 ops and the default seed,
+   measured at 5.61 (fast-fair), 5.42 (rb-tree) and 6.26 (p-bwtree, a
+   small set); the bounds are those plus 10%. Word indexes filed in
+   16-slot blocks behind a page directory read 7.63, 7.05 and 27.07. *)
 let test_condition_layout () =
   List.iter
     (fun (name, bound) ->
@@ -115,7 +131,7 @@ let test_condition_layout () =
        if per_cond > bound then
          Alcotest.failf "%s: %.2f words per ordering condition, bound %.2f"
            name per_cond bound)
-    [ ("fast-fair", 8.39); ("rb-tree", 7.76) ]
+    [ ("fast-fair", 6.17); ("rb-tree", 5.96); ("p-bwtree", 6.89) ]
 
 (* Crash-image generation on the buggy Figure 1 writer: an image must
    exist where the token persisted and the value did not. *)
@@ -229,6 +245,8 @@ let suite =
     Alcotest.test_case "PO2 from control dependency" `Quick test_po2_control_dep;
     Alcotest.test_case "same-cell deps are skipped" `Quick test_same_cell_no_condition;
     Alcotest.test_case "feed after seal is refused" `Quick test_feed_after_seal;
+    Alcotest.test_case "generation refuses an unsealed set" `Quick
+      test_generate_unsealed;
     Alcotest.test_case "condition layout: words per condition" `Quick
       test_condition_layout;
     Alcotest.test_case "violating image generated (Fig 1b)" `Quick
