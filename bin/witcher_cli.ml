@@ -176,7 +176,7 @@ let window_arg =
        & info [ "window" ] ~docv:"SEGS"
            ~doc:"Streaming live-window size, in trace segments (each 2^14 \
                  events); every segment older than the window is \
-                 recycled.")
+                 released.")
 
 let ckpt_ring_arg =
   let open Cmdliner in

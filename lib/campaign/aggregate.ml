@@ -31,7 +31,7 @@ type row = {
   images_elided : int;      (* images never validated thanks to pruning *)
   prune_expansions : int;   (* classes promoted back to full validation *)
   stream_jobs : int;        (* jobs run by the bounded-memory engine *)
-  window_retirements : int; (* trace segments recycled by the window *)
+  window_retirements : int; (* trace segments released by the window *)
   ckpt_ring_evictions : int;(* checkpoints dropped by the bounded ring *)
   peak_live_words : int;    (* max (not sum) GC live-heap peak, words *)
   t_equiv : float;          (* summed equivalence-checking stage time *)

@@ -16,12 +16,13 @@
    handed to [on_image] immediately (pipeline-fused with output
    equivalence checking, so only one image is alive at a time).
 
-   Images are deduplicated by (crash point, key of the extra persist-set)
-   and capped per static site pair, since thousands of dynamic violations
-   share a root cause (§4.4); generated-vs-tested counts are both
-   reported. A candidate's persist-set is a [Crash_sim.closure] slice,
-   keyed and avoid-checked without building its tid list; the list is
-   built only for an image that is materialized or logged. The key,
+   Images are deduplicated by the key of the extra persist-set within a
+   fence (a crash point), in a set emptied at every fence, and capped per
+   static site pair, since thousands of dynamic violations share a root
+   cause (§4.4); generated-vs-tested counts are both reported. A
+   candidate's persist-set is a [Crash_sim.closure] slice, keyed and
+   avoid-checked without building its tid list; the list is built only
+   for an image that is materialized or logged. The key,
    [Crash_sim.closure_key], hashes the closure's first 10 tids, so two
    closures of 10 or more stores on one line at one fence share a key and
    the second is dropped as a duplicate.
@@ -212,7 +213,9 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
   let stamps = Array.make (Infer.n_ordering conds) 0 in
   let n_fence = ref 1 in
   let site_count : (int * int * int, int) Hashtbl.t = Hashtbl.create 256 in
-  let img_seen : (int * int, unit) Hashtbl.t = Hashtbl.create 1024 in
+  (* Keys of the images admitted at the fence being processed: admission
+     happens only there, so a fence's keys are never consulted again. *)
+  let img_seen : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let path_hash = ref 0 in
   (* Per-op window of load/store sids backing the truncated signature.
      Maintained only when sig_depth > 0; [cur_sig] is refreshed once per
@@ -328,16 +331,16 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
   (* The one admission path of a feasible violation, identified by
      [(fence_tid, key)] with [key] the [Crash_sim.closure_key] of its
      extra persist-set ([clo]; [None] and key 0 for the baseline image):
-     count it, drop duplicates, charge the image budget and the site cap,
-     then let [decide] defer it or materialize and hand it to [on_image].
-     The extras list is built only for an image that is materialized or
-     logged; a duplicate or capped candidate costs its key alone. *)
+     count it, drop a key this fence already admitted, charge the image
+     budget and the site cap, then let [decide] defer it or materialize
+     and hand it to [on_image]. The extras list is built only for an
+     image that is materialized or logged; a duplicate or capped
+     candidate costs its key alone. *)
   let admit ~fence_tid ~op ~clo ~viol ~site_key =
     stats.candidates <- stats.candidates + 1;
     let key = match clo with None -> 0 | Some c -> Crash_sim.closure_key c in
-    let img_key = (fence_tid, key) in
-    if not (Hashtbl.mem img_seen img_key) then begin
-      Hashtbl.add img_seen img_key ();
+    if not (Hashtbl.mem img_seen key) then begin
+      Hashtbl.add img_seen key ();
       stats.generated <- stats.generated + 1;
       bump_op_count op;
       (* eligibility (budget + site caps) is decided before the prune
@@ -388,6 +391,7 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
     if !stop then None else Crash_sim.feasible_closure sim ~avoid persist
   in
   let process_fence fence_tid fence_sid op =
+    Hashtbl.reset img_seen;
     refresh_sig ();
     let generated_before = stats.generated in
     (* Baseline image: the crash evicted nothing — only already-guaranteed

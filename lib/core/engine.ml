@@ -94,7 +94,7 @@ type result = {
          this record. *)
   (* Streaming pipeline (DESIGN §9); stream_on = false in batch runs. *)
   stream_on : bool;
-  window_retirements : int;  (* ring segments recycled (both passes) *)
+  window_retirements : int;  (* trace segments released (both passes) *)
   ckpt_ring_evictions : int; (* checkpoints dropped as the ring rotated *)
   peak_live_words : int;     (* max GC live words sampled during the run *)
   t_record : float;
@@ -206,7 +206,7 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
   let pool_size = S.pool_size in
   let retirements = ref 0 and evictions = ref 0 in
   let ckpt_peak = ref 0 in  (* most pool snapshots held at once *)
-  (* Recycle the trace segments below [target]; the first walk counts. *)
+  (* Release the trace segments below [target]; the first walk counts. *)
   let retire trace ~pass ~target =
     let r = Nvm.Trace.retire_to trace ~target in
     if r > 0 && pass = 0 then begin
@@ -215,7 +215,7 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
     end
   in
   (* ---- pass A: instrumented ingest ---- *)
-  let trace = Nvm.Trace.create ~ring_shift:cfg.stream_seg_shift () in
+  let trace = Nvm.Trace.create ~seg_shift:cfg.stream_seg_shift () in
   let conds = Infer.create () and perf_st = Perf.create () in
   let fed = ref 0 in
   let ingest () =
@@ -443,8 +443,17 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
         for i = 0 to Nvm.Trace.length trace - 1 do gen.Crash_gen.g_feed i done;
         gen.Crash_gen.g_finish ()
     | Some w ->
+      (* The checker forgets the crash ops the walk has passed only where
+         no later walk revisits them: expansion waves re-check deferred
+         images at earlier ops, so a representative run keeps what an
+         unbounded run keeps. *)
+      let forgets =
+        match cfg.prune with
+        | Prune.Policy.Exhaustive | Prune.Policy.Sample _ -> true
+        | Prune.Policy.Representative -> false
+      in
       fun ~decide ~pass ~on_image ->
-        let tr = Nvm.Trace.create ~ring_shift:cfg.stream_seg_shift () in
+        let tr = Nvm.Trace.create ~seg_shift:cfg.stream_seg_shift () in
         let pmem = Nvm.Pmem.create pool_size in
         let ctx =
           Nvm.Ctx.create ~trace:tr ~taintless:true ~mode:Nvm.Ctx.Record pmem
@@ -473,7 +482,7 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
                 Equiv.set_checkpoints checker ring.held;
               if pass = 0 && index > 0 then begin
                 sample_mem index;
-                if index land 63 = 0 then
+                if forgets && index land 63 = 0 then
                   Equiv.forget_before checker ~floor:(index - 1)
               end);
         ckpt_peak := max !ckpt_peak ring.n_held;

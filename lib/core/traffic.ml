@@ -112,14 +112,9 @@ let zipf_sample z rng =
       if k < 1 then 1 else if k > z.z_n then z.z_n else k
   end
 
-let value_of cfg rng k =
-  let tag = Random.State.int rng 0x10000 in
-  let s = Printf.sprintf "v%dk%x" k tag in
-  if String.length s >= cfg.value_len then String.sub s 0 cfg.value_len
-  else s ^ String.make (cfg.value_len - String.length s) '_'
-
 let generate_array cfg =
   let rng = Random.State.make [| cfg.seed; 0x7af1c |] in
+  let value_of = Workload.value_of cfg.value_len rng in
   let z = zipf_create cfg.key_space cfg.zipf_theta in
   let preload = min cfg.preload (min cfg.key_space cfg.n_ops) in
   (* key liveness + a recycle stack, both O(1) per op *)
@@ -173,10 +168,10 @@ let generate_array cfg =
       match insert_key () with
       | Some k ->
         mark_live k;
-        Op.Insert (k, value_of cfg rng k)
-      | None -> Op.Update (hot_key (), value_of cfg rng 0)
+        Op.Insert (k, value_of k)
+      | None -> Op.Update (hot_key (), value_of 0)
     else if r < cfg.p_insert +. cfg.p_update then
-      Op.Update (hot_key (), value_of cfg rng 0)
+      Op.Update (hot_key (), value_of 0)
     else if r < cfg.p_insert +. cfg.p_update +. cfg.p_delete then begin
       let k = hot_key () in
       if Bytes.get live k = '\001' && !n_live > 1 then begin
@@ -196,7 +191,7 @@ let generate_array cfg =
       if i < preload then begin
         let k = i + 1 in
         mark_live k;
-        Op.Insert (k, value_of cfg rng k)
+        Op.Insert (k, value_of k)
       end
       else pick ())
 

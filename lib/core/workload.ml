@@ -25,11 +25,13 @@ let default =
 let no_scan cfg =
   { cfg with p_query = cfg.p_query +. cfg.p_scan; p_scan = 0. }
 
-let value_of cfg rng k =
+(* A [value_len]-byte value for key [k]; [Traffic] draws its values here
+   too. *)
+let value_of value_len rng k =
   let tag = Random.State.int rng 0x10000 in
   let s = Printf.sprintf "v%dk%x" k tag in
-  if String.length s >= cfg.value_len then String.sub s 0 cfg.value_len
-  else s ^ String.make (cfg.value_len - String.length s) '_'
+  if String.length s >= value_len then String.sub s 0 value_len
+  else s ^ String.make (value_len - String.length s) '_'
 
 let generate cfg =
   let rng = Random.State.make [| cfg.seed |] in
@@ -55,10 +57,10 @@ let generate cfg =
         Hashtbl.replace live k ();
         live_list := k :: !live_list
       end;
-      Op.Insert (k, value_of cfg rng k)
+      Op.Insert (k, value_of cfg.value_len rng k)
     end
     else if r < cfg.p_insert +. cfg.p_update then
-      Op.Update (used_key (), value_of cfg rng 0)
+      Op.Update (used_key (), value_of cfg.value_len rng 0)
     else if r < cfg.p_insert +. cfg.p_update +. cfg.p_delete then begin
       let k = used_key () in
       Hashtbl.remove live k;

@@ -12,12 +12,14 @@
    (kind tag, sid, address, length, op index), store payloads in a
    per-segment [Bytes] arena and taints in two parallel arrays. Recording
    an event is a handful of array writes; reading hot fields ([kind_at],
-   [addr_at], ...) never allocates. [retire_to] recycles every segment
-   wholly below a target tid, which is how a bounded trace window keeps
-   only its newest events; a trace that is never retired keeps every
-   segment. The trace keeps nothing alive for its readers: a reader that
-   needs an event after its segment may retire (the crash simulator's
-   unguaranteed stores) copies what it needs when it is fed the event.
+   [addr_at], ...) never allocates. The trace is one table of segments
+   indexed by segment id: an append at a segment boundary allocates a
+   fresh segment, and [retire_to] releases every segment wholly below a
+   target tid, which is how a bounded trace window holds only its newest
+   events; a trace that is never retired keeps every segment. The trace
+   keeps nothing alive for its readers: a reader that needs an event
+   after its segment may retire (the crash simulator's unguaranteed
+   stores) copies what it needs when it is fed the event.
 
    [get]/[iter] reconstruct [event] values on demand, for reports and
    tests; the pipeline reads the columns. *)
@@ -68,9 +70,9 @@ let k_tx_abort = 7
 let k_op_begin = 8
 let k_op_end = 9
 
-(* Segments are indexed by slot (seg_id mod slot count). Tids keep their
-   global meaning across retirement — accessors on a retired tid raise
-   [Retired] loudly instead of silently returning recycled data. *)
+(* Tids keep their global meaning across retirement: accessors on a tid
+   below the live floor raise [Retired], and on a tid at or past [length]
+   raise [Invalid_argument], instead of returning another event's data. *)
 
 exception Retired of { tid : int; floor : int }
 
@@ -80,7 +82,7 @@ let () =
       Some
         (Printf.sprintf
            "Nvm.Trace.Retired: tid %d is below the live floor %d (the \
-            windowed trace recycled its segment; raise the streaming \
+            windowed trace released its segment; raise the streaming \
             window)"
            tid floor)
     | _ -> None)
@@ -95,7 +97,6 @@ let () =
      op_begin:      a=desc idx             op=index
      op_end:                               op=index *)
 type rseg = {
-  mutable r_base : int;          (* tid of index 0; -1 while on the free list *)
   r_kind : Bytes.t;
   r_sid : int array;
   r_a : int array;               (* addr / line / desc index *)
@@ -109,17 +110,12 @@ type rseg = {
   r_descs : string Vec.t;        (* op_begin descriptions *)
 }
 
-type ring = {
-  rg_shift : int;
-  rg_mask : int;
-  mutable rg_slots : rseg option array;  (* seg_id mod n_slots -> segment *)
-  mutable rg_free : rseg list;
-  mutable rg_floor : int;                (* first live tid *)
-  mutable rg_head : rseg option;         (* append cache: segment of len-1 *)
-}
-
 type t = {
-  rg : ring;
+  shift : int;
+  mask : int;
+  mutable segs : rseg array;  (* segment id -> segment; [released] below
+                                 the floor and past the head *)
+  mutable floor : int;        (* first live tid, a segment boundary *)
   mutable len : int;
   mutable n_loads : int;
   mutable n_stores : int;
@@ -127,89 +123,71 @@ type t = {
   mutable n_fences : int;
 }
 
-(* Segment size of a trace created without [~ring_shift]: 2^14 events. *)
+(* Stands for every segment not held: released below the floor, not yet
+   opened past the head. Accessors check the tid against the floor and
+   the length first, so its empty columns are never read. *)
+let released =
+  { r_kind = Bytes.empty; r_sid = [||]; r_a = [||]; r_b = [||]; r_op = [||];
+    r_aux = [||]; r_dd = [||]; r_cd = [||]; r_arena = Bytes.empty;
+    r_arena_len = 0; r_descs = Vec.create ~dummy:"" () }
+
+(* Segment size of a trace created without [~seg_shift]: 2^14 events. *)
 let default_seg_shift = 14
 
-(* [ring_shift]: segments of 2^ring_shift events. *)
-let create ?(ring_shift = default_seg_shift) () =
-  if ring_shift < 4 || ring_shift > 24 then
-    invalid_arg "Trace.create: ring_shift";
-  { rg =
-      { rg_shift = ring_shift; rg_mask = (1 lsl ring_shift) - 1;
-        rg_slots = Array.make 16 None; rg_free = []; rg_floor = 0;
-        rg_head = None };
+(* [seg_shift]: segments of 2^seg_shift events. *)
+let create ?(seg_shift = default_seg_shift) () =
+  if seg_shift < 4 || seg_shift > 24 then
+    invalid_arg "Trace.create: seg_shift";
+  { shift = seg_shift; mask = (1 lsl seg_shift) - 1;
+    segs = Array.make 16 released; floor = 0;
     len = 0; n_loads = 0; n_stores = 0; n_flushes = 0; n_fences = 0 }
 
 let length t = t.len
 let next_tid t = t.len
 
-(* ---------- ring internals ---------- *)
+(* ---------- segment table ---------- *)
 
-let rseg_alloc rg =
-  match rg.rg_free with
-  | s :: rest ->
-    rg.rg_free <- rest;
-    s
-  | [] ->
-    let n = 1 lsl rg.rg_shift in
-    { r_base = -1;
-      r_kind = Bytes.create n;
+(* Open the segment that starts at [tid], doubling the table when its id
+   falls past the end. *)
+let seg_open t tid =
+  let id = tid lsr t.shift in
+  if id >= Array.length t.segs then begin
+    let segs = Array.make (max (id + 1) (2 * Array.length t.segs)) released in
+    Array.blit t.segs 0 segs 0 (Array.length t.segs);
+    t.segs <- segs
+  end;
+  let n = 1 lsl t.shift in
+  let s =
+    { r_kind = Bytes.create n;
       r_sid = Array.make n 0; r_a = Array.make n 0; r_b = Array.make n 0;
       r_op = Array.make n 0; r_aux = Array.make n 0;
       r_dd = Array.make n Taint.empty; r_cd = Array.make n Taint.empty;
       r_arena = Bytes.create (n * 8); r_arena_len = 0;
       r_descs = Vec.create ~dummy:"" () }
-
-(* Slot of segment [seg_id]: seg_id mod n_slots, a mask because the slot
-   table's length is a power of two (16, doubled on growth). Live
-   segments always form one contiguous seg-id range (retirement is
-   prefix-only), so the slot is unique as long as the live span fits;
-   double the slot table when it would not. *)
-let[@inline] slot slots seg_id = seg_id land (Array.length slots - 1)
-
-let ring_grow_slots rg =
-  let slots = Array.make (2 * Array.length rg.rg_slots) None in
-  Array.iter
-    (function
-      | Some s -> slots.(slot slots (s.r_base lsr rg.rg_shift)) <- Some s
-      | None -> ())
-    rg.rg_slots;
-  rg.rg_slots <- slots
-
-(* Open the segment that will hold [tid] (a segment boundary). *)
-let ring_open rg tid =
-  let seg_id = tid lsr rg.rg_shift in
-  while seg_id - (rg.rg_floor lsr rg.rg_shift) + 1 > Array.length rg.rg_slots
-  do ring_grow_slots rg done;
-  let s = rseg_alloc rg in
-  s.r_base <- seg_id lsl rg.rg_shift;
-  s.r_arena_len <- 0;
-  Vec.clear s.r_descs;
-  rg.rg_slots.(slot rg.rg_slots seg_id) <- Some s;
-  rg.rg_head <- Some s;
+  in
+  t.segs.(id) <- s;
   s
 
-(* Segment for appending at [tid]; appends are strictly sequential. *)
-let ring_rw rg tid =
-  if tid land rg.rg_mask = 0 then ring_open rg tid
+(* Segment for appending at [tid]; appends are strictly sequential, so
+   [tid] is either a segment boundary or in the head segment. *)
+let[@inline] seg_rw t tid =
+  if tid land t.mask = 0 then seg_open t tid else t.segs.(tid lsr t.shift)
+
+let out_of_window t tid =
+  if tid < t.floor then raise (Retired { tid; floor = t.floor })
   else
-    match rg.rg_head with
-    | Some s when s.r_base = tid land lnot rg.rg_mask -> s
-    | _ -> ring_open rg tid
+    invalid_arg
+      (Printf.sprintf "Trace: tid %d is at or past the length %d" tid t.len)
 
-let raise_retired rg tid = raise (Retired { tid; floor = rg.rg_floor })
-
-(* Segment holding live tid [tid]; raises on retired tids. A retired
-   segment leaves its slot empty or reused by a newer base, so the base
-   check alone rejects every tid below the floor. Inlined: every read
-   accessor goes through it. *)
-let[@inline] ring_ro rg tid =
-  match rg.rg_slots.(slot rg.rg_slots (tid lsr rg.rg_shift)) with
-  | Some s when s.r_base = tid land lnot rg.rg_mask -> s
-  | _ -> raise_retired rg tid
+(* Segment holding live tid [tid]; raises on a tid outside
+   [floor, length), so a segment it returns is held and [tid land mask]
+   indexes its columns. Inlined: every read accessor goes through it. *)
+let[@inline] seg_ro t tid =
+  if tid < t.floor || tid >= t.len then out_of_window t tid
+  else Array.unsafe_get t.segs (tid lsr t.shift)
 
 (* Reserve [n] arena bytes; returns the offset they start at. *)
-let ring_arena_reserve s n =
+let arena_reserve s n =
   let cap = Bytes.length s.r_arena in
   if s.r_arena_len + n > cap then begin
     let newcap = max (2 * cap) (s.r_arena_len + n) in
@@ -223,49 +201,38 @@ let ring_arena_reserve s n =
 
 (* ---------- windowed retirement ---------- *)
 
-let live_floor t = t.rg.rg_floor
+let live_floor t = t.floor
 
-let is_live t tid = tid >= live_floor t && tid < t.len
-
-(* Retire (recycle) every segment that lies wholly below [target], the
-   head (still-appending) segment excepted. Retirement is prefix-only,
-   so the live segments stay one contiguous range. Returns the number of
-   segments retired. *)
+(* Release every segment that lies wholly below [target], the head
+   (still-appending) segment excepted. Retirement is prefix-only, so the
+   held segments stay one contiguous range from the floor. Returns the
+   number of segments released. *)
 let retire_to t ~target =
-  let rg = t.rg in
-  let shift = rg.rg_shift in
-  let head = (t.len - 1) asr shift in
-  let retired = ref 0 in
-  let id = ref (rg.rg_floor lsr shift) in
-  while !id < head && (!id + 1) lsl shift <= target do
-    let s = ring_ro rg (!id lsl shift) in
-    rg.rg_slots.(slot rg.rg_slots !id) <- None;
-    s.r_base <- -1;
-    Array.fill s.r_dd 0 (Array.length s.r_dd) Taint.empty;
-    Array.fill s.r_cd 0 (Array.length s.r_cd) Taint.empty;
-    rg.rg_free <- s :: rg.rg_free;
-    incr retired;
-    incr id;
-    rg.rg_floor <- !id lsl shift
+  let head = (t.len - 1) asr t.shift in
+  let first = t.floor lsr t.shift in
+  let id = ref first in
+  while !id < head && (!id + 1) lsl t.shift <= target do
+    t.segs.(!id) <- released;
+    incr id
   done;
-  !retired
+  t.floor <- !id lsl t.shift;
+  !id - first
 
 (* ---------- fast append API (used by Ctx's recording paths) ---------- *)
 
 let add_load t ~sid ~addr ~len ~cd ~op =
   let tid = t.len in
   t.n_loads <- t.n_loads + 1;
-  let rg = t.rg in
-  let s = ring_rw rg tid in
-  let i = tid land rg.rg_mask in
+  let s = seg_rw t tid in
+  let i = tid land t.mask in
   Bytes.unsafe_set s.r_kind i (Char.unsafe_chr k_load);
   s.r_sid.(i) <- sid; s.r_a.(i) <- addr; s.r_b.(i) <- len;
   s.r_op.(i) <- op; s.r_cd.(i) <- cd;
   t.len <- tid + 1;
   tid
 
-let ring_store_fields rg s tid ~sid ~addr ~len ~off ~dd ~cd ~op =
-  let i = tid land rg.rg_mask in
+let store_fields t s tid ~sid ~addr ~len ~off ~dd ~cd ~op =
+  let i = tid land t.mask in
   Bytes.unsafe_set s.r_kind i (Char.unsafe_chr k_store);
   s.r_sid.(i) <- sid; s.r_a.(i) <- addr; s.r_b.(i) <- len;
   s.r_op.(i) <- op; s.r_aux.(i) <- off;
@@ -275,10 +242,10 @@ let ring_store_fields rg s tid ~sid ~addr ~len ~off ~dd ~cd ~op =
 let add_store_sub t ~sid ~addr ~src ~src_off ~len ~dd ~cd ~op =
   let tid = t.len in
   t.n_stores <- t.n_stores + 1;
-  let s = ring_rw t.rg tid in
-  let off = ring_arena_reserve s len in
+  let s = seg_rw t tid in
+  let off = arena_reserve s len in
   Bytes.blit_string src src_off s.r_arena off len;
-  ring_store_fields t.rg s tid ~sid ~addr ~len ~off ~dd ~cd ~op;
+  store_fields t s tid ~sid ~addr ~len ~off ~dd ~cd ~op;
   t.len <- tid + 1;
   tid
 
@@ -287,19 +254,18 @@ let add_store_sub t ~sid ~addr ~src ~src_off ~len ~dd ~cd ~op =
 let add_store_u64 t ~sid ~addr ~v ~dd ~cd ~op =
   let tid = t.len in
   t.n_stores <- t.n_stores + 1;
-  let s = ring_rw t.rg tid in
-  let off = ring_arena_reserve s 8 in
+  let s = seg_rw t tid in
+  let off = arena_reserve s 8 in
   Bytes.set_int64_le s.r_arena off (Int64.of_int v);
-  ring_store_fields t.rg s tid ~sid ~addr ~len:8 ~off ~dd ~cd ~op;
+  store_fields t s tid ~sid ~addr ~len:8 ~off ~dd ~cd ~op;
   t.len <- tid + 1;
   tid
 
 let add_flush t ~sid ~line ~op =
   let tid = t.len in
   t.n_flushes <- t.n_flushes + 1;
-  let rg = t.rg in
-  let s = ring_rw rg tid in
-  let i = tid land rg.rg_mask in
+  let s = seg_rw t tid in
+  let i = tid land t.mask in
   Bytes.unsafe_set s.r_kind i (Char.unsafe_chr k_flush);
   s.r_sid.(i) <- sid; s.r_a.(i) <- line; s.r_op.(i) <- op;
   t.len <- tid + 1;
@@ -308,9 +274,8 @@ let add_flush t ~sid ~line ~op =
 let add_fence t ~sid ~op =
   let tid = t.len in
   t.n_fences <- t.n_fences + 1;
-  let rg = t.rg in
-  let s = ring_rw rg tid in
-  let i = tid land rg.rg_mask in
+  let s = seg_rw t tid in
+  let i = tid land t.mask in
   Bytes.unsafe_set s.r_kind i (Char.unsafe_chr k_fence);
   s.r_sid.(i) <- sid; s.r_op.(i) <- op;
   t.len <- tid + 1;
@@ -319,11 +284,10 @@ let add_fence t ~sid ~op =
 (* ---------- generic append (rare event kinds, tests) ---------- *)
 
 let push t ev =
-  let rg = t.rg in
   let tid = t.len in
   let simple kind ~sid ~a ~b ~op ~aux =
-    let s = ring_rw rg tid in
-    let i = tid land rg.rg_mask in
+    let s = seg_rw t tid in
+    let i = tid land t.mask in
     Bytes.unsafe_set s.r_kind i (Char.unsafe_chr kind);
     s.r_sid.(i) <- sid; s.r_a.(i) <- a; s.r_b.(i) <- b;
     s.r_op.(i) <- op; s.r_aux.(i) <- aux;
@@ -349,10 +313,9 @@ let push t ev =
   | Tx_abort { t_tx; t_op; _ } ->
     simple k_tx_abort ~sid:0 ~a:0 ~b:0 ~op:t_op ~aux:t_tx
   | Op_begin o ->
-    let s = ring_rw rg tid in
-    let i = tid land rg.rg_mask in
+    let s = seg_rw t tid in
+    let i = tid land t.mask in
     Bytes.unsafe_set s.r_kind i (Char.unsafe_chr k_op_begin);
-    s.r_sid.(i) <- 0; s.r_b.(i) <- 0; s.r_aux.(i) <- 0;
     s.r_a.(i) <- Vec.length s.r_descs;
     Vec.push s.r_descs o.o_desc;
     s.r_op.(i) <- o.o_index;
@@ -362,30 +325,29 @@ let push t ev =
 (* ---------- index-based fast reads (no allocation) ---------- *)
 
 let kind_at t i =
-  let rg = t.rg in
-  Char.code (Bytes.unsafe_get (ring_ro rg i).r_kind (i land rg.rg_mask))
+  Char.code (Bytes.unsafe_get (seg_ro t i).r_kind (i land t.mask))
 
-let sid_at t i = (ring_ro t.rg i).r_sid.(i land t.rg.rg_mask)
+let sid_at t i = (seg_ro t i).r_sid.(i land t.mask)
 
 (* addr for loads/stores/log ranges, line for flushes *)
-let addr_at t i = (ring_ro t.rg i).r_a.(i land t.rg.rg_mask)
-let len_at t i = (ring_ro t.rg i).r_b.(i land t.rg.rg_mask)
-let op_at t i = (ring_ro t.rg i).r_op.(i land t.rg.rg_mask)
-let tx_at t i = (ring_ro t.rg i).r_aux.(i land t.rg.rg_mask)
-let dd_at t i = (ring_ro t.rg i).r_dd.(i land t.rg.rg_mask)
-let cd_at t i = (ring_ro t.rg i).r_cd.(i land t.rg.rg_mask)
+let addr_at t i = (seg_ro t i).r_a.(i land t.mask)
+let len_at t i = (seg_ro t i).r_b.(i land t.mask)
+let op_at t i = (seg_ro t i).r_op.(i land t.mask)
+let tx_at t i = (seg_ro t i).r_aux.(i land t.mask)
+let dd_at t i = (seg_ro t i).r_dd.(i land t.mask)
+let cd_at t i = (seg_ro t i).r_cd.(i land t.mask)
 
 (* Store [i]'s payload, copied out of the segment's arena. *)
 let store_payload t i =
-  let s = ring_ro t.rg i in
-  let j = i land t.rg.rg_mask in
+  let s = seg_ro t i in
+  let j = i land t.mask in
   Bytes.sub_string s.r_arena s.r_aux.(j) s.r_b.(j)
 
 (* ---------- event reconstruction ---------- *)
 
-let ring_get rg tid =
-  let s = ring_ro rg tid in
-  let i = tid land rg.rg_mask in
+let seg_get t tid =
+  let s = seg_ro t tid in
+  let i = tid land t.mask in
   match Char.code (Bytes.unsafe_get s.r_kind i) with
   | 0 ->
     Load { l_tid = tid; l_sid = s.r_sid.(i); l_addr = s.r_a.(i);
@@ -411,11 +373,11 @@ let ring_get rg tid =
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Trace.get";
-  ring_get t.rg i
+  seg_get t i
 
 (* [iter] covers only the live window (retired prefixes are gone by
    construction). *)
-let iter f t = for i = t.rg.rg_floor to t.len - 1 do f (ring_get t.rg i) done
+let iter f t = for i = t.floor to t.len - 1 do f (seg_get t i) done
 
 let stats t = (t.n_loads, t.n_stores, t.n_flushes, t.n_fences)
 

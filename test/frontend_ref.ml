@@ -167,10 +167,12 @@ let generate ?(cfg = Witcher.Crash_gen.default_cfg) ~trace ~(conds : t)
     end
   in
   (* The one admission path, for the baseline image ([extras] = None) and
-     violation images alike: dedup on (fence, key), then the image budget
-     and the site cap. The key is [Hashtbl.hash] of the full extras list,
-     the identity [Crash_sim.closure_key] reproduces from a closure's
-     first 10 tids; an exact key has to replace both together. *)
+     violation images alike: dedup on (fence, key) over the whole walk,
+     then the image budget and the site cap. [Crash_gen] keeps its keys
+     for one fence instead, so the parity property compares the two
+     forms. The key is [Hashtbl.hash] of the full extras list, the
+     identity [Crash_sim.closure_key] reproduces from a closure's first
+     10 tids; an exact key has to replace both together. *)
   let admit ~fence_tid ~op ~extras ~viol ~site_key =
     stats.candidates <- stats.candidates + 1;
     let key = match extras with None -> 0 | Some l -> Hashtbl.hash l in

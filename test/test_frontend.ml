@@ -88,10 +88,10 @@ let test_epoch_dedup_distinct_conds () =
 
 (* --- Fast-vs-reference parity -------------------------------------- *)
 
-(* Record [ops] into a trace of 2^[ring_shift]-event segments, through the
+(* Record [ops] into a trace of 2^[seg_shift]-event segments, through the
    op loop the engine's passes share. *)
-let record_segmented ~ring_shift (module S : W.Store_intf.S) ops =
-  let trace = Trace.create ~ring_shift () in
+let record_segmented ~seg_shift (module S : W.Store_intf.S) ops =
+  let trace = Trace.create ~seg_shift () in
   let ctx = Ctx.create ~trace ~mode:Record (Pmem.create S.pool_size) in
   W.Driver.exec (module S) ctx (Array.of_list ops) ~after_op:(fun _ _ -> ());
   trace
@@ -121,9 +121,9 @@ let check_parity ~name ~n_ops ~seed ~max_images ~small_fast =
     let wl = { W.Workload.default with n_ops; seed } in
     W.Workload.generate (if S.supports_scan then wl else W.Workload.no_scan wl)
   in
-  let small = record_segmented ~ring_shift:4 (e.buggy ()) ops in
+  let small = record_segmented ~seg_shift:4 (e.buggy ()) ops in
   let default =
-    record_segmented ~ring_shift:Trace.default_seg_shift (e.buggy ()) ops
+    record_segmented ~seg_shift:Trace.default_seg_shift (e.buggy ()) ops
   in
   let name =
     Printf.sprintf "%s (seed %d, fast path on %s segments)" name seed

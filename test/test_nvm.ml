@@ -505,7 +505,7 @@ let prop_trace_roundtrip =
   QCheck2.Test.make ~name:"trace round-trip = event list" ~count:200
     (list_size (int_range 0 300) step)
     (fun steps ->
-       let tr = Trace.create ~ring_shift:4 () in
+       let tr = Trace.create ~seg_shift:4 () in
        let evs =
          List.rev (List.fold_left (fun acc st -> rt_append tr st :: acc) [] steps)
        in

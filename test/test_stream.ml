@@ -1,16 +1,16 @@
 (* Bounded trace window: verdict parity with the unbounded window, and
-   the windowed ring trace's retirement machinery.
+   how the segmented trace releases what leaves the window.
 
    The headline property (DESIGN §9): [Engine.run_stream] is the
    pipeline of [Engine.run] with a bounded window, not a different
    analysis — over every registry store, random seeds and both pruning
    policies it must produce the identical mismatch count, cluster
-   reports and image counts. The streaming config here uses a
-   deliberately tiny window (4 segments of 128 events) so a
+   reports, image counts and oracle work. The streaming config here
+   uses a deliberately tiny window (4 segments of 128 events) so a
    few-thousand-event trace retires dozens of segments mid-run, plus a
    2-deep checkpoint ring to force evictions — parity must survive
-   both. Nothing holds a segment back: each pass retires every segment
-   that leaves the window. *)
+   both. Nothing holds a segment back: each pass releases every segment
+   that leaves the window, and the trace then holds only the window. *)
 
 module W = Witcher
 module R = Stores.Registry
@@ -28,10 +28,12 @@ let cfg ~prune ~seed ~n_ops =
     crash = { W.Crash_gen.default_cfg with max_images = 1200 };
     prune }
 
-(* Everything verdict-shaped in a result; timings and memory excluded. *)
+(* Everything verdict-shaped in a result, plus the checker's oracle
+   work, which a bounded run must not redo; timings and memory excluded. *)
 let fingerprint (r : W.Engine.result) =
   ( ( r.n_mismatch, r.n_clusters, r.c_o, r.c_a,
       r.images_generated, r.images_tested ),
+    (r.oracle_runs, r.oracle_ops_saved),
     List.sort compare r.all_clusters,
     List.sort compare r.site_pairs,
     List.sort compare r.bug_reports )
@@ -57,14 +59,15 @@ let check_parity (c : W.Engine.cfg) (e : R.entry) =
   if fingerprint batch <> fingerprint stream then
     Alcotest.failf
       "%s seed=%d n=%d %s%s: stream/batch divergence \
-       (batch: %d mismatch %d clusters %d gen %d tested; \
-       stream: %d mismatch %d clusters %d gen %d tested)"
+       (batch: %d mismatch %d clusters %d gen %d tested %d oracles; \
+       stream: %d mismatch %d clusters %d gen %d tested %d oracles)"
       e.name c.workload.seed c.workload.n_ops
       (Prune.Policy.name c.prune)
       (match c.traffic with Some t -> " traffic=" ^ t.name | None -> "")
       batch.n_mismatch batch.n_clusters batch.images_generated
-      batch.images_tested stream.n_mismatch stream.n_clusters
-      stream.images_generated stream.images_tested;
+      batch.images_tested batch.oracle_runs stream.n_mismatch
+      stream.n_clusters stream.images_generated stream.images_tested
+      stream.oracle_runs;
   stream
 
 let parity_prop =
@@ -166,9 +169,9 @@ let test_traffic_parity () =
             e))
     W.Traffic.presets
 
-(* ---------- windowed ring trace unit tests ---------- *)
+(* ---------- windowed segment trace unit tests ---------- *)
 
-let ring () = T.create ~ring_shift:4 ()  (* 16-event segments *)
+let seg_trace () = T.create ~seg_shift:4 ()  (* 16-event segments *)
 
 let add_n tr n =
   for _ = 1 to n do
@@ -177,41 +180,62 @@ let add_n tr n =
          ~cd:Nvm.Taint.empty ~op:0)
   done
 
-(* Starts from an empty minor heap: on OCaml 5.1 [Gc.allocated_bytes]
-   misreads a window that a minor collection falls into (see
-   test_engine's pool-cost guard). *)
-let allocated f =
-  Gc.minor ();
-  let a0 = Gc.allocated_bytes () in
-  f ();
-  Gc.allocated_bytes () -. a0
+let words tr = Obj.reachable_words (Obj.repr tr)
 
-let test_ring_retires () =
-  let tr = ring () in
+let test_trace_releases () =
+  let tr = seg_trace () in
   add_n tr 100;
   let r = T.retire_to tr ~target:(T.length tr - 32) in
   Alcotest.(check int) "every segment below the target" 4 r;
   Alcotest.(check int) "floor advanced" (r * 16) (T.live_floor tr);
   Alcotest.(check int) "length unaffected" 100 (T.length tr);
-  Alcotest.(check bool) "old tid not live" false (T.is_live tr 0);
-  Alcotest.(check bool) "recent tid live" true (T.is_live tr 99);
+  Alcotest.(check bool) "old tid below the floor" true (0 < T.live_floor tr);
+  Alcotest.(check bool) "recent tid live" true
+    (T.live_floor tr <= 99 && 99 < T.length tr);
   (match T.addr_at tr 0 with
    | _ -> Alcotest.fail "retired access must raise"
    | exception T.Retired _ -> ());
-  (* Recycling: sliding the window over 200 more events opens 12
-     segments, each taken from the free list. A fresh 16-event segment
-     allocates over 1 KB of columns; recycling costs a list cell per
-     retirement. *)
-  let a =
-    allocated (fun () ->
-        for _ = 1 to 20 do
-          add_n tr 10;
-          ignore (T.retire_to tr ~target:(T.length tr - 32))
-        done)
+  (* Release: sliding a 32-event window over 200 more events opens 12
+     segments, and the trace holds only the ones the window still
+     covers, at most 3. With 4 one-segment traces' worth as the bound, a
+     trace that kept its retired segments reachable fails. *)
+  let one =
+    let t = seg_trace () in
+    add_n t 1;
+    words t
   in
+  let held = ref 0 in
+  for _ = 1 to 20 do
+    add_n tr 10;
+    ignore (T.retire_to tr ~target:(T.length tr - 32));
+    held := max !held (words tr)
+  done;
   Alcotest.(check bool)
-    (Printf.sprintf "200 windowed appends allocate %.0f bytes < 1 KB" a)
-    true (a < 1024.)
+    (Printf.sprintf "sliding window holds %d words <= 4 x %d" !held one)
+    true (!held <= 4 * one)
+
+(* A tid at or past [length] is no event: every accessor raises, on an
+   empty trace, inside the head segment and at the segment boundary. *)
+let test_past_length_raises () =
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s past the length must raise" what
+    | exception Invalid_argument _ -> ()
+  in
+  let check tr tid =
+    raises "kind_at" (fun () -> T.kind_at tr tid);
+    raises "addr_at" (fun () -> T.addr_at tr tid);
+    raises "cd_at" (fun () -> ignore (T.cd_at tr tid));
+    raises "store_payload" (fun () -> ignore (T.store_payload tr tid));
+    raises "get" (fun () -> ignore (T.get tr tid))
+  in
+  let tr = seg_trace () in
+  check tr 0;
+  add_n tr 5;
+  check tr 5;
+  check tr 15;
+  add_n tr 11;
+  check tr 16
 
 (* The simulator owns the stores it has not guaranteed: a never-flushed
    store whose segment has been retired is still unguaranteed, still
@@ -219,7 +243,7 @@ let test_ring_retires () =
    its bytes into an image that persists it. *)
 let test_sim_holds_retired_store () =
   let module Sim = Nvm.Crash_sim in
-  let tr = ring () in
+  let tr = seg_trace () in
   let sim = Sim.create ~trace:tr ~pool_size:4096 in
   let sid = Nvm.Sid.intern "t:dirty" in
   let dirty =
@@ -242,7 +266,7 @@ let test_sim_holds_retired_store () =
   done;
   let r = T.retire_to tr ~target:(T.length tr - 16) in
   Alcotest.(check bool) "the store's segment retired" true
-    (r > 0 && not (T.is_live tr dirty));
+    (r > 0 && dirty < T.live_floor tr);
   Alcotest.(check bool) "still unguaranteed" false (Sim.is_guaranteed sim dirty);
   Alcotest.(check (list int)) "heads its closure" [ dirty ]
     (Sim.closure_tids (Sim.closure sim dirty));
@@ -257,8 +281,8 @@ let test_sim_holds_retired_store () =
 (* A condition spanning the window boundary holds nothing: the segment a
    newer event's taint references retires like any other, and reading
    the referenced load then raises [Retired]. *)
-let test_ring_taint_spans_window () =
-  let tr = ring () in
+let test_taint_spans_window () =
+  let tr = seg_trace () in
   let first =
     T.add_load tr ~sid:(Nvm.Sid.intern "t:load") ~addr:0 ~len:8
       ~cd:Nvm.Taint.empty ~op:0
@@ -277,11 +301,14 @@ let test_ring_taint_spans_window () =
   | exception T.Retired _ -> ()
 
 let suite =
-  [ Alcotest.test_case "ring retires and recycles" `Quick test_ring_retires;
+  [ Alcotest.test_case "trace releases retired segments" `Quick
+      test_trace_releases;
+    Alcotest.test_case "accessors past the length raise" `Quick
+      test_past_length_raises;
     Alcotest.test_case "sim keeps a retired dirty store" `Quick
       test_sim_holds_retired_store;
     Alcotest.test_case "spanning taint holds no segment" `Quick
-      test_ring_taint_spans_window;
+      test_taint_spans_window;
     Alcotest.test_case "streaming counters move" `Slow test_stream_counters;
     Alcotest.test_case "ckpt_bytes without a stride" `Quick
       test_ckpt_bytes_no_stride;
