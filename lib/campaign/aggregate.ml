@@ -161,7 +161,7 @@ let row_line row =
     (Option.fold ~none:"" ~some:Job.variant_name row.variant)
     row.jobs row.ok (status_cell row) row.c_o row.c_a row.p_u row.p_efl
     row.p_efe row.p_el row.images_tested row.n_mismatch row.replay_ops
-    (float_of_int row.bytes_materialized /. 1024. /. 1024.)
+    (Witcher.Report.mb row.bytes_materialized)
     row.oracle_runs row.oracle_ops_saved row.memo_hits
     row.inherit_hits row.batch_saved
     row.prune_classes row.prune_reps row.images_elided row.prune_expansions
@@ -195,7 +195,7 @@ let to_text ?elapsed ?j t =
           eviction(s); peak live heap %.1f MB\n"
          t.total.stream_jobs t.total.window_retirements
          t.total.ckpt_ring_evictions
-         (float_of_int (t.total.peak_live_words * 8) /. 1024. /. 1024.));
+         (Witcher.Report.mb (t.total.peak_live_words * 8)));
   (match elapsed with
    | Some e when e >= 0.01 ->
      Buffer.add_string b

@@ -26,10 +26,17 @@ let int_f = Jsonx.int_field
 
 (* ---------- stream model ---------- *)
 
+(* A run and the indexes every bug's resolution reads, built in one pass
+   over its events. *)
 type run = {
   header : Jsonx.t;
-  by_id : (int, Jsonx.t) Hashtbl.t;
   items : Jsonx.t list;            (* this run's events, oldest first *)
+  by_id : (int, Jsonx.t) Hashtbl.t;
+  ops : (int, string) Hashtbl.t;   (* op index -> description, last wins *)
+  bad : (string, Jsonx.t) Hashtbl.t;  (* class -> first inconsistent verdict *)
+  classes : (string, Jsonx.t) Hashtbl.t;  (* class -> last `class` record *)
+  slices : (int, Jsonx.t) Hashtbl.t;  (* image id -> first slice *)
+  oracles : (int, Jsonx.t) Hashtbl.t; (* crash op -> first oracle *)
 }
 
 type source =
@@ -38,16 +45,34 @@ type source =
 
 let is_kind k j = str j "e" = k
 
+let index header items =
+  let r =
+    { header; items; by_id = Hashtbl.create 256; ops = Hashtbl.create 64;
+      bad = Hashtbl.create 16; classes = Hashtbl.create 64;
+      slices = Hashtbl.create 16; oracles = Hashtbl.create 16 }
+  in
+  let first tbl k j = if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k j in
+  List.iter
+    (fun j ->
+       Hashtbl.replace r.by_id (int_f ~default:(-1) j "i") j;
+       match str j "e" with
+       | "op" -> Hashtbl.replace r.ops (int_f j "op") (str j "desc")
+       | "verdict" when not (bool_field j "consistent") ->
+         first r.bad (str j "class") j
+       | "class" -> Hashtbl.replace r.classes (str j "class") j
+       | "slice" -> first r.slices (int_f ~default:(-1) j "image") j
+       | "oracle" -> first r.oracles (int_f ~default:(-1) j "op") j
+       | _ -> ())
+    items;
+  r
+
 let split_runs items =
   let runs = ref [] in
   let cur = ref None in
   let flush () =
     match !cur with
     | Some (h, rev) ->
-      let items = List.rev rev in
-      let by_id = Hashtbl.create 256 in
-      List.iter (fun j -> Hashtbl.replace by_id (int_f ~default:(-1) j "i") j) items;
-      runs := { header = h; by_id; items } :: !runs;
+      runs := index h (List.rev rev) :: !runs;
       cur := None
     | None -> ()
   in
@@ -135,49 +160,26 @@ type forensics = {
 }
 
 let resolve (b : bug) =
+  let r = b.b_run in
   let skey = str b.b_cluster "class" in
-  let ops = Hashtbl.create 64 in
-  let verdict = ref None and cls = ref None in
-  List.iter
-    (fun j ->
-       match str j "e" with
-       | "op" -> Hashtbl.replace ops (int_f j "op") (str j "desc")
-       | "verdict"
-         when !verdict = None && str j "class" = skey
-           && not (bool_field j "consistent") ->
-         verdict := Some j
-       | "class" when str j "class" = skey -> cls := Some j
-       | _ -> ())
-    b.b_run.items;
-  let image =
-    Option.bind !verdict (fun v ->
-        let id = int_f ~default:(-1) v "image" in
-        if id < 0 then None else Hashtbl.find_opt b.b_run.by_id id)
+  let verdict = Hashtbl.find_opt r.bad skey in
+  let by_ref j k =
+    let id = int_f ~default:(-1) j k in
+    if id < 0 then None else Hashtbl.find_opt r.by_id id
   in
-  let cond =
-    Option.bind image (fun i ->
-        let id = int_f ~default:(-1) i "cond" in
-        if id < 0 then None else Hashtbl.find_opt b.b_run.by_id id)
-  in
+  let image = Option.bind verdict (fun v -> by_ref v "image") in
+  let cond = Option.bind image (fun i -> by_ref i "cond") in
   let image_id =
     match image with None -> -1 | Some i -> int_f ~default:(-1) i "i"
   in
-  let slice =
-    if image_id < 0 then None
-    else
-      List.find_opt
-        (fun j -> is_kind "slice" j && int_f ~default:(-1) j "image" = image_id)
-        b.b_run.items
-  in
+  let slice = if image_id < 0 then None else Hashtbl.find_opt r.slices image_id in
   let oracle =
     Option.bind image (fun i ->
-        let k = int_f ~default:(-1) i "crash_op" in
-        List.find_opt
-          (fun j -> is_kind "oracle" j && int_f ~default:(-1) j "op" = k)
-          b.b_run.items)
+        Hashtbl.find_opt r.oracles (int_f ~default:(-1) i "crash_op"))
   in
-  { f_bug = b; f_verdict = !verdict; f_image = image; f_cond = cond;
-    f_slice = slice; f_oracle = oracle; f_class = !cls; f_ops = ops }
+  { f_bug = b; f_verdict = verdict; f_image = image; f_cond = cond;
+    f_slice = slice; f_oracle = oracle;
+    f_class = Hashtbl.find_opt r.classes skey; f_ops = r.ops }
 
 (* Chain-resolution check, used by the qcheck property: every verdict
    must link to a real tested image whose condition id resolves, and
@@ -207,13 +209,7 @@ let check_chains items =
                  end)
             | "cluster" ->
               let skey = str j "class" in
-              if not
-                   (List.exists
-                      (fun v ->
-                         is_kind "verdict" v && str v "class" = skey
-                         && not (bool_field v "consistent"))
-                      r.items)
-              then fail "cluster %d: no inconsistent verdict for class %s" (int_f j "i") skey
+              if not (Hashtbl.mem r.bad skey) then fail "cluster %d: no inconsistent verdict for class %s" (int_f j "i") skey
             | "slice" ->
               let id = int_f ~default:(-1) j "image" in
               (match Hashtbl.find_opt r.by_id id with

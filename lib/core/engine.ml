@@ -306,20 +306,13 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
     Prune.Path_sig.make ~op_kind:op_kind_sids.(c.cd_crash_op)
       ~path:c.cd_path_sig ~watch ~req
   in
-  let prune_sig (image : Crash_gen.image) =
-    let watch, req = Crash_gen.violation_sids image.viol in
-    Prune.Path_sig.make ~op_kind:op_kind_sids.(image.crash_op)
-      ~path:image.path_sig ~watch ~req
-  in
   (* Generation and checking are pipeline-fused (one image alive at a
      time), so the stage split is measured around each Equiv.check call:
      t_equiv is the replay/compare time, t_gen the rest of the walk. *)
   let t_equiv_acc = ref 0. in
-  (* Provenance tag for the verdict currently being reached: why the
-     image under check was admitted. Set by the decide hook (or the
-     policy branch) immediately before [on_image] fires — valid because
-     generation and checking are pipeline-fused and sequential. *)
-  let prov = ref "exhaustive" in
+  (* Which eligible candidates each walk tests, why, and which walks
+     follow the first. *)
+  let sched = Prune.Schedule.create cfg.prune ~budget:cfg.expand_budget in
   (* One `slice` event per would-be cluster: the live trace events
      touching the violated condition's addresses, up to the crash point.
      Retired events are gone, and the events nearest the crash carry the
@@ -374,9 +367,8 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
              ("entries", Obs.Jsonx.List entries);
              ("truncated", Obs.Jsonx.Bool (!total > cap)) ])
   in
-  (* Check one image and feed the cluster table; [observe] additionally
-     reports the verdict to the pruning registry. *)
-  let check_image ?observe (image : Crash_gen.image) =
+  (* Check one image and feed the cluster table; true if consistent. *)
+  let check_image (image : Crash_gen.image) =
     let t0 = Unix.gettimeofday () in
     let memo_before = (Equiv.stats checker).Equiv.n_memo_hits in
     let verdict =
@@ -384,9 +376,6 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
         ~extras:image.extras checker ~img:image.img ~crash_op:image.crash_op
     in
     t_equiv_acc := !t_equiv_acc +. (Unix.gettimeofday () -. t0);
-    (match observe with
-     | None -> ()
-     | Some f -> f image (verdict = Equiv.Consistent));
     if Obs.Event.enabled () then begin
       let sig_ =
         Cluster.signature ~op_kind:op_kind_sids.(image.crash_op) image
@@ -398,7 +387,7 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
           ("class", Obs.Jsonx.Str skey);
           ("consistent", Obs.Jsonx.Bool (verdict = Equiv.Consistent));
           ("memo", Obs.Jsonx.Bool memoized);
-          ("prov", Obs.Jsonx.Str !prov) ]
+          ("prov", Obs.Jsonx.Str (Prune.Schedule.prov sched)) ]
         @ (match verdict with
            | Equiv.Consistent -> []
            | Equiv.Inconsistent v ->
@@ -423,10 +412,17 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
        incr n_mismatch;
        Cluster.add clusters ~image ~op_kind:op_kind_sids.(image.crash_op)
          ~verdict);
-    `Continue
+    verdict = Equiv.Consistent
   in
-  (* ---- pass B: one validation walk admitting what [decide] tests ---- *)
-  let walk ~decide ~pass ~on_image tr =
+  (* ---- pass B: one validation walk admitting what [sched] tests ---- *)
+  let decide (c : Crash_gen.cand) =
+    Prune.Schedule.decide sched ~sig_:(lazy (sig_of_cand c))
+      ~member:(c.cd_fence_tid, c.cd_key)
+  in
+  let on_image image =
+    Prune.Schedule.observe sched ~consistent:(check_image image)
+  in
+  let walk ~pass tr =
     let gen =
       Crash_gen.stream_create ~cfg:cfg.crash ~decide ~pass
         ~sig_depth:cfg.sig_depth ~trace:tr ~conds ~pool_size ~on_image ()
@@ -438,8 +434,8 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
   let validate =
     match window with
     | None ->
-      fun ~decide ~pass ~on_image ->
-        let gen = walk ~decide ~pass ~on_image trace in
+      fun ~pass ->
+        let gen = walk ~pass trace in
         for i = 0 to Nvm.Trace.length trace - 1 do gen.Crash_gen.g_feed i done;
         gen.Crash_gen.g_finish ()
     | Some w ->
@@ -447,18 +443,14 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
          no later walk revisits them: expansion waves re-check deferred
          images at earlier ops, so a representative run keeps what an
          unbounded run keeps. *)
-      let forgets =
-        match cfg.prune with
-        | Prune.Policy.Exhaustive | Prune.Policy.Sample _ -> true
-        | Prune.Policy.Representative -> false
-      in
-      fun ~decide ~pass ~on_image ->
+      let forgets = not (Prune.Schedule.revisits sched) in
+      fun ~pass ->
         let tr = Nvm.Trace.create ~seg_shift:cfg.stream_seg_shift () in
         let pmem = Nvm.Pmem.create pool_size in
         let ctx =
           Nvm.Ctx.create ~trace:tr ~taintless:true ~mode:Nvm.Ctx.Record pmem
         in
-        let gen = walk ~decide ~pass ~on_image tr in
+        let gen = walk ~pass tr in
         (* Oracles resume from the nearest snapshot, and images are
            checked at their fence, so the newest [ckpt_ring] are the ones
            near every crash point still to come. *)
@@ -492,122 +484,23 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
         end;
         gen.Crash_gen.g_finish ()
   in
-  let reg = ref None in
-  let expanded_tested = ref 0 in
   let check_t0 = Unix.gettimeofday () in
   let stats, t_check =
     timed (fun () ->
-        match cfg.prune with
-        | Prune.Policy.Exhaustive ->
-          validate ~decide:(fun _ -> `Test) ~pass:0 ~on_image:check_image
-        | Prune.Policy.Sample stride ->
-          (* blind §7.5-style statistical fallback: every stride-th
-             eligible image, no class tracking, no expansion *)
-          let i = ref (-1) in
-          let decide (_ : Crash_gen.cand) =
-            incr i;
-            if !i mod stride = 0 then begin
-              prov := "sample";
-              `Test
-            end
-            else `Defer
-          in
-          validate ~decide ~pass:0 ~on_image:check_image
-        | Prune.Policy.Representative ->
-          let r = Prune.Equiv_class.create ~budget:cfg.expand_budget in
-          reg := Some r;
-          (* Pass 1: one representative (plus spot-checks) per class;
-             deferred members are remembered by their stable
-             (fence, persist-set) identity, not by image — a materialized
-             image aliases the live simulator pool and dies at the next
-             trace event. *)
-          let decide (c : Crash_gen.cand) =
-            match
-              Prune.Equiv_class.decide r ~sig_:(sig_of_cand c)
-                ~member:(c.cd_fence_tid, c.cd_key)
-            with
-            | `Test ->
-              prov := Prune.Equiv_class.last_reason r;
-              `Test
-            | `Defer -> `Defer
-          in
-          let observe image consistent =
-            Prune.Equiv_class.observe r ~sig_:(prune_sig image) ~consistent
-          in
-          let stats =
-            validate ~decide ~pass:0 ~on_image:(check_image ~observe)
-          in
-          (* Expansion waves. Generation is deterministic over the same
-             event stream and config, so another walk with a decide hook
-             that admits an explicit member set re-materializes precisely
-             those images; the Equiv checker (and its digest memo)
-             carries over. The first wave holds every promoted class's
-             deferred members plus one tail spot-check per collapsed
-             class — the latest deferred member, the highest-value extra
-             check since divergence typically appears late as corruption
-             accumulates. Verdicts observed during a wave can promote
-             further classes, whose remaining members form the next
-             wave; the loop reaches a fixpoint because each class
-             expands at most once. *)
-          let tested_extra = Hashtbl.create 256 in
-          let expanded_sigs = Hashtbl.create 64 in
-          let next_wave () =
-            let want = Hashtbl.create 256 in
-            List.iter
-              (fun (sig_, members) ->
-                 if not (Hashtbl.mem expanded_sigs sig_) then begin
-                   Hashtbl.add expanded_sigs sig_ ();
-                   List.iter
-                     (fun m ->
-                        if not (Hashtbl.mem tested_extra m) then
-                          Hashtbl.replace want m ())
-                     members
-                 end)
-              (Prune.Equiv_class.promoted_deferred r);
-            want
-          in
-          let wave = ref (next_wave ()) in
-          let tails = Hashtbl.create 16 in
-          List.iter
-            (fun (_sig, m) ->
-               if not (Hashtbl.mem tested_extra m) then begin
-                 Hashtbl.replace !wave m ();
-                 Hashtbl.replace tails m ()
-               end)
-            (Prune.Equiv_class.tail_spots r);
-          let pass = ref 0 in
-          while Hashtbl.length !wave > 0 do
-            incr pass;
-            let want = !wave in
-            let decide (c : Crash_gen.cand) =
-              let m = (c.cd_fence_tid, c.cd_key) in
-              if Hashtbl.mem want m then begin
-                Hashtbl.replace tested_extra m ();
-                prov :=
-                  (if Hashtbl.mem tails m then "tail"
-                   else "wave:" ^ string_of_int !pass);
-                `Test
-              end
-              else `Defer
-            in
-            (* each wanted member materializes exactly once; cut the
-               walk short as soon as the last one has been checked *)
-            let remaining = ref (Hashtbl.length want) in
-            let on_image image =
-              ignore (check_image ~observe image);
-              decr remaining;
-              if !remaining = 0 then `Stop else `Continue
-            in
-            let stats_w = validate ~decide ~pass:!pass ~on_image in
-            expanded_tested := !expanded_tested + stats_w.Crash_gen.tested;
-            stats.Crash_gen.tested <-
-              stats.Crash_gen.tested + stats_w.Crash_gen.tested;
-            stats.Crash_gen.bytes_materialized <-
-              stats.Crash_gen.bytes_materialized
-              + stats_w.Crash_gen.bytes_materialized;
-            wave := next_wave ()
-          done;
-          stats)
+        let stats = validate ~pass:0 in
+        (* Each further walk is an expansion wave; the checker (and its
+           digest memo) carries over. *)
+        let rec waves () =
+          match Prune.Schedule.next_wave sched with
+          | None -> stats
+          | Some pass ->
+            let w = validate ~pass in
+            stats.tested <- stats.tested + w.Crash_gen.tested;
+            stats.bytes_materialized <-
+              stats.bytes_materialized + w.Crash_gen.bytes_materialized;
+            waves ()
+        in
+        waves ())
   in
   (* Close the last open fence group so the images-per-batch histogram
      covers every group. *)
@@ -638,14 +531,10 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
       (List.filter (fun (r : Cluster.report) -> r.kind = kind) bug_reports)
   in
   let prune_classes, prune_reps, prune_expansions =
-    match !reg with
-    | Some r ->
-      ( Prune.Equiv_class.n_classes r, Prune.Equiv_class.n_reps r,
-        Prune.Equiv_class.n_promoted r )
-    | None -> (0, 0, 0)
+    Prune.Schedule.counts sched
   in
   let images_deferred = stats.deferred in
-  let images_elided = stats.deferred - !expanded_tested in
+  let images_elided = stats.deferred - Prune.Schedule.wave_tested sched in
   if cfg.prune <> Prune.Policy.Exhaustive then begin
     Obs.Metrics.incr ~n:prune_classes "prune.classes";
     Obs.Metrics.incr ~n:prune_reps "prune.reps";
@@ -656,34 +545,30 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
      `cluster` event per failing cluster (flagged when it is a root
      cause). *)
   if Obs.Event.enabled () then begin
-    (match !reg with
-     | Some r ->
-       List.iter
-         (fun (ci : Prune.Equiv_class.info) ->
-            ignore
-              (Obs.Event.emit "class"
-                 ~fields:
-                   [ ("class", Obs.Jsonx.Str ci.i_skey);
-                     ("op_kind",
-                      Obs.Jsonx.Str
-                        (Nvm.Sid.to_string ci.i_sig.Prune.Path_sig.op_kind));
-                     ("path", Obs.Jsonx.Int ci.i_sig.Prune.Path_sig.path);
-                     ("watch",
-                      Obs.Jsonx.Str
-                        (Nvm.Sid.to_string ci.i_sig.Prune.Path_sig.watch));
-                     ("req",
-                      Obs.Jsonx.Str
-                        (Nvm.Sid.to_string ci.i_sig.Prune.Path_sig.req));
-                     ("members", Obs.Jsonx.Int ci.i_members);
-                     ("deferred", Obs.Jsonx.Int ci.i_deferred);
-                     ("spots", Obs.Jsonx.Int ci.i_spots);
-                     ("promoted", Obs.Jsonx.Bool ci.i_promoted);
-                     ("prediction",
-                      match ci.i_prediction with
-                      | None -> Obs.Jsonx.Null
-                      | Some b -> Obs.Jsonx.Bool b) ]))
-         (Prune.Equiv_class.classes_info r)
-     | None -> ());
+    List.iter
+      (fun (ci : Prune.Schedule.info) ->
+         ignore
+           (Obs.Event.emit "class"
+              ~fields:
+                [ ("class", Obs.Jsonx.Str ci.i_skey);
+                  ("op_kind",
+                   Obs.Jsonx.Str
+                     (Nvm.Sid.to_string ci.i_sig.Prune.Path_sig.op_kind));
+                  ("path", Obs.Jsonx.Int ci.i_sig.Prune.Path_sig.path);
+                  ("watch",
+                   Obs.Jsonx.Str
+                     (Nvm.Sid.to_string ci.i_sig.Prune.Path_sig.watch));
+                  ("req",
+                   Obs.Jsonx.Str (Nvm.Sid.to_string ci.i_sig.Prune.Path_sig.req));
+                  ("members", Obs.Jsonx.Int ci.i_members);
+                  ("deferred", Obs.Jsonx.Int ci.i_deferred);
+                  ("spots", Obs.Jsonx.Int ci.i_spots);
+                  ("promoted", Obs.Jsonx.Bool ci.i_promoted);
+                  ("prediction",
+                   match ci.i_prediction with
+                   | None -> Obs.Jsonx.Null
+                   | Some b -> Obs.Jsonx.Bool b) ]))
+      (Prune.Schedule.classes_info sched);
     List.iter
       (fun (skey, root, (rep : Cluster.report)) ->
          ignore

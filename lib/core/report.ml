@@ -58,6 +58,10 @@ let result_row (r : Engine.result) =
     r.n_ord_conds r.n_atom_conds
     r.images_generated r.images_tested r.n_mismatch r.n_clusters total_time
 
+(* Bytes in megabytes of 10^6 bytes, the unit of every "MB" the reports,
+   the docs and the standing benchmark print. *)
+let mb bytes = float_of_int bytes /. 1e6
+
 (* Per-stage timing and replay-work line for one store (`witcher run -v`):
    where the pipeline wall-clock goes, and how much replay/copy work the
    zero-copy validation path actually did. *)
@@ -68,10 +72,9 @@ let timing_line (r : Engine.result) =
      oracle-runs %d (ops saved %d) | memo-hits %d | ckpt %.2f MB"
     r.name r.t_record r.t_infer r.t_gen r.t_equiv r.replay_ops
     r.replay_early_stops
-    (float_of_int r.bytes_materialized /. 1024. /. 1024.)
-    r.images_tested
+    (mb r.bytes_materialized) r.images_tested
     r.oracle_runs r.oracle_ops_saved r.memo_hits
-    (float_of_int r.ckpt_bytes /. 1024. /. 1024.)
+    (mb r.ckpt_bytes)
 
 (* Pruning summary for a non-exhaustive run (`witcher run --prune ...`):
    how many classes the eligible images collapsed into, how much
@@ -112,7 +115,7 @@ let stream_line (r : Engine.result) =
     "%-18s stream=on | window retirements %d | ckpt-ring evictions %d | \
      peak live heap %.1f MB"
     r.name r.window_retirements r.ckpt_ring_evictions
-    (float_of_int (r.peak_live_words * 8) /. 1024. /. 1024.)
+    (mb (r.peak_live_words * 8))
 
 (* Table 4-style performance-bug sites of one store, one line each (the
    correctness root causes are listed from [r.bug_reports]). *)

@@ -21,9 +21,9 @@
 
    Members are opaque ['a] descriptors, not images: a materialized image
    aliases the live simulator pool and dies at the next trace event, so
-   deferred members are re-materialized by a deterministic second
-   generation pass over the promoted classes (Engine), keyed by the
-   descriptors collected here. *)
+   deferred members are re-materialized by further deterministic
+   generation walks ([Schedule]), keyed by the descriptors [next_wave]
+   hands out. *)
 
 type 'a cls = {
   sig_ : Path_sig.t;
@@ -32,7 +32,8 @@ type 'a cls = {
   mutable prediction : bool option; (* Some true = predicted consistent *)
   mutable promoted : bool;
   mutable spots_used : int;
-  mutable deferred : 'a list;       (* newest first *)
+  mutable n_deferred : int;         (* members ever deferred *)
+  mutable deferred : 'a list;       (* not yet in a wave, newest first *)
 }
 
 type 'a t = {
@@ -45,7 +46,7 @@ type 'a t = {
   mutable last_reason : string;
   (* why the most recent [decide] said `Test: "rep" | "spot" |
      "inline-expand". Generation is pipeline-fused (the decided image is
-     checked before the next decide), so the engine reads this as the
+     checked before the next decide), so [Schedule] reports this as the
      verdict's provenance tag for the event log. *)
 }
 
@@ -61,7 +62,8 @@ let decide t ~sig_ ~member =
   | None ->
     Hashtbl.add t.classes sig_
       { sig_; skey = Path_sig.stable_key sig_; n_members = 1;
-        prediction = None; promoted = false; spots_used = 0; deferred = [] };
+        prediction = None; promoted = false; spots_used = 0; n_deferred = 0;
+        deferred = [] };
     t.n_reps <- t.n_reps + 1;
     t.last_reason <- "rep";
     `Test
@@ -82,6 +84,7 @@ let decide t ~sig_ ~member =
     end
     else begin
       c.deferred <- member :: c.deferred;
+      c.n_deferred <- c.n_deferred + 1;
       t.n_deferred <- t.n_deferred + 1;
       `Defer
     end
@@ -100,24 +103,30 @@ let observe t ~sig_ ~consistent =
         c.promoted <- true;
         t.n_promoted <- t.n_promoted + 1
 
-(* Deferred members of every promoted class, for the expansion pass. *)
-let promoted_deferred t =
-  Hashtbl.fold
-    (fun _ c acc -> if c.promoted && c.deferred <> [] then (c.sig_, c.deferred) :: acc else acc)
-    t.classes []
-
-(* Tail spot-checks: the most recently deferred member of every
-   unpromoted class predicted consistent. Corruption accumulates over a
+(* Expansion wave [k]: takes off the deferred lists, as (member, class,
+   provenance), every promoted class's deferred members ("wave:K") and,
+   in wave 1 only, the newest deferred member of each collapsed class
+   predicted consistent ("tail"). Corruption accumulates over a
    workload, so the typical divergent class is consistent early and
    inconsistent late — its representative (the earliest member) and the
    power-of-two spots all pass while the tail fails. One extra check per
    collapsed class catches exactly that shape; a disagreeing tail
-   promotes the class through the ordinary [observe] path. *)
-let tail_spots t =
+   promotes the class through the ordinary [observe] path, and its other
+   deferred members form the next wave. A member leaves its list when it
+   is handed out, so no wave repeats one, and the waves end because a
+   class promotes at most once. *)
+let next_wave t ~k =
+  let wave = "wave:" ^ string_of_int k in
   Hashtbl.fold
     (fun _ c acc ->
-       match c.prediction, c.deferred with
-       | Some true, m :: _ when not c.promoted -> (c.sig_, m) :: acc
+       match c.deferred with
+       | [] -> acc
+       | ms when c.promoted ->
+         c.deferred <- [];
+         List.fold_left (fun acc m -> (m, c.sig_, wave) :: acc) acc ms
+       | m :: rest when k = 1 && c.prediction = Some true ->
+         c.deferred <- rest;
+         (m, c.sig_, "tail") :: acc
        | _ -> acc)
     t.classes []
 
@@ -138,7 +147,7 @@ let classes_info t =
   Hashtbl.fold
     (fun _ c acc ->
        { i_skey = c.skey; i_sig = c.sig_; i_members = c.n_members;
-         i_deferred = List.length c.deferred; i_spots = c.spots_used;
+         i_deferred = c.n_deferred; i_spots = c.spots_used;
          i_promoted = c.promoted; i_prediction = c.prediction }
        :: acc)
     t.classes []

@@ -172,6 +172,54 @@ let test_acceptance_default_config () =
          bugs)
     [ "level-hash"; "fast-fair"; "cceh" ]
 
+(* ---------- a run's indexes pick what the scans picked ---------- *)
+
+(* One class with two inconsistent verdicts, two `class` records, two
+   slices of the first verdict's image and two oracles of its crash op:
+   a bug resolves the first verdict, the last class record, the first
+   slice and the first oracle, and an op index's last description. *)
+let test_resolve_picks () =
+  let open C.Jsonx in
+  let ev i e fields = Obj ((("e", Str e) :: ("i", Int i) :: fields)) in
+  let image i = ev i "image" [ ("action", Str "test"); ("crash_op", Int 3);
+                               ("fence", Int 40); ("cond", Int 2) ] in
+  let verdict i img =
+    ev i "verdict" [ ("image", Int img); ("class", Str "k");
+                     ("consistent", Bool false); ("prov", Str "rep") ]
+  in
+  let slice i = ev i "slice" [ ("image", Int 4); ("entries", List []) ] in
+  let oracle i via = ev i "oracle" [ ("op", Int 3); ("via", Str via) ] in
+  let cls i n = ev i "class" [ ("class", Str "k"); ("members", Int n) ] in
+  let items =
+    [ ev 0 "run" [ ("v", Int Obs.Event.version); ("store", Str "toy") ];
+      ev 1 "op" [ ("op", Int 3); ("desc", Str "insert(1)") ];
+      ev 2 "cond" [ ("rule", Str "PO1") ];
+      ev 3 "verdict" [ ("image", Int 4); ("class", Str "k");
+                       ("consistent", Bool true) ];
+      image 4; verdict 5 4; slice 6; oracle 7 "ckpt";
+      image 8; verdict 9 8; slice 10; oracle 11 "full";
+      ev 12 "op" [ ("op", Int 3); ("desc", Str "insert(2)") ];
+      cls 13 1; cls 14 2;
+      ev 15 "cluster" [ ("class", Str "k") ] ]
+  in
+  let runs = C.Explain.split_runs items in
+  let f =
+    match C.Explain.bugs runs with
+    | [ b ] -> C.Explain.resolve b
+    | l -> Alcotest.failf "expected one bug, got %d" (List.length l)
+  in
+  let id = function Some j -> int_field j "i" | None -> -1 in
+  Alcotest.(check int) "first inconsistent verdict" 5 (id f.C.Explain.f_verdict);
+  Alcotest.(check int) "its image" 4 (id f.C.Explain.f_image);
+  Alcotest.(check int) "its condition" 2 (id f.C.Explain.f_cond);
+  Alcotest.(check int) "first slice" 6 (id f.C.Explain.f_slice);
+  Alcotest.(check int) "first oracle" 7 (id f.C.Explain.f_oracle);
+  Alcotest.(check int) "last class record" 14 (id f.C.Explain.f_class);
+  Alcotest.(check (option string)) "last op description" (Some "insert(2)")
+    (Hashtbl.find_opt f.C.Explain.f_ops 3);
+  Alcotest.(check (result int string)) "chains resolve" (Ok 1)
+    (C.Explain.check_chains items)
+
 (* ---------- metrics exemplar links into the event stream ---------- *)
 
 let test_exemplar_links_to_image () =
@@ -213,4 +261,6 @@ let suite =
     Alcotest.test_case "explain acceptance, default 200-op config" `Slow
       test_acceptance_default_config;
     Alcotest.test_case "histogram exemplar links to its image" `Quick
-      test_exemplar_links_to_image ]
+      test_exemplar_links_to_image;
+    Alcotest.test_case "resolve picks first verdict, last class" `Quick
+      test_resolve_picks ]

@@ -6,8 +6,8 @@
    Exhaustive run — one validated image per class plus spot checks and
    divergence-driven expansion lose no bugs, only redundant validations.
    Everything else here pins the pieces: policy parsing, signature
-   stability, the spot/promotion schedule, and the registry's
-   bookkeeping. *)
+   stability, the spot/promotion schedule, the registry's bookkeeping,
+   and which candidates each walk of every policy tests. *)
 
 module W = Witcher
 module R = Stores.Registry
@@ -161,14 +161,13 @@ let test_registry_rep_and_defer () =
   Alcotest.(check int) "one class" 1 (P.Equiv_class.n_classes t);
   Alcotest.(check int) "one deferral" 1 (P.Equiv_class.n_deferred t);
   Alcotest.(check int) "no promotion" 0 (P.Equiv_class.n_promoted t);
-  Alcotest.(check bool) "nothing promoted" true
-    (P.Equiv_class.promoted_deferred t = []);
-  (* the consistent collapsed class exposes its newest member as a tail
-     spot-check *)
-  (match P.Equiv_class.tail_spots t with
-   | [ (s', m) ] ->
+  (* nothing is promoted, so wave 1 holds only the consistent collapsed
+     class's tail spot-check: its newest deferred member *)
+  (match P.Equiv_class.next_wave t ~k:1 with
+   | [ (m, s', prov) ] ->
      Alcotest.(check bool) "tail is the class" true (P.Path_sig.equal s s');
-     Alcotest.(check int) "tail is newest deferred" 3 m
+     Alcotest.(check int) "tail is newest deferred" 3 m;
+     Alcotest.(check string) "tagged tail" "tail" prov
    | l -> Alcotest.failf "expected one tail spot, got %d" (List.length l))
 
 let test_registry_promotion () =
@@ -185,7 +184,106 @@ let test_registry_promotion () =
   Alcotest.(check int) "inline expansion counted" 1
     (P.Equiv_class.n_inline_expanded t);
   (* a promoted class is no longer a tail-spot candidate *)
-  Alcotest.(check bool) "no tail spots" true (P.Equiv_class.tail_spots t = [])
+  Alcotest.(check bool) "no tail spots" true (P.Equiv_class.next_wave t ~k:1 = [])
+
+(* --- Schedule --- *)
+
+let unforced = lazy (Alcotest.fail "signature forced outside walk 0")
+
+(* Exhaustive and sample runs make one walk and never build a class
+   signature. *)
+let test_schedule_single_walk () =
+  let walk policy =
+    let t = P.Schedule.create policy ~budget:3 in
+    let tested =
+      List.filter
+        (fun m ->
+           match P.Schedule.decide t ~sig_:unforced ~member:(m, 0) with
+           | `Test ->
+             Alcotest.(check string) "provenance"
+               (if policy = P.Policy.Exhaustive then "exhaustive" else "sample")
+               (P.Schedule.prov t);
+             Alcotest.(check bool) "never stops" true
+               (P.Schedule.observe t ~consistent:(m mod 2 = 0) = `Continue);
+             true
+           | `Defer -> false)
+        (List.init 9 Fun.id)
+    in
+    Alcotest.(check bool) "no wave" true (P.Schedule.next_wave t = None);
+    Alcotest.(check bool) "no revisit" false (P.Schedule.revisits t);
+    Alcotest.(check (triple int int int)) "no classes" (0, 0, 0)
+      (P.Schedule.counts t);
+    tested
+  in
+  Alcotest.(check (list int)) "exhaustive tests all" (List.init 9 Fun.id)
+    (walk P.Policy.Exhaustive);
+  Alcotest.(check (list int)) "sample:3 tests 0, 3, 6" [ 0; 3; 6 ]
+    (walk (P.Policy.Sample 3))
+
+(* Representative: class [a] is promoted in walk 0 with member 3
+   deferred; [b] and [d] stay collapsed and consistent, with members 3,
+   5 and 6, and 3 and 5, deferred; [c] stays collapsed and inconsistent.
+   Wave 1 re-tests [a]'s member and the tails of [b] and [d]. [b]'s tail
+   disagrees, so wave 2 holds [b]'s other deferred members, and no wave
+   after the first takes another tail of [d]. *)
+let test_schedule_waves () =
+  let t = P.Schedule.create P.Policy.Representative ~budget:3 in
+  Alcotest.(check bool) "revisits" true (P.Schedule.revisits t);
+  let a = sig_of 200 and b = sig_of 201 and c = sig_of 202 and d = sig_of 203 in
+  let members =
+    List.concat_map (fun (s, k, n) -> List.init n (fun i -> (s, (k, i))))
+      [ (a, 1, 6); (b, 2, 7); (c, 3, 4); (d, 4, 6) ]
+  in
+  let verdict s (_, i) =
+    if P.Path_sig.equal s a then i <> 4 else not (P.Path_sig.equal s c)
+  in
+  List.iter
+    (fun (s, m) ->
+       match P.Schedule.decide t ~sig_:(lazy s) ~member:m with
+       | `Test ->
+         Alcotest.(check bool) "walk 0 never stops" true
+           (P.Schedule.observe t ~consistent:(verdict s m) = `Continue)
+       | `Defer -> ())
+    members;
+  Alcotest.(check (triple int int int)) "classes, reps, promoted" (4, 15, 1)
+    (P.Schedule.counts t);
+  (* one walk over the same eligible stream: the members it tests, their
+     provenance and whether [observe] stopped the walk; [b]'s tail is the
+     one verdict that differs from walk 0's *)
+  let wave () =
+    List.filter_map
+      (fun (s, m) ->
+         match P.Schedule.decide t ~sig_:unforced ~member:m with
+         | `Test ->
+           let prov = P.Schedule.prov t in
+           let consistent = verdict s m && m <> (2, 6) in
+           Some (m, prov, P.Schedule.observe t ~consistent = `Stop)
+         | `Defer -> None)
+      members
+  in
+  Alcotest.(check (option int)) "wave 1" (Some 1) (P.Schedule.next_wave t);
+  Alcotest.(check (list (triple (pair int int) string bool)))
+    "a's deferred member, then the tails; the last ends the wave"
+    [ ((1, 3), "wave:1", false); ((2, 6), "tail", false);
+      ((4, 5), "tail", true) ]
+    (wave ());
+  Alcotest.(check int) "b's tail promotes b" 2
+    (let _, _, p = P.Schedule.counts t in p);
+  Alcotest.(check (option int)) "wave 2" (Some 2) (P.Schedule.next_wave t);
+  Alcotest.(check (list (triple (pair int int) string bool)))
+    "b's other deferred members, never its tail"
+    [ ((2, 3), "wave:2", false); ((2, 5), "wave:2", true) ]
+    (wave ());
+  Alcotest.(check (option int)) "no wave 3" None (P.Schedule.next_wave t);
+  Alcotest.(check int) "wave-tested" 5 (P.Schedule.wave_tested t);
+  Alcotest.(check (list int)) "deferred counts every member ever deferred"
+    [ 1; 3; 1; 2 ]
+    (List.map
+       (fun s ->
+          (List.find
+             (fun (ci : P.Schedule.info) -> P.Path_sig.equal ci.i_sig s)
+             (P.Schedule.classes_info t)).i_deferred)
+       [ a; b; c; d ])
 
 (* --- Engine integration --- *)
 
@@ -379,4 +477,7 @@ let suite =
     Alcotest.test_case "sig-depth truncates path_sig only" `Slow
       test_sig_depth;
     Alcotest.test_case "sample policy" `Slow test_sample_policy;
-    QCheck_alcotest.to_alcotest prop_representative_parity ]
+    QCheck_alcotest.to_alcotest prop_representative_parity;
+    Alcotest.test_case "schedule: one walk unless representative" `Quick
+      test_schedule_single_walk;
+    Alcotest.test_case "schedule: expansion waves" `Quick test_schedule_waves ]
