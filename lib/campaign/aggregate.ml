@@ -2,6 +2,38 @@
    (store, variant) summed across seeds, plus campaign totals and the
    wall-clock speedup the worker pool bought over a sequential sweep. *)
 
+(* How a column folds its per-job values across jobs. *)
+type fold =
+  | Sum
+  | Max    (* a high-water mark: campaign-wide it is the max over jobs
+              (workers run sequentially per slot), never a sum *)
+  | Count  (* jobs whose result holds the path at all *)
+
+(* The report's counter columns, in report.json order: each column's key,
+   its path in a job's result (a top-level member, or one inside the
+   "batch", "prune" or "stream" block) and its fold. A member absent from
+   a result reads 0, so journals written before a counter existed
+   (before the t_gen/t_equiv split, oracle memoization, batching,
+   pruning or streaming) still aggregate, as do the runs that leave a
+   block out. *)
+let columns =
+  let top key = (key, [ key ], Sum) in
+  [| top "c_o"; top "c_a"; top "p_u"; top "p_efl"; top "p_efe"; top "p_el";
+     top "images_tested"; top "n_mismatch"; top "replay_ops";
+     top "bytes_materialized"; top "oracle_runs"; top "oracle_ops_saved";
+     top "memo_hits"; top "ckpt_bytes";
+     ("batch_fences", [ "batch"; "fences" ], Sum);
+     ("inherit_hits", [ "batch"; "inherit_hits" ], Sum);
+     ("batch_saved", [ "batch"; "replay_ops_saved" ], Sum);
+     ("prune_classes", [ "prune"; "classes" ], Sum);
+     ("prune_reps", [ "prune"; "reps" ], Sum);
+     ("images_elided", [ "prune"; "elided" ], Sum);
+     ("prune_expansions", [ "prune"; "expansions" ], Sum);
+     ("stream_jobs", [ "stream" ], Count);
+     ("window_retirements", [ "stream"; "window_retirements" ], Sum);
+     ("ckpt_ring_evictions", [ "stream"; "ckpt_ring_evictions" ], Sum);
+     ("peak_live_words", [ "stream"; "peak_live_words" ], Max) |]
+
 type row = {
   store : string;
   variant : Job.variant option;  (* None in the total, over both variants *)
@@ -9,31 +41,7 @@ type row = {
   ok : int;
   failed : int;
   timeout : int;
-  c_o : int;
-  c_a : int;
-  p_u : int;
-  p_efl : int;
-  p_efe : int;
-  p_el : int;
-  images_tested : int;
-  n_mismatch : int;
-  replay_ops : int;         (* ops re-executed by resumed runs *)
-  bytes_materialized : int; (* bytes copied to build crash images *)
-  oracle_runs : int;        (* rolled-back oracles actually built *)
-  oracle_ops_saved : int;   (* oracle ops elided by laziness/checkpoints *)
-  memo_hits : int;          (* verdicts served from the digest memo *)
-  ckpt_bytes : int;         (* flat-equivalent checkpoint footprint *)
-  batch_fences : int;       (* fence groups opened by batched checking *)
-  inherit_hits : int;       (* verdicts inherited from a fence sibling *)
-  batch_saved : int;        (* replay ops inherited verdicts skipped *)
-  prune_classes : int;      (* path-signature equivalence classes *)
-  prune_reps : int;         (* representatives + spot-checks validated *)
-  images_elided : int;      (* images never validated thanks to pruning *)
-  prune_expansions : int;   (* classes promoted back to full validation *)
-  stream_jobs : int;        (* jobs run by the bounded-memory engine *)
-  window_retirements : int; (* trace segments released by the window *)
-  ckpt_ring_evictions : int;(* checkpoints dropped by the bounded ring *)
-  peak_live_words : int;    (* max (not sum) GC live-heap peak, words *)
+  cols : int array;         (* one per [columns] entry *)
   t_equiv : float;          (* summed equivalence-checking stage time *)
   wall : float;             (* summed per-job wall-clock *)
 }
@@ -48,82 +56,49 @@ type t = {
      running the whole matrix would have observed *)
 }
 
+(* The column named [key] of [row]. *)
+let get row key =
+  let rec find i =
+    if i = Array.length columns then invalid_arg ("Aggregate.get: " ^ key)
+    else
+      let k, _, _ = columns.(i) in
+      if k = key then row.cols.(i) else find (i + 1)
+  in
+  find 0
+
 let empty_row store variant =
-  { store; variant; jobs = 0; ok = 0; failed = 0; timeout = 0; c_o = 0;
-    c_a = 0; p_u = 0; p_efl = 0; p_efe = 0; p_el = 0; images_tested = 0;
-    n_mismatch = 0; replay_ops = 0; bytes_materialized = 0; oracle_runs = 0;
-    oracle_ops_saved = 0; memo_hits = 0; ckpt_bytes = 0; batch_fences = 0;
-    inherit_hits = 0; batch_saved = 0; prune_classes = 0;
-    prune_reps = 0; images_elided = 0; prune_expansions = 0;
-    stream_jobs = 0; window_retirements = 0;
-    ckpt_ring_evictions = 0; peak_live_words = 0; t_equiv = 0.; wall = 0. }
+  { store; variant; jobs = 0; ok = 0; failed = 0; timeout = 0;
+    cols = Array.make (Array.length columns) 0; t_equiv = 0.; wall = 0. }
+
+let rec find_path path j =
+  match path with
+  | [] -> Some j
+  | k :: rest -> Option.bind (Jsonx.member k j) (find_path rest)
 
 let add_record row (r : Journal.record) =
-  let ok, failed, timeout, counts =
+  let ok, failed, timeout, result =
     match r.status with
     | Journal.Job_ok -> (1, 0, 0, r.result)
     | Journal.Job_failed _ -> (0, 1, 0, None)
     | Journal.Job_timeout -> (0, 0, 1, None)
   in
-  let f k = match counts with None -> 0 | Some j -> Jsonx.int_field j k in
-  (* nested under "prune" and absent entirely in exhaustive / pre-prune
-     journals; the default-0 read keeps old sweeps aggregating *)
-  let p k =
-    match Option.bind counts (Jsonx.member "prune") with
-    | None -> 0
-    | Some pj -> Jsonx.int_field pj k
-  in
-  (* nested under "batch"; absent in batch-off runs and every pre-batch
-     journal, which aggregate as zeros *)
-  let b k =
-    match Option.bind counts (Jsonx.member "batch") with
-    | None -> 0
-    | Some bj -> Jsonx.int_field bj k
-  in
-  (* nested under "stream"; absent in batch-engine runs and every
-     pre-streaming journal, which aggregate as zeros *)
-  let stream_j = Option.bind counts (Jsonx.member "stream") in
-  let s k =
-    match stream_j with None -> 0 | Some sj -> Jsonx.int_field sj k
+  let add i (_, path, fold) =
+    let v = Option.bind result (find_path path) in
+    let n = Option.value ~default:0 (Option.bind v Jsonx.to_int_opt) in
+    match fold with
+    | Sum -> row.cols.(i) + n
+    | Max -> max row.cols.(i) n
+    | Count -> row.cols.(i) + Bool.to_int (Option.is_some v)
   in
   { row with
     jobs = row.jobs + 1;
     ok = row.ok + ok;
     failed = row.failed + failed;
     timeout = row.timeout + timeout;
-    c_o = row.c_o + f "c_o";
-    c_a = row.c_a + f "c_a";
-    p_u = row.p_u + f "p_u";
-    p_efl = row.p_efl + f "p_efl";
-    p_efe = row.p_efe + f "p_efe";
-    p_el = row.p_el + f "p_el";
-    images_tested = row.images_tested + f "images_tested";
-    n_mismatch = row.n_mismatch + f "n_mismatch";
-    (* absent in journals written before the t_gen/t_equiv split; the
-       accessors default to 0 so old sweeps still aggregate *)
-    replay_ops = row.replay_ops + f "replay_ops";
-    bytes_materialized = row.bytes_materialized + f "bytes_materialized";
-    (* likewise absent in pre-oracle-memoization journals *)
-    oracle_runs = row.oracle_runs + f "oracle_runs";
-    oracle_ops_saved = row.oracle_ops_saved + f "oracle_ops_saved";
-    memo_hits = row.memo_hits + f "memo_hits";
-    ckpt_bytes = row.ckpt_bytes + f "ckpt_bytes";
-    batch_fences = row.batch_fences + b "fences";
-    inherit_hits = row.inherit_hits + b "inherit_hits";
-    batch_saved = row.batch_saved + b "replay_ops_saved";
-    prune_classes = row.prune_classes + p "classes";
-    prune_reps = row.prune_reps + p "reps";
-    images_elided = row.images_elided + p "elided";
-    prune_expansions = row.prune_expansions + p "expansions";
-    stream_jobs = row.stream_jobs + (if stream_j = None then 0 else 1);
-    window_retirements = row.window_retirements + s "window_retirements";
-    ckpt_ring_evictions = row.ckpt_ring_evictions + s "ckpt_ring_evictions";
-    (* a peak is a high-water mark: campaign-wide it is the max over
-       jobs (workers run sequentially per slot), never a sum *)
-    peak_live_words = max row.peak_live_words (s "peak_live_words");
+    cols = Array.mapi add columns;
     t_equiv =
       (row.t_equiv
-       +. match counts with None -> 0. | Some j -> Jsonx.float_field j "t_equiv");
+       +. match result with None -> 0. | Some j -> Jsonx.float_field j "t_equiv");
     wall = row.wall +. r.t_wall }
 
 let of_records (records : Journal.record list) =
@@ -156,16 +131,16 @@ let status_cell row =
   else Printf.sprintf "%dF/%dT" row.failed row.timeout
 
 let row_line row =
+  let c = get row in
   Printf.sprintf "%-16s %-6s | %4d %4d %6s | %4d %4d | %4d %5d %5d %4d | %8d %8d | %8d %7.2f | %7d %8d %6d | %5d %8d | %5d %5d %7d %6d | %8.1f | %8.1f"
     row.store
     (Option.fold ~none:"" ~some:Job.variant_name row.variant)
-    row.jobs row.ok (status_cell row) row.c_o row.c_a row.p_u row.p_efl
-    row.p_efe row.p_el row.images_tested row.n_mismatch row.replay_ops
-    (Witcher.Report.mb row.bytes_materialized)
-    row.oracle_runs row.oracle_ops_saved row.memo_hits
-    row.inherit_hits row.batch_saved
-    row.prune_classes row.prune_reps row.images_elided row.prune_expansions
-    row.t_equiv row.wall
+    row.jobs row.ok (status_cell row) (c "c_o") (c "c_a") (c "p_u")
+    (c "p_efl") (c "p_efe") (c "p_el") (c "images_tested") (c "n_mismatch")
+    (c "replay_ops") (Witcher.Report.mb (c "bytes_materialized"))
+    (c "oracle_runs") (c "oracle_ops_saved") (c "memo_hits")
+    (c "inherit_hits") (c "batch_saved") (c "prune_classes") (c "prune_reps")
+    (c "images_elided") (c "prune_expansions") row.t_equiv row.wall
 
 let header () =
   Printf.sprintf "%-16s %-6s | %4s %4s %6s | %4s %4s | %4s %5s %5s %4s | %8s %8s | %8s %7s | %7s %8s %6s | %5s %8s | %5s %5s %7s %6s | %8s | %8s"
@@ -188,14 +163,14 @@ let to_text ?elapsed ?j t =
   Buffer.add_char b '\n';
   Buffer.add_string b (row_line t.total);
   Buffer.add_char b '\n';
-  if t.total.stream_jobs > 0 then
+  let c = get t.total in
+  if c "stream_jobs" > 0 then
     Buffer.add_string b
       (Printf.sprintf
          "streaming: %d job(s); %d window retirement(s); %d checkpoint \
           eviction(s); peak live heap %.1f MB\n"
-         t.total.stream_jobs t.total.window_retirements
-         t.total.ckpt_ring_evictions
-         (Witcher.Report.mb (t.total.peak_live_words * 8)));
+         (c "stream_jobs") (c "window_retirements") (c "ckpt_ring_evictions")
+         (Witcher.Report.mb (c "peak_live_words" * 8)));
   (match elapsed with
    | Some e when e >= 0.01 ->
      Buffer.add_string b
@@ -221,34 +196,10 @@ let row_json row =
      @ [ ("jobs", Jsonx.Int row.jobs);
          ("ok", Jsonx.Int row.ok);
          ("failed", Jsonx.Int row.failed);
-         ("timeout", Jsonx.Int row.timeout);
-         ("c_o", Jsonx.Int row.c_o);
-         ("c_a", Jsonx.Int row.c_a);
-         ("p_u", Jsonx.Int row.p_u);
-         ("p_efl", Jsonx.Int row.p_efl);
-         ("p_efe", Jsonx.Int row.p_efe);
-         ("p_el", Jsonx.Int row.p_el);
-         ("images_tested", Jsonx.Int row.images_tested);
-         ("n_mismatch", Jsonx.Int row.n_mismatch);
-         ("replay_ops", Jsonx.Int row.replay_ops);
-         ("bytes_materialized", Jsonx.Int row.bytes_materialized);
-         ("oracle_runs", Jsonx.Int row.oracle_runs);
-         ("oracle_ops_saved", Jsonx.Int row.oracle_ops_saved);
-         ("memo_hits", Jsonx.Int row.memo_hits);
-         ("ckpt_bytes", Jsonx.Int row.ckpt_bytes);
-         ("batch_fences", Jsonx.Int row.batch_fences);
-         ("inherit_hits", Jsonx.Int row.inherit_hits);
-         ("batch_saved", Jsonx.Int row.batch_saved);
-         ("prune_classes", Jsonx.Int row.prune_classes);
-         ("prune_reps", Jsonx.Int row.prune_reps);
-         ("images_elided", Jsonx.Int row.images_elided);
-         ("prune_expansions", Jsonx.Int row.prune_expansions);
-         ("stream_jobs", Jsonx.Int row.stream_jobs);
-         ("window_retirements", Jsonx.Int row.window_retirements);
-         ("ckpt_ring_evictions", Jsonx.Int row.ckpt_ring_evictions);
-         ("peak_live_words", Jsonx.Int row.peak_live_words);
-         ("t_equiv", Jsonx.Float row.t_equiv);
-         ("wall", Jsonx.Float row.wall) ])
+         ("timeout", Jsonx.Int row.timeout) ]
+     @ Array.to_list
+         (Array.mapi (fun i (key, _, _) -> (key, Jsonx.Int row.cols.(i))) columns)
+     @ [ ("t_equiv", Jsonx.Float row.t_equiv); ("wall", Jsonx.Float row.wall) ])
 
 let to_json ?elapsed ?j t =
   let extra =

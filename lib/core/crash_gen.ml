@@ -84,8 +84,6 @@ type image = {
   crash_op : int;    (* trace op index containing the crash *)
   viol : violation;
   path_hash : int;   (* execution path of the crashed op up to the crash *)
-  path_sig : int;    (* path digest truncated to the last [sig_depth] sites;
-                        equals [path_hash] at the default depth 0 *)
   extras : int array;  (* sorted store tids persisted beyond the guaranteed
                           base; drives fence-batched verdict inheritance *)
   digest : int;      (* 64-bit content digest; keys the verdict memo *)
@@ -94,7 +92,6 @@ type image = {
 type stats = {
   mutable candidates : int;      (* feasible violations found *)
   mutable generated : int;       (* distinct images *)
-  mutable eligible : int;        (* within the image budget and site caps *)
   mutable deferred : int;        (* eligible but elided by the decide hook *)
   mutable tested : int;          (* images passed to on_image (post-cap) *)
   mutable bytes_materialized : int;  (* bytes copied to build the images *)
@@ -112,12 +109,13 @@ type cand = {
   cd_key : int;         (* [Crash_sim.closure_key] of the extra
                            persist-set (its first 10 tids); 0 = baseline *)
   cd_viol : violation;
-  cd_path_sig : int;    (* truncated path digest, see [image.path_sig] *)
+  cd_path_sig : int;    (* path digest truncated to the last [sig_depth]
+                           sites; the full [path_hash] at depth 0 *)
 }
 
 type cfg = {
-  max_images : int;        (* global budget of tested images *)
-  per_site_cap : int;      (* tested images per (sid, sid, kind) site *)
+  max_images : int;        (* global budget of eligible images *)
+  per_site_cap : int;      (* eligible images per (sid, sid, kind) site *)
   max_pa_pairs_per_fence : int;
 }
 
@@ -183,7 +181,7 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
     invalid_arg "Crash_gen.stream_create: the condition set is not sealed";
   let sim = Crash_sim.create ~trace ~pool_size in
   let stats =
-    { candidates = 0; generated = 0; eligible = 0; deferred = 0; tested = 0;
+    { candidates = 0; generated = 0; deferred = 0; tested = 0;
       bytes_materialized = 0; per_op_images = Hashtbl.create 64 }
   in
   (* 8-byte word -> tid/addr/len of the latest store touching it, tid
@@ -344,11 +342,11 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
       stats.generated <- stats.generated + 1;
       bump_op_count op;
       (* eligibility (budget + site caps) is decided before the prune
-         hook and counted on [eligible], not [tested], so the eligible
-         stream is identical whatever [decide] elides — the invariant the
-         deterministic expansion pass relies on *)
-      if stats.eligible < cfg.max_images && site_ok site_key then begin
-        stats.eligible <- stats.eligible + 1;
+         hook, and the budget counts tested and deferred images alike, so
+         the eligible stream is identical whatever [decide] elides — the
+         invariant the deterministic expansion pass relies on *)
+      if stats.tested + stats.deferred < cfg.max_images && site_ok site_key
+      then begin
         let extras =
           lazy
             (match clo with
@@ -375,7 +373,7 @@ let stream_create ?(cfg = default_cfg) ?(decide = fun (_ : cand) -> `Test)
             ~digest:(Some digest);
           let image =
             { img; crash_tid = fence_tid; crash_op = op; viol;
-              path_hash = !path_hash; path_sig = !cur_sig;
+              path_hash = !path_hash;
               extras = Array.of_list (Lazy.force extras); digest }
           in
           match on_image image with

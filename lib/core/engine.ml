@@ -298,9 +298,9 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
           (Cluster.op_kind_of_desc
              (if k = 0 then "create" else Op.desc ops.(k - 1))))
   in
-  (* Pruning signatures use the (possibly truncated) [cd_path_sig] /
-     [path_sig] digest; cluster keys keep digesting the full path. At the
-     default sig_depth 0 the two coincide. *)
+  (* Pruning signatures use the (possibly truncated) [cd_path_sig]
+     digest; cluster keys keep digesting the full path. At the default
+     sig_depth 0 the two coincide. *)
   let sig_of_cand (c : Crash_gen.cand) =
     let watch, req = Crash_gen.violation_sids c.cd_viol in
     Prune.Path_sig.make ~op_kind:op_kind_sids.(c.cd_crash_op)
@@ -313,10 +313,11 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
   (* Which eligible candidates each walk tests, why, and which walks
      follow the first. *)
   let sched = Prune.Schedule.create cfg.prune ~budget:cfg.expand_budget in
-  (* One `slice` event per would-be cluster: the live trace events
-     touching the violated condition's addresses, up to the crash point.
-     Retired events are gone, and the events nearest the crash carry the
-     story anyway. *)
+  (* One `slice` event per would-be cluster: the live trace stores and
+     flushes touching the violated condition's addresses, up to the crash
+     point; a flush covers its cache line's bytes. One cap bounds both
+     kinds, keeping the rows nearest the crash: retired events are gone,
+     and those rows carry the story anyway. *)
   let slices_done : (Prune.Path_sig.t, unit) Hashtbl.t = Hashtbl.create 16 in
   let emit_slice (image : Crash_gen.image) =
     let trace = !btrace in
@@ -340,22 +341,27 @@ let pipeline ~window ~cfg (module S : Store_intf.S) =
     let cap = 48 in
     let rev_entries = ref [] in
     let total = ref 0 in
-    for tid = lo to upto do
-      let k = Nvm.Trace.kind_at trace tid in
-      if (k = Nvm.Trace.k_store || k = Nvm.Trace.k_flush)
-      && overlaps (Nvm.Trace.addr_at trace tid) (Nvm.Trace.len_at trace tid)
-      then begin
+    let row tid kind addr len =
+      if overlaps addr len then begin
         incr total;
-        let kind = if k = Nvm.Trace.k_store then "store" else "flush" in
         rev_entries :=
           Obs.Jsonx.List
             [ Obs.Jsonx.Int tid; Obs.Jsonx.Str kind;
               Obs.Jsonx.Str (Nvm.Sid.to_string (Nvm.Trace.sid_at trace tid));
-              Obs.Jsonx.Int (Nvm.Trace.addr_at trace tid);
-              Obs.Jsonx.Int (Nvm.Trace.len_at trace tid);
+              Obs.Jsonx.Int addr; Obs.Jsonx.Int len;
               Obs.Jsonx.Int (Nvm.Trace.op_at trace tid) ]
           :: !rev_entries
       end
+    in
+    for tid = lo to upto do
+      let k = Nvm.Trace.kind_at trace tid in
+      if k = Nvm.Trace.k_store then
+        row tid "store" (Nvm.Trace.addr_at trace tid)
+          (Nvm.Trace.len_at trace tid)
+      else if k = Nvm.Trace.k_flush then
+        (* a flush's address is its cache-line index *)
+        row tid "flush" (Nvm.Trace.addr_at trace tid * Nvm.Pmem.line_size)
+          Nvm.Pmem.line_size
     done;
     (* keep the tail: the events nearest the crash carry the story *)
     let entries = List.rev (List.filteri (fun i _ -> i < cap) !rev_entries) in

@@ -11,25 +11,36 @@
    positives). Rolled-back oracles are memoized per crashed operation.
 
    The checker is incremental: the resumed execution streams each output
-   through it (Driver.resume_stream) and it tracks which of the two
-   oracles is still live. The moment both are ruled out the replay is
-   aborted — an inconsistent image costs O(first divergence) instead of
-   O(suffix), and since buggy images tend to diverge early this is the
-   dominant saving of the zero-copy validation path. Consistent images
-   still replay in full (one oracle stays live to the end), so the
-   verdict is exactly the one the full-replay comparison would reach.
+   through it (Driver.resume_stream), and it keeps two first-divergence
+   indices, one per oracle, -1 while the replay still matches that
+   oracle. The moment both are set the replay is aborted — an
+   inconsistent image costs O(first divergence) instead of O(suffix), and
+   since buggy images tend to diverge early this is the dominant saving
+   of the zero-copy validation path. Consistent images still replay in
+   full (one index stays -1 to the end), so the verdict is exactly the
+   one the full-replay comparison would reach: the earlier index is
+   where the divergence starts, and [crashed] says whether the output
+   there is a visible crash.
 
    Three further optimizations, each independently toggleable and each
    verdict-equivalent to the reference [verdict_of_outputs]:
 
    - lazy oracles: the rolled-back oracle is only built at the first
      committed-oracle divergence, so images that track the committed run
-     to the end (the common case) never pay the O(n) oracle run;
-   - checkpointed oracles: with record-time snapshots every K ops, a
-     forced oracle resumes from the checkpoint preceding the crash op
-     instead of re-running from scratch — O(n - k + K) per oracle;
+     to the end (the common case) never pay the O(n) oracle run. A
+     cursor compares the buffered outputs with the rolled-back oracle
+     once it exists, so it catches up over the prefix the lazy checker
+     buffered, and the eager checker (oracle built before the first
+     output) runs the same comparison;
+   - checkpointed oracles: with record-time snapshots every K ops, an
+     oracle resumes from the checkpoint preceding the crash op instead of
+     re-running from scratch — O(n - k + K) per oracle;
    - digest memoization: images at the same crash op with equal content
      digests (stamped by Crash_gen) reuse the first image's verdict.
+
+   What the first two save against an eager checker, which re-runs n - 1
+   ops per crash op, is booked once, n - 1 at a crash op's first replay,
+   and an oracle actually built pays back the ops it replays.
 
    A fourth, [enable_batch], groups the images of one fence: they share
    the persisted base pool and differ only on the words written by the
@@ -50,7 +61,7 @@ type verdict =
       got : Output.t;
       expect_committed : Output.t;
       expect_rolled_back : Output.t;
-      crashed : bool;             (* divergence was a visible crash *)
+      crashed : bool;             (* [got] is a visible crash *)
     }
 
 (* Replay-work accounting for the per-stage timing split: how many store
@@ -94,9 +105,9 @@ type t = {
   fuel : int;                   (* per-op replay budget *)
   lazy_oracle : bool;           (* defer the oracle to first divergence *)
   memo_on : bool;               (* digest-keyed verdict memoization *)
-  mutable checkpoints : (int * Nvm.Pmem.t) array;  (* record snapshots, ascending *)
+  mutable checkpoints : (int * Nvm.Pmem.t) list;  (* record snapshots, newest first *)
   memo : (int * int, verdict) Hashtbl.t;  (* (crash op, digest) -> verdict *)
-  elided : (int, unit) Hashtbl.t;  (* crash ops checked oracle-free so far *)
+  booked : (int, unit) Hashtbl.t;  (* crash ops whose oracle saving is booked *)
   mutable batch : batch_state option;  (* fence batching, off by default *)
   stats : stats;
 }
@@ -109,14 +120,10 @@ let default_fuel = 65_536
 let create ?(fuel = default_fuel) ?(lazy_oracle = true) ?(memo = true)
     ?(checkpoints = []) store ~ops ~committed =
   Obs.Metrics.set_gauge "equiv.op_fuel" (float_of_int fuel);
-  let checkpoints =
-    let a = Array.of_list checkpoints in
-    Array.sort (fun (i, _) (j, _) -> compare i j) a;
-    a
-  in
   { store; ops; committed; rolled_back = Hashtbl.create 64; fuel;
-    lazy_oracle; memo_on = memo; checkpoints;
-    memo = Hashtbl.create 256; elided = Hashtbl.create 64; batch = None;
+    lazy_oracle; memo_on = memo;
+    checkpoints = List.sort (fun (i, _) (j, _) -> compare j i) checkpoints;
+    memo = Hashtbl.create 256; booked = Hashtbl.create 64; batch = None;
     stats = { n_replay_ops = 0; n_early_stops = 0;
               n_oracle_runs = 0; n_oracle_ops_saved = 0; n_memo_hits = 0;
               n_batch_fences = 0; n_batch_images = 0; n_inherit_hits = 0;
@@ -124,14 +131,12 @@ let create ?(fuel = default_fuel) ?(lazy_oracle = true) ?(memo = true)
 
 let stats t = t.stats
 
-(* Replace the checkpoint set. A windowed run maintains a bounded ring
-   of snapshots and re-points the checker as it rotates; checkpoints
-   only change which snapshot an oracle resumes from (cost), never the
-   oracle's outputs, so swapping them mid-run is verdict-neutral. *)
-let set_checkpoints t checkpoints =
-  let a = Array.of_list checkpoints in
-  Array.sort (fun (i, _) (j, _) -> compare i j) a;
-  t.checkpoints <- a
+(* Replace the checkpoint set, newest first as [Driver.ckpts] holds it.
+   A windowed run maintains a bounded ring of snapshots and re-points the
+   checker as it rotates; checkpoints only change which snapshot an
+   oracle resumes from (cost), never the oracle's outputs, so swapping
+   them mid-run is verdict-neutral. *)
+let set_checkpoints t checkpoints = t.checkpoints <- checkpoints
 
 let drop_matching_keys tbl pred =
   let dead = Hashtbl.fold (fun k _ acc -> if pred k then k :: acc else acc) tbl [] in
@@ -139,12 +144,12 @@ let drop_matching_keys tbl pred =
 
 (* Drop per-crash-op caches below [floor]. As the streaming window slides,
    no future image can crash below the floor, so memoized verdicts,
-   rolled-back oracles and lazy-elision marks for those ops can never be
+   rolled-back oracles and booked savings for those ops can never be
    consulted again — holding them is what would make the checker's heap
    grow with the whole run. *)
 let forget_before t ~floor =
   drop_matching_keys t.rolled_back (fun op -> op < floor);
-  drop_matching_keys t.elided (fun op -> op < floor);
+  drop_matching_keys t.booked (fun op -> op < floor);
   drop_matching_keys t.memo (fun (op, _) -> op < floor)
 
 (* Fence batching. [addr_len tid] must give the byte range written by the
@@ -208,6 +213,12 @@ let oracle_full_rerun t k =
   (* outputs for ops k+1..n are at positions k-1 .. n-2 *)
   Array.sub outs (k - 1) (n - k)
 
+(* [n] more oracle ops saved against an eager checker without
+   checkpoints; negative to pay a booked saving back. *)
+let save t n =
+  t.stats.n_oracle_ops_saved <- t.stats.n_oracle_ops_saved + n;
+  Obs.Metrics.incr ~n "equiv.oracle_ops_saved"
+
 (* Oracle for a crash at trace op index k: outputs of ops after k when
    op k is rolled back. k = 0 (creation) rolls back to the committed
    behaviour (the pool is simply re-created). With checkpoints, the
@@ -216,7 +227,8 @@ let oracle_full_rerun t k =
    O(n) to O(n - k + stride). A store-visible failure of the checkpoint
    resume ([Driver.describe_failure]) falls back to the full re-run, so
    checkpointing can never change a verdict's availability, only its
-   cost; a harness failure propagates. *)
+   cost; a harness failure propagates. A built oracle pays back the
+   n - 1 - from_op ops it replays out of the saving its crash op booked. *)
 let rolled_back_oracle t k =
   match Hashtbl.find_opt t.rolled_back k with
   | Some o -> o
@@ -227,46 +239,32 @@ let rolled_back_oracle t k =
       else begin
         t.stats.n_oracle_runs <- t.stats.n_oracle_runs + 1;
         Obs.Metrics.incr "equiv.oracle_runs";
-        (* A lazily elided oracle being forced after all: give back the
-           provisional saving before accounting the real cost. *)
-        if Hashtbl.mem t.elided k then begin
-          Hashtbl.remove t.elided k;
-          t.stats.n_oracle_ops_saved <-
-            t.stats.n_oracle_ops_saved - (n - 1);
-          Obs.Metrics.incr ~n:(-(n - 1)) "equiv.oracle_ops_saved"
-        end;
-        let ckpt =
-          Array.fold_left
-            (fun acc (j, p) -> if j <= k - 1 then Some (j, p) else acc)
-            None t.checkpoints
-        in
-        let ev_oracle via from_op =
+        let built via from_op =
           if Obs.Event.enabled () then
             ignore
               (Obs.Event.emit "oracle"
                  ~fields:
                    [ ("op", Obs.Jsonx.Int k); ("via", Obs.Jsonx.Str via);
-                     ("from_op", Obs.Jsonx.Int from_op) ])
+                     ("from_op", Obs.Jsonx.Int from_op) ]);
+          save t (-(n - 1 - from_op))
         in
-        let full () = ev_oracle "full" 0; oracle_full_rerun t k in
-        match ckpt with
+        let full () = built "full" 0; oracle_full_rerun t k in
+        match List.find_opt (fun (j, _) -> j < k) t.checkpoints with
         | Some (j, pool) ->
           (match
              Driver.describe_failure (fun () ->
                  Driver.oracle_from_checkpoint t.store ~checkpoint:pool
                    ~ops:t.ops ~from_op:j ~skip:k)
            with
-           | Ok o ->
-             t.stats.n_oracle_ops_saved <- t.stats.n_oracle_ops_saved + j;
-             Obs.Metrics.incr ~n:j "equiv.oracle_ops_saved";
-             ev_oracle "ckpt" j;
-             o
+           | Ok o -> built "ckpt" j; o
            | Error _ -> full ())
         | None -> full ()
       end
     in
     Hashtbl.replace t.rolled_back k oracle;
     oracle
+
+let is_crash = function Output.Crashed _ -> true | _ -> false
 
 (* Reference verdict over fully-materialized output arrays; the streaming
    checker must agree with it. [committed] and [rolled_back] give oracle
@@ -293,82 +291,55 @@ let verdict_of_outputs ~crash_op ~(got : Output.t array)
       else first (i + 1)
     in
     let i = first 0 in
-    let crashed =
-      Array.exists (function Output.Crashed _ -> true | _ -> false) got
-    in
     Inconsistent
       { first_diff = crash_op + i + 1;
         got = got.(i);
         expect_committed = committed i;
         expect_rolled_back = rolled_back i;
-        crashed }
+        crashed = is_crash got.(i) }
   end
 
-let check_replay ?read_track t ~img ~crash_op =
+let check_replay ?read_track t ~img ~crash_op:k =
   let n = Array.length t.ops in
-  let k = crash_op in
   let suffix_len = n - k in
-  let committed_suffix i = t.committed.(k + i) in
-  (* In lazy mode the rolled-back oracle stays unforced while the replay
-     tracks the committed oracle; the common consistent image never pays
-     the oracle run at all. *)
+  (* what an eager checker without checkpoints spends on this crash op's
+     oracle, booked at its first replay *)
+  if k > 0 && not (Hashtbl.mem t.booked k) then begin
+    Hashtbl.add t.booked k ();
+    save t (n - 1)
+  end;
+  (* The lazy checker leaves the rolled-back oracle unbuilt while the
+     replay tracks the committed one; the common consistent image never
+     pays the oracle run at all. *)
   let rb = ref (if t.lazy_oracle then None else Some (rolled_back_oracle t k)) in
   let got = Array.make suffix_len Output.Ok in  (* streamed prefix buffer *)
-  let c_live = ref true and r_live = ref true in
-  (* earliest index diverging from either oracle, and the output there *)
-  let first_div = ref (-1) in
-  let div_got = ref Output.Ok in
-  let crashed = ref false in
-  let stopped_at = ref (-1) in
-  (* Force the oracle at the first committed divergence (index [upto] + 1)
-     and rescan the buffered prefix against it, reconstructing exactly the
-     r_live / first_div state the eager checker would hold here: while the
-     oracle was deferred every output matched the committed oracle, so the
-     prefix scan is the only comparison that was skipped. *)
-  let force_rb upto =
-    let o = rolled_back_oracle t k in
-    rb := Some o;
-    let i = ref 0 in
-    while !r_live && !i <= upto do
-      if not (Output.equal got.(!i) o.(!i)) then begin
-        r_live := false;
-        if !first_div < 0 then begin
-          first_div := !i;
-          div_got := got.(!i)
-        end
-      end;
-      incr i
-    done;
-    o
-  in
+  (* first suffix index diverging from the committed / rolled-back
+     oracle, -1 while the replay matches it, and the next buffered output
+     to compare with the rolled-back oracle *)
+  let c_first = ref (-1) and r_first = ref (-1) and r_next = ref 0 in
   let on_output i out =
+    (* a crash diverges from both oracles, so it is the last output a
+       replay streams *)
     (match out with
-     | Output.Crashed m ->
-       (* the first crashed output is the failure itself *)
-       if not !crashed && m = Driver.livelock then
-         Obs.Metrics.incr "equiv.livelocks";
-       crashed := true
+     | Output.Crashed m when String.equal m Driver.livelock ->
+       Obs.Metrics.incr "equiv.livelocks"
      | _ -> ());
     got.(i) <- out;
-    let c_eq = Output.equal out (committed_suffix i) in
-    match !rb with
-    | None when c_eq -> `Continue  (* tracking committed, oracle deferred *)
-    | (None | Some _) as cur ->
-      let o = match cur with Some o -> o | None -> force_rb (i - 1) in
-      let r_eq = Output.equal out o.(i) in
-      let c_ok = !c_live && c_eq in
-      let r_ok = !r_live && r_eq in
-      if !first_div < 0 && (not c_eq || not r_eq) then begin
-        first_div := i;
-        div_got := out
-      end;
-      c_live := c_ok;
-      r_live := r_ok;
-      if not c_ok && not r_ok then begin
-        stopped_at := i;
-        `Stop
-      end
-      else `Continue
+    if !c_first < 0 && not (Output.equal out t.committed.(k + i)) then begin
+      c_first := i;
+      match !rb with
+      | None -> rb := Some (rolled_back_oracle t k)
+      | Some _ -> ()
+    end;
+    (match !rb with
+     | Some o ->
+       while !r_first < 0 && !r_next <= i do
+         if not (Output.equal got.(!r_next) o.(!r_next)) then
+           r_first := !r_next;
+         incr r_next
+       done
+     | None -> ());
+    if !c_first >= 0 && !r_first >= 0 then `Stop else `Continue
   in
   let executed =
     Driver.resume_stream ?read_track t.store ~image:img ~ops:t.ops ~from_op:k
@@ -381,39 +352,24 @@ let check_replay ?read_track t ~img ~crash_op =
      whose check drove it (the fused pipeline makes the attribution
      exact); -1 outside an event-logged run *)
   Obs.Metrics.observe ~ev:!Obs.Event.last_image_id "equiv.replay_len" executed;
-  if !c_live || !r_live then begin
-    (* Consistent with the oracle never forced: one full oracle run (the
-       eager checker's run_quiet for this crash op) was elided. Counted
-       once per crash op and repaid in [rolled_back_oracle] if a later
-       image at the same op forces it. *)
-    (match !rb with
-     | None
-       when k > 0
-         && not (Hashtbl.mem t.rolled_back k)
-         && not (Hashtbl.mem t.elided k) ->
-       Hashtbl.add t.elided k ();
-       t.stats.n_oracle_ops_saved <- t.stats.n_oracle_ops_saved + (n - 1);
-       Obs.Metrics.incr ~n:(n - 1) "equiv.oracle_ops_saved"
-     | _ -> ());
-    Consistent
-  end
-  else begin
-    if !stopped_at < suffix_len - 1 then begin
+  match !rb with
+  | Some o when !c_first >= 0 && !r_first >= 0 ->
+    let stop = max !c_first !r_first in
+    if stop < suffix_len - 1 then begin
       t.stats.n_early_stops <- t.stats.n_early_stops + 1;
       Obs.Metrics.incr "equiv.early_stops";
       (* how deep into the suffix the replay got before both oracles
          died: the early-abort saving is suffix_len - depth per image *)
-      Obs.Metrics.observe "equiv.early_stop_depth" !stopped_at
+      Obs.Metrics.observe "equiv.early_stop_depth" stop
     end;
-    let i = !first_div in
-    let o = match !rb with Some o -> o | None -> assert false in
+    let i = min !c_first !r_first in
     Inconsistent
       { first_diff = k + i + 1;
-        got = !div_got;
-        expect_committed = committed_suffix i;
+        got = got.(i);
+        expect_committed = t.committed.(k + i);
         expect_rolled_back = o.(i);
-        crashed = !crashed }
-  end
+        crashed = is_crash got.(i) }
+  | _ -> Consistent
 
 (* Batched check of one image within its fence group: try to inherit a
    sibling's verdict, else replay with read tracking and record an entry

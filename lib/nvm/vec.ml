@@ -46,5 +46,3 @@ let fold_left f init t =
     acc := f !acc t.data.(i)
   done;
   !acc
-
-let clear t = t.len <- 0

@@ -134,7 +134,7 @@ let generate ?(cfg = Witcher.Crash_gen.default_cfg) ~trace ~(conds : t)
   let open Witcher.Crash_gen in
   let m = M.create () in
   let stats =
-    { candidates = 0; generated = 0; eligible = 0; deferred = 0; tested = 0;
+    { candidates = 0; generated = 0; deferred = 0; tested = 0;
       bytes_materialized = 0; per_op_images = Hashtbl.create 64 }
   in
   let store_evs : (int, Trace.store_ev) Hashtbl.t = Hashtbl.create 4096 in
@@ -181,8 +181,7 @@ let generate ?(cfg = Witcher.Crash_gen.default_cfg) ~trace ~(conds : t)
       stats.generated <- stats.generated + 1;
       Hashtbl.replace stats.per_op_images op
         (1 + Option.value ~default:0 (Hashtbl.find_opt stats.per_op_images op));
-      if stats.eligible < cfg.max_images && site_ok site_key then begin
-        stats.eligible <- stats.eligible + 1;
+      if stats.tested < cfg.max_images && site_ok site_key then begin
         stats.tested <- stats.tested + 1;
         let extras = Option.value extras ~default:[] in
         List.iter
@@ -193,7 +192,7 @@ let generate ?(cfg = Witcher.Crash_gen.default_cfg) ~trace ~(conds : t)
         let image =
           { img = M.image m trace ~pool_size ~extras; crash_tid = fence_tid;
             crash_op = op; viol; path_hash = !path_hash;
-            path_sig = !path_hash; extras = Array.of_list extras;
+            extras = Array.of_list extras;
             digest = 0 (* images are compared by content *) }
         in
         match on_image image with

@@ -134,113 +134,30 @@ let test_journal_skips_garbage () =
   Alcotest.(check int) "only the valid line loads" 1
     (List.length (C.Journal.load path))
 
-(* Journals written before the t_gen/t_equiv split carry a fused
-   [t_check] and none of the replay/materialization counters. They must
-   still parse, aggregate (new counters default to 0), and count as
-   completed for --resume. *)
-let test_presplit_journal_compat () =
+(* Journals written before a layer existed carry none of its counters:
+   before the t_gen/t_equiv split (a fused [t_check], no replay or
+   materialization counters), before oracle memoization, before pruning
+   (no prune fields in the job spec or the result), before fence
+   batching (no "batch" block) and before the streaming engine (no
+   "stream" block). Each hand-written line, independent of today's
+   encoders, must load as an exhaustive job under the unchanged v1 key
+   and count as completed for --resume; its counters aggregate, every
+   other column reads 0, and the report renders without a streaming
+   line. *)
+let era_journal_compat ~store ~result ~counters ~t_equiv () =
   let dir = tmp_dir () in
   let path = Filename.concat dir "journal.jsonl" in
-  let s = spec "level-hash" in
+  let s = spec store in
   let line =
-    C.Jsonx.to_string
-      (C.Jsonx.Obj
-         [ ("key", C.Jsonx.Str (C.Job.key s));
-           ("job", C.Job.to_json s);
-           ("status", C.Jsonx.Str "ok");
-           ("t_wall", C.Jsonx.Float 2.5);
-           ("result",
-            C.Jsonx.Obj
-              [ ("store", C.Jsonx.Str "level-hash");
-                ("c_o", C.Jsonx.Int 2);
-                ("c_a", C.Jsonx.Int 1);
-                ("images_tested", C.Jsonx.Int 99);
-                ("n_mismatch", C.Jsonx.Int 7);
-                ("t_check", C.Jsonx.Float 1.25) ]) ])
+    {|{"key":"|} ^ C.Job.key s ^ {|","job":{"store":"|} ^ store
+    ^ {|","variant":"buggy","seed":1,"n_ops":40,"max_images":200},"status":"ok","t_wall":1.5,"result":|}
+    ^ result ^ "}"
   in
   let oc = open_out path in
   output_string oc (line ^ "\n");
   close_out oc;
   let records = C.Journal.load path in
-  Alcotest.(check int) "pre-split line parses" 1 (List.length records);
-  let agg = C.Aggregate.of_records records in
-  Alcotest.(check int) "bug counts aggregate" 2 agg.total.c_o;
-  Alcotest.(check int) "images aggregate" 99 agg.total.images_tested;
-  Alcotest.(check int) "mismatches aggregate" 7 agg.total.n_mismatch;
-  Alcotest.(check int) "replay_ops defaults to 0" 0 agg.total.replay_ops;
-  Alcotest.(check int) "bytes_materialized defaults to 0" 0
-    agg.total.bytes_materialized;
-  Alcotest.(check bool) "t_equiv defaults to 0" true (agg.total.t_equiv = 0.);
-  Alcotest.(check bool) "report renders" true
-    (String.length (C.Aggregate.to_text agg) > 0);
-  let done_ = C.Journal.completed_keys records in
-  Alcotest.(check bool) "old key counts as completed for --resume" true
-    (Hashtbl.mem done_ (C.Job.key s))
-
-(* Journals written before the oracle-memoization work carry none of the
-   oracle_runs / oracle_ops_saved / memo_hits / ckpt_bytes counters.
-   They must still parse, aggregate (the counters default to 0), render,
-   and count as completed for --resume. *)
-let test_preoracle_journal_compat () =
-  let dir = tmp_dir () in
-  let path = Filename.concat dir "journal.jsonl" in
-  let s = spec "cceh" in
-  let line =
-    C.Jsonx.to_string
-      (C.Jsonx.Obj
-         [ ("key", C.Jsonx.Str (C.Job.key s));
-           ("job", C.Job.to_json s);
-           ("status", C.Jsonx.Str "ok");
-           ("t_wall", C.Jsonx.Float 3.0);
-           ("result",
-            C.Jsonx.Obj
-              [ ("store", C.Jsonx.Str "cceh");
-                ("c_o", C.Jsonx.Int 1);
-                ("c_a", C.Jsonx.Int 0);
-                ("images_tested", C.Jsonx.Int 250);
-                ("n_mismatch", C.Jsonx.Int 4);
-                ("replay_ops", C.Jsonx.Int 1234);
-                ("bytes_materialized", C.Jsonx.Int 4096);
-                ("t_gen", C.Jsonx.Float 0.5);
-                ("t_equiv", C.Jsonx.Float 1.0) ]) ])
-  in
-  let oc = open_out path in
-  output_string oc (line ^ "\n");
-  close_out oc;
-  let records = C.Journal.load path in
-  Alcotest.(check int) "pre-oracle line parses" 1 (List.length records);
-  let agg = C.Aggregate.of_records records in
-  Alcotest.(check int) "old counters aggregate" 1234 agg.total.replay_ops;
-  Alcotest.(check int) "oracle_runs defaults to 0" 0 agg.total.oracle_runs;
-  Alcotest.(check int) "oracle_ops_saved defaults to 0" 0
-    agg.total.oracle_ops_saved;
-  Alcotest.(check int) "memo_hits defaults to 0" 0 agg.total.memo_hits;
-  Alcotest.(check int) "ckpt_bytes defaults to 0" 0 agg.total.ckpt_bytes;
-  Alcotest.(check bool) "report renders" true
-    (String.length (C.Aggregate.to_text agg) > 0);
-  let done_ = C.Journal.completed_keys records in
-  Alcotest.(check bool) "old key counts as completed for --resume" true
-    (Hashtbl.mem done_ (C.Job.key s))
-
-(* Journals written before the pruning layer carry no prune fields in
-   either the job spec or the result payload. They must parse as
-   exhaustive jobs under the unchanged v1 key (so --resume skips them)
-   and aggregate with every prune column defaulting to 0. *)
-let test_preprune_journal_compat () =
-  let dir = tmp_dir () in
-  let path = Filename.concat dir "journal.jsonl" in
-  let s = spec "level-hash" in
-  (* hand-written line, independent of today's encoders; the key is the
-     real v1 key so the resume check is meaningful *)
-  let line =
-    {|{"key":"|} ^ C.Job.key s
-    ^ {|","job":{"store":"level-hash","variant":"buggy","seed":1,"n_ops":40,"max_images":200},"status":"ok","t_wall":1.5,"result":{"store":"level-hash","c_o":3,"c_a":2,"images_tested":120,"n_mismatch":9,"t_gen":0.4,"t_equiv":0.6}}|}
-  in
-  let oc = open_out path in
-  output_string oc (line ^ "\n");
-  close_out oc;
-  let records = C.Journal.load path in
-  Alcotest.(check int) "pre-prune line parses" 1 (List.length records);
+  Alcotest.(check int) "line parses" 1 (List.length records);
   let r = List.hd records in
   Alcotest.(check bool) "absent prune fields mean exhaustive" true
     (r.spec.C.Job.prune = Prune.Policy.Exhaustive);
@@ -248,82 +165,48 @@ let test_preprune_journal_compat () =
     W.Engine.default_cfg.expand_budget r.spec.C.Job.expand_budget;
   Alcotest.(check bool) "old key matches today's exhaustive key" true
     (r.key = C.Job.key r.spec);
-  let agg = C.Aggregate.of_records records in
-  Alcotest.(check int) "bug counts aggregate" 3 agg.total.c_o;
-  Alcotest.(check int) "prune_classes defaults to 0" 0 agg.total.prune_classes;
-  Alcotest.(check int) "prune_reps defaults to 0" 0 agg.total.prune_reps;
-  Alcotest.(check int) "images_elided defaults to 0" 0 agg.total.images_elided;
-  Alcotest.(check int) "expansions default to 0" 0 agg.total.prune_expansions;
-  Alcotest.(check bool) "report renders" true
-    (String.length (C.Aggregate.to_text agg) > 0);
-  let done_ = C.Journal.completed_keys records in
   Alcotest.(check bool) "old key counts as completed for --resume" true
-    (Hashtbl.mem done_ (C.Job.key s))
-
-(* Journals written before fence-batched checking carry no "batch"
-   member in the result payload. They must still parse, aggregate with
-   every batch column defaulting to 0, render, and count as completed
-   for --resume. *)
-let test_prebatch_journal_compat () =
-  let dir = tmp_dir () in
-  let path = Filename.concat dir "journal.jsonl" in
-  let s = spec "fast-fair" in
-  (* hand-written line, independent of today's encoders *)
-  let line =
-    {|{"key":"|} ^ C.Job.key s
-    ^ {|","job":{"store":"fast-fair","variant":"buggy","seed":1,"n_ops":40,"max_images":200},"status":"ok","t_wall":2.0,"result":{"store":"fast-fair","c_o":2,"c_a":0,"images_tested":150,"n_mismatch":11,"replay_ops":900,"t_gen":0.3,"t_equiv":0.7}}|}
-  in
-  let oc = open_out path in
-  output_string oc (line ^ "\n");
-  close_out oc;
-  let records = C.Journal.load path in
-  Alcotest.(check int) "pre-batch line parses" 1 (List.length records);
+    (Hashtbl.mem (C.Journal.completed_keys records) (C.Job.key s));
   let agg = C.Aggregate.of_records records in
-  Alcotest.(check int) "bug counts aggregate" 2 agg.total.c_o;
-  Alcotest.(check int) "replay_ops aggregate" 900 agg.total.replay_ops;
-  Alcotest.(check int) "batch_fences defaults to 0" 0 agg.total.batch_fences;
-  Alcotest.(check int) "inherit_hits defaults to 0" 0 agg.total.inherit_hits;
-  Alcotest.(check int) "batch_saved defaults to 0" 0 agg.total.batch_saved;
-  Alcotest.(check bool) "report renders" true
-    (String.length (C.Aggregate.to_text agg) > 0);
-  let done_ = C.Journal.completed_keys records in
-  Alcotest.(check bool) "old key counts as completed for --resume" true
-    (Hashtbl.mem done_ (C.Job.key s))
-
-(* Journals written before the streaming engine carry no "stream" member
-   in the result payload. They must still parse, aggregate with every
-   streaming column defaulting to 0 (and no streaming summary line in
-   the report), and count as completed for --resume. *)
-let test_prestream_journal_compat () =
-  let dir = tmp_dir () in
-  let path = Filename.concat dir "journal.jsonl" in
-  let s = spec "cceh" in
-  (* hand-written line, independent of today's encoders *)
-  let line =
-    {|{"key":"|} ^ C.Job.key s
-    ^ {|","job":{"store":"cceh","variant":"buggy","seed":1,"n_ops":40,"max_images":200},"status":"ok","t_wall":1.1,"result":{"store":"cceh","c_o":4,"c_a":1,"images_tested":90,"n_mismatch":7,"t_gen":0.2,"t_equiv":0.5}}|}
-  in
-  let oc = open_out path in
-  output_string oc (line ^ "\n");
-  close_out oc;
-  let records = C.Journal.load path in
-  Alcotest.(check int) "pre-stream line parses" 1 (List.length records);
-  let agg = C.Aggregate.of_records records in
-  Alcotest.(check int) "bug counts aggregate" 4 agg.total.c_o;
-  Alcotest.(check int) "stream_jobs defaults to 0" 0 agg.total.stream_jobs;
-  Alcotest.(check int) "window_retirements defaults to 0" 0
-    agg.total.window_retirements;
-  Alcotest.(check int) "ckpt_ring_evictions defaults to 0" 0
-    agg.total.ckpt_ring_evictions;
-  Alcotest.(check int) "peak_live_words defaults to 0" 0
-    agg.total.peak_live_words;
+  Array.iter
+    (fun (key, _, _) ->
+       Alcotest.(check int) key
+         (Option.value ~default:0 (List.assoc_opt key counters))
+         (C.Aggregate.get agg.total key))
+    C.Aggregate.columns;
+  Alcotest.(check (float 0.)) "t_equiv" t_equiv agg.total.t_equiv;
   let txt = C.Aggregate.to_text agg in
   Alcotest.(check bool) "report renders" true (String.length txt > 0);
-  Alcotest.(check bool) "no streaming summary for batch-only journals"
-    false (contains txt "streaming:");
-  let done_ = C.Journal.completed_keys records in
-  Alcotest.(check bool) "old key counts as completed for --resume" true
-    (Hashtbl.mem done_ (C.Job.key s))
+  Alcotest.(check bool) "no streaming summary" false (contains txt "streaming:")
+
+let era_journals =
+  [ ("pre-split",
+     era_journal_compat ~store:"level-hash"
+       ~result:{|{"store":"level-hash","c_o":2,"c_a":1,"images_tested":99,"n_mismatch":7,"t_check":1.25}|}
+       ~counters:[ ("c_o", 2); ("c_a", 1); ("images_tested", 99); ("n_mismatch", 7) ]
+       ~t_equiv:0.);
+    ("pre-oracle",
+     era_journal_compat ~store:"cceh"
+       ~result:{|{"store":"cceh","c_o":1,"c_a":0,"images_tested":250,"n_mismatch":4,"replay_ops":1234,"bytes_materialized":4096,"t_gen":0.5,"t_equiv":1.0}|}
+       ~counters:[ ("c_o", 1); ("images_tested", 250); ("n_mismatch", 4);
+                   ("replay_ops", 1234); ("bytes_materialized", 4096) ]
+       ~t_equiv:1.0);
+    ("pre-prune",
+     era_journal_compat ~store:"level-hash"
+       ~result:{|{"store":"level-hash","c_o":3,"c_a":2,"images_tested":120,"n_mismatch":9,"t_gen":0.4,"t_equiv":0.6}|}
+       ~counters:[ ("c_o", 3); ("c_a", 2); ("images_tested", 120); ("n_mismatch", 9) ]
+       ~t_equiv:0.6);
+    ("pre-batch",
+     era_journal_compat ~store:"fast-fair"
+       ~result:{|{"store":"fast-fair","c_o":2,"c_a":0,"images_tested":150,"n_mismatch":11,"replay_ops":900,"t_gen":0.3,"t_equiv":0.7}|}
+       ~counters:[ ("c_o", 2); ("images_tested", 150); ("n_mismatch", 11);
+                   ("replay_ops", 900) ]
+       ~t_equiv:0.7);
+    ("pre-stream",
+     era_journal_compat ~store:"cceh"
+       ~result:{|{"store":"cceh","c_o":4,"c_a":1,"images_tested":90,"n_mismatch":7,"t_gen":0.2,"t_equiv":0.5}|}
+       ~counters:[ ("c_o", 4); ("c_a", 1); ("images_tested", 90); ("n_mismatch", 7) ]
+       ~t_equiv:0.5) ]
 
 (* A --fixed-too sweep: report.json's rows keep their variants, and the
    total, summed over both, names none. *)
@@ -370,7 +253,7 @@ let test_preevent_journal_compat () =
   let records = C.Journal.load path in
   Alcotest.(check int) "pre-event line parses" 1 (List.length records);
   let agg = C.Aggregate.of_records records in
-  Alcotest.(check int) "bug counts aggregate" 1 agg.total.c_o;
+  Alcotest.(check int) "bug counts aggregate" 1 (C.Aggregate.get agg.total "c_o");
   (* explain the bare journal file and the directory holding it: both
      resolve to the degraded journal-only source *)
   List.iter
@@ -513,15 +396,15 @@ let test_mini_campaign_totals () =
   in
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 expect in
   Alcotest.(check int) "C-O total" (sum (fun r -> r.W.Engine.c_o))
-    s.aggregate.total.c_o;
+    (C.Aggregate.get s.aggregate.total "c_o");
   Alcotest.(check int) "C-A total" (sum (fun r -> r.W.Engine.c_a))
-    s.aggregate.total.c_a;
+    (C.Aggregate.get s.aggregate.total "c_a");
   Alcotest.(check int) "images tested total"
     (sum (fun r -> r.W.Engine.images_tested))
-    s.aggregate.total.images_tested;
+    (C.Aggregate.get s.aggregate.total "images_tested");
   Alcotest.(check int) "mismatch total"
     (sum (fun r -> r.W.Engine.n_mismatch))
-    s.aggregate.total.n_mismatch;
+    (C.Aggregate.get s.aggregate.total "n_mismatch");
   (* reports got written *)
   Alcotest.(check bool) "report.txt exists" true
     (Sys.file_exists s.report_txt_path);
@@ -611,32 +494,26 @@ let suite =
     Alcotest.test_case "job keys deterministic" `Quick test_keys_deterministic;
     Alcotest.test_case "journal record roundtrip" `Quick test_journal_roundtrip;
     Alcotest.test_case "journal tolerates torn lines" `Quick
-      test_journal_skips_garbage;
-    Alcotest.test_case "pre-split journal still aggregates" `Quick
-      test_presplit_journal_compat;
-    Alcotest.test_case "pre-oracle journal still aggregates" `Quick
-      test_preoracle_journal_compat;
-    Alcotest.test_case "pre-prune journal still aggregates" `Quick
-      test_preprune_journal_compat;
-    Alcotest.test_case "pre-batch journal still aggregates" `Quick
-      test_prebatch_journal_compat;
-    Alcotest.test_case "pre-stream journal still aggregates" `Quick
-      test_prestream_journal_compat;
-    Alcotest.test_case "pre-event journal still explains" `Quick
-      test_preevent_journal_compat;
-    Alcotest.test_case "fixed-too total names no variant" `Quick
-      test_total_has_no_variant;
-    Alcotest.test_case "failing job isolated from siblings" `Quick
-      test_failing_job_isolated;
-    Alcotest.test_case "livelocked job killed at deadline" `Quick
-      test_livelocked_job_killed;
-    Alcotest.test_case "resume skips journaled jobs" `Quick
-      test_resume_skips_journaled;
-    Alcotest.test_case "resume retries timeouts" `Quick
-      test_resume_retries_timeouts;
-    Alcotest.test_case "representative jobs = jobs run alone" `Slow
-      test_representative_jobs_independent;
-    Alcotest.test_case "mini-campaign totals = independent runs" `Slow
-      test_mini_campaign_totals;
-    Alcotest.test_case "jsonx roundtrip" `Quick test_jsonx_roundtrip;
-    Alcotest.test_case "jsonx rejects garbage" `Quick test_jsonx_rejects_garbage ]
+      test_journal_skips_garbage ]
+  @ List.map
+      (fun (era, test) ->
+         Alcotest.test_case (era ^ " journal still aggregates") `Quick test)
+      era_journals
+  @ [ Alcotest.test_case "pre-event journal still explains" `Quick
+        test_preevent_journal_compat;
+      Alcotest.test_case "fixed-too total names no variant" `Quick
+        test_total_has_no_variant;
+      Alcotest.test_case "failing job isolated from siblings" `Quick
+        test_failing_job_isolated;
+      Alcotest.test_case "livelocked job killed at deadline" `Quick
+        test_livelocked_job_killed;
+      Alcotest.test_case "resume skips journaled jobs" `Quick
+        test_resume_skips_journaled;
+      Alcotest.test_case "resume retries timeouts" `Quick
+        test_resume_retries_timeouts;
+      Alcotest.test_case "representative jobs = jobs run alone" `Slow
+        test_representative_jobs_independent;
+      Alcotest.test_case "mini-campaign totals = independent runs" `Slow
+        test_mini_campaign_totals;
+      Alcotest.test_case "jsonx roundtrip" `Quick test_jsonx_roundtrip;
+      Alcotest.test_case "jsonx rejects garbage" `Quick test_jsonx_rejects_garbage ]

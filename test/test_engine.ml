@@ -218,12 +218,30 @@ let test_first_diff_earliest () =
     Alcotest.(check bool) "got at that index" true
       (W.Output.equal d.got (Found "a"))
 
+(* Verdicts compare on every field: [first_diff], the three outputs and
+   [crashed]. [Output.equal] never equates two crashes, so this is
+   structural equality. *)
+let verdict_str = function
+  | W.Equiv.Consistent -> "consistent"
+  | W.Equiv.Inconsistent d ->
+    Printf.sprintf "op %d: got %s | committed %s | rolled-back %s%s"
+      d.first_diff (W.Output.to_string d.got)
+      (W.Output.to_string d.expect_committed)
+      (W.Output.to_string d.expect_rolled_back)
+      (if d.crashed then " [crashed]" else "")
+
+let verdict = Alcotest.testable (Fmt.of_to_string verdict_str) ( = )
+
 (* The streaming checker must reach exactly the verdict the full-replay
-   reference does, image by image, on a real buggy store. *)
-let test_streaming_matches_reference () =
-  let e = Option.get (R.find "level-hash") in
+   reference does, image by image, on a real buggy store. Fast-fair at
+   seed 1 has images whose rolled-back oracle dies before a later
+   visible crash: [crashed] must describe the output at [first_diff],
+   not any output the replay saw before it stopped. *)
+let test_streaming_matches_reference ~store ~seed () =
+  let e = Option.get (R.find store) in
   let module S = (val e.buggy ()) in
-  let wl = W.Workload.no_scan { W.Workload.default with n_ops = 60 } in
+  let wl = { W.Workload.default with n_ops = 60; seed } in
+  let wl = if S.supports_scan then wl else W.Workload.no_scan wl in
   let r = W.Driver.record (module S) (W.Workload.generate wl) in
   let conds = W.Infer.infer r.trace in
   let fuel = W.Engine.default_cfg.fuel in
@@ -250,16 +268,74 @@ let test_streaming_matches_reference () =
            in
            let streamed = W.Equiv.check checker ~img:img.img ~crash_op:k in
            incr n;
-           (match reference, streamed with
-            | W.Equiv.Consistent, W.Equiv.Consistent -> ()
-            | W.Equiv.Inconsistent a, W.Equiv.Inconsistent b ->
-              incr n_bad;
-              Alcotest.(check int) "first_diff agrees" a.first_diff b.first_diff
-            | _ -> Alcotest.fail "streaming and reference verdicts disagree");
+           if reference <> W.Equiv.Consistent then incr n_bad;
+           Alcotest.check verdict
+             (Printf.sprintf "%s crash op %d" store k)
+             reference streamed;
            `Continue)
        ());
   Alcotest.(check bool) "covered consistent and inconsistent images" true
     (!n > 50 && !n_bad > 0 && !n_bad < !n)
+
+(* [oracle_ops_saved] counts the oracle ops a checker saved against an
+   eager one without checkpoints, which re-runs n - 1 ops per crash op.
+   Over one image stream, checked without memo or batching, it must equal
+   counts taken independently, from the crash ops replayed and the
+   checker's `oracle` events. *)
+let test_oracle_ops_saved () =
+  let module S = (val Stores.Level_hash.buggy ()) in
+  let wl = W.Workload.no_scan { W.Workload.default with n_ops = 60 } in
+  let r = W.Driver.record ~ckpt_stride:8 (module S) (W.Workload.generate wl) in
+  let n = Array.length r.ops in
+  let conds = W.Infer.infer r.trace in
+  let images = ref [] in
+  ignore
+    (W.Crash_gen.generate
+       ~cfg:{ W.Crash_gen.default_cfg with max_images = 300 }
+       ~trace:r.trace ~conds ~pool_size:r.pool_size
+       ~on_image:(fun (img : W.Crash_gen.image) ->
+           images := (Nvm.Pmem.copy img.img, img.crash_op) :: !images;
+           `Continue)
+       ());
+  let images = List.rev !images in
+  (* the counter, and the (op, from_op) of every `oracle` event *)
+  let saved ~lazy_oracle ~checkpoints =
+    let c =
+      W.Equiv.create ~lazy_oracle ~memo:false ~checkpoints (module S)
+        ~ops:r.ops ~committed:r.outputs
+    in
+    Obs.Event.start ();
+    List.iter (fun (img, k) -> ignore (W.Equiv.check c ~img ~crash_op:k)) images;
+    let oracles =
+      List.filter_map
+        (fun j ->
+           if Obs.Jsonx.str_field j "e" = "oracle" then
+             Some (Obs.Jsonx.int_field j "op", Obs.Jsonx.int_field j "from_op")
+           else None)
+        (Obs.Event.stop ())
+    in
+    ((W.Equiv.stats c).n_oracle_ops_saved, oracles)
+  in
+  let eager, _ = saved ~lazy_oracle:false ~checkpoints:[] in
+  Alcotest.(check int) "eager without checkpoints" 0 eager;
+  let eager_ckpt, oracles = saved ~lazy_oracle:false ~checkpoints:r.checkpoints in
+  Alcotest.(check bool) "some oracle resumed from a checkpoint" true
+    (List.exists (fun (_, j) -> j > 0) oracles);
+  Alcotest.(check int) "eager with checkpoints: the oracles' from_op"
+    (List.fold_left (fun acc (_, j) -> acc + j) 0 oracles) eager_ckpt;
+  let lazy_, oracles = saved ~lazy_oracle:true ~checkpoints:[] in
+  let replayed =
+    List.sort_uniq compare
+      (List.filter_map (fun (_, k) -> if k > 0 && k < n then Some k else None)
+         images)
+  in
+  let unbuilt =
+    List.filter (fun k -> not (List.mem_assoc k oracles)) replayed
+  in
+  Alcotest.(check bool) "some replayed crash op built no oracle" true
+    (unbuilt <> [] && List.length unbuilt < List.length replayed);
+  Alcotest.(check int) "lazy: n - 1 per replayed crash op without an oracle"
+    ((n - 1) * List.length unbuilt) lazy_
 
 (* qcheck: the optimized checker (lazy rolled-back oracles +
    checkpointed oracle construction + digest-keyed verdict memo) reaches
@@ -318,13 +394,8 @@ let prop_optimized_checker_parity =
                      let v_plain =
                        W.Equiv.check plain ~img:img_copy ~crash_op:k
                      in
-                     let key = function
-                       | W.Equiv.Consistent -> -1
-                       | W.Equiv.Inconsistent d -> d.first_diff
-                     in
-                     if key reference <> key v_opt
-                        || key reference <> key v_plain
-                     then ok := false;
+                     if reference <> v_opt || reference <> v_plain then
+                       ok := false;
                      if !ok then `Continue else `Stop)
                  ());
             !ok)
@@ -392,13 +463,8 @@ let prop_batched_checker_parity =
                      let v_plain =
                        W.Equiv.check plain ~img:img_copy ~crash_op:k
                      in
-                     let key = function
-                       | W.Equiv.Consistent -> -1
-                       | W.Equiv.Inconsistent d -> d.first_diff
-                     in
-                     if key reference <> key v_batched
-                        || key reference <> key v_plain
-                     then ok := false;
+                     if reference <> v_batched || reference <> v_plain then
+                       ok := false;
                      if !ok then `Continue else `Stop)
                  ());
             W.Equiv.flush_batch batched;
@@ -795,7 +861,11 @@ let suite =
       Alcotest.test_case "first_diff is earliest divergence" `Quick
         test_first_diff_earliest;
       Alcotest.test_case "streaming check = full-replay reference" `Slow
-        test_streaming_matches_reference;
+        (test_streaming_matches_reference ~store:"level-hash" ~seed:42);
+      Alcotest.test_case "streaming check = reference on a late crash" `Quick
+        (test_streaming_matches_reference ~store:"fast-fair" ~seed:1);
+      Alcotest.test_case "oracle_ops_saved = independent counts" `Quick
+        test_oracle_ops_saved;
       Alcotest.test_case "final image consistent" `Quick test_final_image_consistent;
       Alcotest.test_case "pool costs the lines it touches" `Quick
         test_pool_cost;

@@ -172,6 +172,36 @@ let test_acceptance_default_config () =
          bugs)
     [ "level-hash"; "fast-fair"; "cceh" ]
 
+(* ---------- bug slices list flushes ---------- *)
+
+(* A slice lists the flushes of the condition's cache lines beside its
+   stores. A flush's trace address is its line index, so it is matched,
+   and printed, by the line's 64 bytes. *)
+let test_slice_lists_flushes () =
+  let _, items =
+    run_with_events (engine_cfg ~n_ops:200 ()) (Stores.Level_hash.buggy ())
+  in
+  let flush_rows =
+    List.concat_map
+      (fun j ->
+         match C.Jsonx.str_field j "e", C.Jsonx.member "entries" j with
+         | "slice", Some (C.Jsonx.List rows) ->
+           List.filter_map
+             (function
+               | C.Jsonx.List [ _; C.Jsonx.Str "flush"; _; C.Jsonx.Int addr;
+                                C.Jsonx.Int len; _ ] -> Some (addr, len)
+               | _ -> None)
+             rows
+         | _ -> [])
+      items
+  in
+  Alcotest.(check bool) "a slice lists a flush" true (flush_rows <> []);
+  List.iter
+    (fun (addr, len) ->
+       Alcotest.(check (pair int int)) "a flush row spans its line"
+         (addr / 64 * 64, 64) (addr, len))
+    flush_rows
+
 (* ---------- a run's indexes pick what the scans picked ---------- *)
 
 (* One class with two inconsistent verdicts, two `class` records, two
@@ -260,6 +290,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_chains_resolve;
     Alcotest.test_case "explain acceptance, default 200-op config" `Slow
       test_acceptance_default_config;
+    Alcotest.test_case "bug slices list flushes (level-hash, 200 ops)" `Quick
+      test_slice_lists_flushes;
     Alcotest.test_case "histogram exemplar links to its image" `Quick
       test_exemplar_links_to_image;
     Alcotest.test_case "resolve picks first verdict, last class" `Quick

@@ -375,22 +375,25 @@ let test_open_cap_parity () =
 
 (* Truncated signatures (--sig-depth): over one recorded trace, depth 4
    must hand out the same images as depth 0 with the same full-path
-   digest, and only [path_sig] may change: to the fold of the crashed
-   op's last four load/store sites before the crash, read back from the
-   trace independently of the generator's site window. *)
+   digest, and only the pruning signature ([cd_path_sig], which [decide]
+   sees) may change: to the fold of the crashed op's last four load/store
+   sites before the crash, read back from the trace independently of the
+   generator's site window. *)
 let test_sig_depth () =
   let e = Option.get (R.find "level-hash") in
   let module S = (val e.buggy ()) in
   let wl = W.Workload.no_scan { W.Workload.default with n_ops = 30 } in
   let r = W.Driver.record (module S) (W.Workload.generate wl) in
   let conds = W.Infer.infer r.trace in
+  (* every candidate is tested, so each image follows its own [decide] *)
   let images sig_depth =
-    let acc = ref [] in
+    let acc = ref [] and sig_ = ref 0 in
     ignore
       (W.Crash_gen.generate ~sig_depth ~trace:r.trace ~conds
          ~pool_size:r.pool_size
+         ~decide:(fun (c : W.Crash_gen.cand) -> sig_ := c.cd_path_sig; `Test)
          ~on_image:(fun (img : W.Crash_gen.image) ->
-             acc := img :: !acc;
+             acc := (img, !sig_) :: !acc;
              `Continue)
          ());
     List.rev !acc
@@ -416,25 +419,24 @@ let test_sig_depth () =
   let full = images 0 and cut = images 4 in
   let stream l =
     List.map
-      (fun (i : W.Crash_gen.image) -> (i.crash_tid, i.digest, i.path_hash))
+      (fun ((i : W.Crash_gen.image), _) -> (i.crash_tid, i.digest, i.path_hash))
       l
   in
   Alcotest.(check bool) "images generated" true (full <> []);
   Alcotest.(check bool) "same image stream at both depths" true
     (stream full = stream cut);
   List.iter
-    (fun (i : W.Crash_gen.image) ->
+    (fun ((i : W.Crash_gen.image), sig_) ->
        let sites = op_sites i.crash_tid in
        Alcotest.(check int) "path_hash folds the whole op" (fold sites)
          i.path_hash;
-       Alcotest.(check int) "depth 0: path_sig = path_hash" i.path_hash
-         i.path_sig)
+       Alcotest.(check int) "depth 0: path_sig = path_hash" i.path_hash sig_)
     full;
   List.iter
-    (fun (i : W.Crash_gen.image) ->
+    (fun ((i : W.Crash_gen.image), sig_) ->
        Alcotest.(check int) "depth 4: path_sig folds the last 4 sites"
          (fold (take 4 (op_sites i.crash_tid)))
-         i.path_sig)
+         sig_)
     cut;
   let classes sig_depth =
     (W.Engine.run
